@@ -29,7 +29,6 @@ from .model import (
     SystemKind,
     angular_mode,
     effective_potential,
-    euclidean_effective_potential,
     hamiltonian_sign,
     potential,
     radial_coefficient,
@@ -65,7 +64,6 @@ from .spectra import (
     coulomb_u2,
     deep_ladder,
     duality_forward,
-    free_spectrum,
     gamma_phase,
     oscillator_closed_spectrum,
     oscillator_quantized_spectrum,

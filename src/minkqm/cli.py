@@ -129,6 +129,23 @@ def _load_config_args(path: str) -> list[str]:
     return args
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite `--option -1e6` as `--option=-1e6`.
+
+    argparse reads a token starting with "-" as an option unless it looks
+    like a plain negative number, which leaves out exponent forms such as
+    -1e6 and ranges such as -2..2.  A value that starts with "-" followed
+    by a digit or "." is therefore joined to the option before it.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-[\d.]", token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
@@ -460,24 +477,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    # keep argparse from reading a negative-start range like "-2..2" as a flag
-    merged: list[str] = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if (
-            token == "--n"
-            and i + 1 < len(argv)
-            and re.match(r"^-\d+\.\.", argv[i + 1])
-        ):
-            merged.append(f"--n={argv[i + 1]}")
-            skip = True
-        else:
-            merged.append(token)
-    argv = merged
-
+    argv = _join_negative_values(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
 

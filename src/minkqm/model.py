@@ -16,6 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .geometry import Region
 
@@ -67,17 +69,18 @@ class Coulomb:
 SystemKind = Free | Oscillator | Coulomb
 
 
-def potential(kind: SystemKind, pp: PhysicalParams, r: float) -> float:
-    """U(r) for the three angle-independent systems."""
+def potential(kind: SystemKind, pp: PhysicalParams, r):
+    """U(r) for the three angle-independent systems; r a float or an array."""
     if isinstance(kind, Free):
         return 0.0
+    r_min = r if isinstance(r, float) else np.min(r)
     if isinstance(kind, Oscillator):
-        if r < 0:
-            raise DomainError(f"r must be >= 0, got {r}")
+        if r_min < 0:
+            raise DomainError(f"r must be >= 0, got {r_min}")
         return 0.5 * pp.mass * kind.omega**2 * r * r
     if isinstance(kind, Coulomb):
-        if r <= 0:
-            raise DomainError(f"Coulomb potential needs r > 0, got {r}")
+        if r_min <= 0:
+            raise DomainError(f"Coulomb potential needs r > 0, got {r_min}")
         return -kind.alpha / r
     raise TypeError(f"unknown system kind {kind!r}")
 
@@ -93,20 +96,6 @@ def effective_potential(
         raise DomainError(f"effective potential needs r > 0, got {r}")
     centrifugal = -(pp.hbar**2 / (2.0 * pp.mass)) * (m_ang * m_ang + 0.25) / (r * r)
     return centrifugal + potential(kind, pp, r)
-
-
-def euclidean_effective_potential(
-    pp: PhysicalParams, m_ang: float, alpha: float, r: float
-) -> float:
-    """Euclidean-plane Coulomb comparison: -(hbar^2/2m)(1/4 - M^2)/r^2 - alpha/r.
-
-    Differs from the Coulomb effective_potential only in the sign carried
-    by M^2; the two coincide identically at M = 0.
-    """
-    if r <= 0:
-        raise DomainError(f"effective potential needs r > 0, got {r}")
-    centrifugal = -(pp.hbar**2 / (2.0 * pp.mass)) * (0.25 - m_ang * m_ang) / (r * r)
-    return centrifugal - alpha / r
 
 
 def euclidean_effective_for(
@@ -125,17 +114,17 @@ def angular_mode(m_ang: float, phi: float) -> complex:
 
 
 def radial_coefficient(
-    kind: SystemKind, pp: PhysicalParams, m_ang: float, E: float, r: float
-) -> float:
-    """Coefficient Q(r) of u'' + Q u = 0; equals (2m/hbar^2)(E - U_eff)."""
-    if r <= 0:
-        raise DomainError(f"radial coefficient needs r > 0, got {r}")
-    two_m_over_h2 = 2.0 * pp.mass / (pp.hbar**2)
-    return (
-        two_m_over_h2 * E
-        + (m_ang * m_ang + 0.25) / (r * r)
-        - two_m_over_h2 * potential(kind, pp, r)
-    )
+    kind: SystemKind, pp: PhysicalParams, m_ang: float, E: float, r
+):
+    """Coefficient Q(r) of u'' + Q u = 0; equals (2m/hbar^2)(E - U_eff).
+
+    r is a float or an array of radii (the oracle passes whole grids).
+    """
+    r_min = r if isinstance(r, float) else np.min(r)
+    if r_min <= 0:
+        raise DomainError(f"radial coefficient needs r > 0, got {r_min}")
+    two_m_over_h2 = 2.0 * pp.mass / (pp.hbar * pp.hbar)
+    return two_m_over_h2 * (E - potential(kind, pp, r)) + (m_ang * m_ang + 0.25) / (r * r)
 
 
 def hamiltonian_sign(region: Region) -> int:

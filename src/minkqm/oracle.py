@@ -30,7 +30,7 @@ from .errors import (
     FitQualityError,
     InsufficientRootsError,
 )
-from .model import Coulomb, Free, Oscillator, PhysicalParams, SystemKind, radial_coefficient
+from .model import Coulomb, PhysicalParams, SystemKind, radial_coefficient
 
 _RENORM_LIMIT = 1e100
 _STABILITY_BOUND = 0.01  # h^2 * max|coefficient| must stay below this
@@ -130,16 +130,18 @@ def _numerov(
 ) -> tuple[np.ndarray, float]:
     """Propagate y'' + coef * y = 0 on a uniform grid; O(h^6) local error.
 
-    start holds y at the first two grid points in the direction of travel.
-    Uses the summed form of the recurrence (the running first difference of
-    z = (1 + h^2 coef/12) y is updated each step), which keeps roundoff
-    growth linear in the step count instead of quadratic.
+    start holds y at the first two grid points in the direction of travel;
+    y takes their dtype, so real starts run in float64 and complex starts
+    in complex128.  Uses the summed form of the recurrence (the running
+    first difference of z = (1 + h^2 coef/12) y is updated each step),
+    which keeps roundoff growth linear in the step count instead of
+    quadratic.
     Returns (values in grid order, accumulated log scale).
     """
     n = coef.size
     h2 = h * h
     w = 1.0 + (h2 / 12.0) * coef  # Numerov weights
-    y = np.zeros(n, dtype=complex)
+    y = np.zeros(n, dtype=np.result_type(*start))
     log_scale = 0.0
     if inward:
         y[n - 1], y[n - 2] = start
@@ -164,30 +166,6 @@ def _numerov(
             diff /= mag
             log_scale += math.log(mag)
     return y, log_scale
-
-
-def _coef_values(
-    kind: SystemKind,
-    pp: PhysicalParams,
-    m_ang: float,
-    energy: float,
-    r: np.ndarray,
-    transformed: bool,
-) -> np.ndarray:
-    """Q(r) on the grid, or W = r^2 Q - 1/4 for the log-variable equation."""
-    two_m_over_h2 = 2.0 * pp.mass / (pp.hbar * pp.hbar)
-    if isinstance(kind, Free):
-        u_pot = np.zeros_like(r)
-    elif isinstance(kind, Coulomb):
-        u_pot = -kind.alpha / r
-    elif isinstance(kind, Oscillator):
-        u_pot = 0.5 * pp.mass * kind.omega**2 * r * r
-    else:
-        raise TypeError(f"unknown system kind {kind!r}")
-    q = two_m_over_h2 * (energy - u_pot) + (m_ang * m_ang + 0.25) / (r * r)
-    if transformed:
-        return r * r * q - 0.25
-    return q
 
 
 def _check_stability(h: float, coef: np.ndarray):
@@ -225,33 +203,32 @@ def integrate_radial(
     if spacing == "linear":
         r = np.linspace(cfg.r_min, cfg.r_max, cfg.steps)
         h = r[1] - r[0]
-        coef = q_func(r) if q_func is not None else _coef_values(
-            kind, pp, m_ang, energy, r, transformed=False
-        )
-        if not np.all(np.isfinite(coef)):
-            raise DomainError("coefficient not finite on the grid")
-        _check_stability(h, coef)
-        u, log_scale = _numerov(coef, h, start_values, inward)
     elif spacing == "log":
         x = np.linspace(math.log(cfg.r_min), math.log(cfg.r_max), cfg.steps)
         r = np.exp(x)
         h = x[1] - x[0]
-        if q_func is not None:
-            coef = r * r * q_func(r) - 0.25
-        else:
-            coef = _coef_values(kind, pp, m_ang, energy, r, transformed=True)
-        if not np.all(np.isfinite(coef)):
-            raise DomainError("coefficient not finite on the grid")
-        _check_stability(h, coef)
-        sqrt_r = np.sqrt(r)
-        if inward:
-            v_start = (start_values[0] / sqrt_r[-1], start_values[1] / sqrt_r[-2])
-        else:
-            v_start = (start_values[0] / sqrt_r[0], start_values[1] / sqrt_r[1])
-        v, log_scale = _numerov(coef, h, v_start, inward)
-        u = v * sqrt_r
     else:
         raise DomainError(f"spacing must be linear or log, got {spacing!r}")
+    if q_func is not None:
+        coef = q_func(r)
+    else:
+        coef = radial_coefficient(kind, pp, m_ang, energy, r)
+    if spacing == "log":
+        coef = r * r * coef - 0.25  # W of the equation for v = u/sqrt(r)
+    if not np.all(np.isfinite(coef)):
+        raise DomainError("coefficient not finite on the grid")
+    _check_stability(h, coef)
+    start = (complex(start_values[0]), complex(start_values[1]))
+    if spacing == "linear":
+        u, log_scale = _numerov(coef, h, start, inward)
+    else:
+        sqrt_r = np.sqrt(r)
+        if inward:
+            v_start = (start[0] / sqrt_r[-1], start[1] / sqrt_r[-2])
+        else:
+            v_start = (start[0] / sqrt_r[0], start[1] / sqrt_r[1])
+        v, log_scale = _numerov(coef, h, v_start, inward)
+        u = v * sqrt_r
 
     return RadialSolution(r, u, energy, m_ang, kind, log_scale)
 
@@ -303,30 +280,13 @@ def inward_phase(
     x = np.linspace(x_min, x_max, cfg.steps)
     r = np.exp(x)
     h = x[1] - x[0]
-    coef = _coef_values(kind, pp, m_ang, energy, r, transformed=True)
+    coef = r * r * radial_coefficient(kind, pp, m_ang, energy, r) - 0.25
     _check_stability(h, coef)
 
     # decaying start, v = u/sqrt(r) with u ~ e^{-kappa r}
     v_end = 1.0
     v_prev = math.exp(kappa * (r[-1] - r[-2])) * math.sqrt(r[-1] / r[-2]) * v_end
-
-    n = coef.size
-    h2 = h * h
-    w = 1.0 + (h2 / 12.0) * coef
-    v = np.zeros(n, dtype=float)
-    v[n - 1] = v_end
-    v[n - 2] = v_prev
-    z_curr = w[n - 2] * v_prev
-    diff = z_curr - w[n - 1] * v_end
-    for i in range(n - 3, -1, -1):
-        diff = diff - h2 * coef[i + 1] * v[i + 1]
-        z_curr = z_curr + diff
-        v[i] = z_curr / w[i]
-        mag = abs(v[i])
-        if mag > _RENORM_LIMIT:
-            v /= mag
-            z_curr /= mag
-            diff /= mag
+    v, _ = _numerov(coef, h, (v_end, v_prev), inward=True)
     window = x <= x_min + math.log(10.0)
     beta, _, rel = _phase_fit(x[window], v[window], m_ang)
     if rel > fit_residual_tol:
@@ -441,9 +401,7 @@ def ode_residual(sol: RadialSolution, pp: PhysicalParams) -> float:
     """
     r = sol.r_grid
     u = sol.u_values
-    q = np.array(
-        [radial_coefficient(sol.kind, pp, sol.m_ang, sol.energy, ri) for ri in r]
-    )
+    q = radial_coefficient(sol.kind, pp, sol.m_ang, sol.energy, r)
     h_minus = r[1:-1] - r[:-2]
     h_plus = r[2:] - r[1:-1]
     d2 = 2.0 * (

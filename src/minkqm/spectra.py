@@ -14,6 +14,7 @@ fixes only level *spacings*, never an absolute anchor.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -37,8 +38,6 @@ _DUALITY_TOL = 1e-12
 class Branch(str, Enum):
     CLOSED_FORM_U1 = "closed_form_u1"
     QUANTIZED_THIRD = "quantized_third"
-    DEEP_ASYMPTOTIC = "deep_asymptotic"
-    SHALLOW_ASYMPTOTIC = "shallow_asymptotic"
 
 
 @dataclass(frozen=True)
@@ -140,19 +139,6 @@ def deep_ladder(energy0: float, m_ang: float, n: int) -> float:
     return energy0 * math.exp(2.0 * math.pi * n / m_ang)
 
 
-def free_spectrum(energy0: float, m_ang: float, n: int) -> float:
-    """Free-particle discrete level; the same geometric ladder, exact at alpha = 0.
-
-    Only E < 0 is discrete; positive energies belong to the continuum and
-    are not enumerated here.
-    """
-    if not energy0 < 0:
-        raise DomainError(
-            f"free discrete spectrum needs E0 < 0 (E > 0 is the continuum), got {energy0}"
-        )
-    return deep_ladder(energy0, m_ang, n)
-
-
 # --------------------------------------------------------------------------
 # wavefunctions (unnormalized, leading constant 1, argument z = r/r0)
 
@@ -180,7 +166,7 @@ def coulomb_u1(
     Unnormalized; |u1| ~ sqrt(z) as z -> 0 regardless of M (the z^{iM}
     factor has unit modulus).  The amplitude depends only on (g, M, z).
     """
-    if z <= 0:
+    if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
     return complex(_u1_ld(g, m_ang, z, tol))
 
@@ -190,7 +176,7 @@ def coulomb_u2(
 ) -> complex:
     """Second radial solution; the M -> -M mirror of u1, and its complex
     conjugate for real parameters."""
-    if z <= 0:
+    if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
     return complex(_u2_ld(g, m_ang, z, tol))
 
@@ -211,7 +197,7 @@ def coulomb_third(
     the result is cancellation noise; ``coulomb_third_asymptotic`` gives
     only the growing branch, not this decaying tail.
     """
-    if z <= 0:
+    if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
     if gamma is None:
         gamma = gamma_phase(g, m_ang).gamma
@@ -246,6 +232,21 @@ def _large_z_series(g: float, m_ang: float, z: float):
         k += 1
 
 
+def _finite_asymptotic(name: str, g: float, m_ang: float, z: float, value) -> complex:
+    """value as a complex double, or DomainError once e^{z/2} leaves the range.
+
+    The envelope e^{z/2} z^{-g} overflows the double range near z = 1.4e3
+    (for g = 2) and the longdouble one near z = 2.3e4.
+    """
+    out = complex(value)
+    if not cmath.isfinite(out):
+        raise DomainError(
+            f"{name}(g={g}, M={m_ang}) is not finite at z={z:.6g}: "
+            "e^(z/2) z^(-g) leaves the double range"
+        )
+    return out
+
+
 def coulomb_u1_asymptotic(g: float, m_ang: float, z: float) -> complex:
     """Large-z form of u1: e^{z/2} z^{-g} Gamma(1+2iM)/Gamma(1/2+iM-g) S(z).
 
@@ -258,18 +259,22 @@ def coulomb_u1_asymptotic(g: float, m_ang: float, z: float) -> complex:
     floor by z = 60.
     Where the first correction term is already >= 1, that is for
     z <= (1/2 + g)^2 + M^2, no term is summed and the form is leading-order.
+    Raises DomainError where the value leaves the double range (from
+    z ~ 1.4e3 for g = 2).
     """
-    if z <= 0:
+    if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
     a = complex(0.5 - g, m_ang)
     c = complex(1.0, 2.0 * m_ang)
-    expo = (
-        _ln_gamma_ld(c)
-        - _ln_gamma_ld(a)
-        + np.clongdouble(z) / 2
-        - np.clongdouble(g) * np.log(np.clongdouble(z))
-    )
-    return complex(np.exp(expo) * _large_z_series(g, m_ang, z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = (
+            _ln_gamma_ld(c)
+            - _ln_gamma_ld(a)
+            + np.clongdouble(z) / 2
+            - np.clongdouble(g) * np.log(np.clongdouble(z))
+        )
+        value = np.exp(expo) * _large_z_series(g, m_ang, z)
+    return _finite_asymptotic("coulomb_u1_asymptotic", g, m_ang, z, value)
 
 
 def coulomb_third_asymptotic(
@@ -284,19 +289,22 @@ def coulomb_third_asymptotic(
     accuracy.  It vanishes (up to rounding) when gamma solves the decay
     condition, which is what it is for: it measures how much exponential
     growth a given gamma leaves.  It is not the decaying tail of the third
-    solution, which this leaves out.
+    solution, which this leaves out.  Raises DomainError where the value
+    leaves the double range.
     """
-    if z <= 0:
+    if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
     a = complex(0.5 - g, m_ang)
     c = complex(1.0, 2.0 * m_ang)
     k1 = _ln_gamma_ld(c) - _ln_gamma_ld(a)
     k2 = _ln_gamma_ld(c.conjugate()) - _ln_gamma_ld(a.conjugate())
-    envelope = np.exp(
-        np.clongdouble(z) / 2 - np.clongdouble(g) * np.log(np.clongdouble(z))
-    )
-    coeff = np.exp(k1) - np.exp(np.clongdouble(-2j) * np.clongdouble(gamma) + k2)
-    return complex(envelope * coeff * _large_z_series(g, m_ang, z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelope = np.exp(
+            np.clongdouble(z) / 2 - np.clongdouble(g) * np.log(np.clongdouble(z))
+        )
+        coeff = np.exp(k1) - np.exp(np.clongdouble(-2j) * np.clongdouble(gamma) + k2)
+        value = envelope * coeff * _large_z_series(g, m_ang, z)
+    return _finite_asymptotic("coulomb_third_asymptotic", g, m_ang, z, value)
 
 
 # --------------------------------------------------------------------------
@@ -415,6 +423,51 @@ def _bracket_and_bisect(
     )
 
 
+def _ladder(
+    m_ang: float,
+    energy0: float,
+    n_range: Iterable[int],
+    f_of_x: Callable[[float], float],
+    x0: float,
+    energy_of_x: Callable[[float], float],
+    sign: float,
+    slope: float,
+    tol: float,
+    points_per_decade: int,
+    max_decades: float,
+) -> list[SpectrumEntry]:
+    """Ladder entries from f(x_n) = f(x0) + sign pi n, one per n in n_range.
+
+    x0 is the scan variable at the anchor level energy0, which n = 0
+    returns as given; energy_of_x maps a root back to its level, and slope
+    is the sign (and rough size) of df/dx.  The scan steps points_per_decade times per decade
+    of e^x, at most max_decades decades either way, and bisects to
+    tol/2 in x.
+    """
+    step = math.log(10.0) / points_per_decade
+    max_steps = int(points_per_decade * max_decades)
+    tol_x = tol / 2.0
+    f0 = f_of_x(x0)
+
+    def describe(x: float) -> str:
+        return f"E={energy_of_x(x):.6g}"
+
+    entries: list[SpectrumEntry] = []
+    for n in n_range:
+        if n == 0:
+            energy = energy0
+        else:
+            target = f0 + sign * math.pi * n
+            xn = _bracket_and_bisect(
+                f_of_x, x0, f0, target, slope, step, max_steps, tol_x, describe
+            )
+            energy = energy_of_x(xn)
+        entries.append(
+            SpectrumEntry(n, m_ang, complex(energy, 0.0), Branch.QUANTIZED_THIRD)
+        )
+    return entries
+
+
 def solve_quantized_spectrum(
     pp: PhysicalParams,
     alpha: float,
@@ -446,64 +499,32 @@ def solve_quantized_spectrum(
     if tol <= 0:
         raise DomainError("tol must be positive")
 
-    step = math.log(10.0) / points_per_decade
-    max_steps = int(points_per_decade * max_decades)
-    tol_x = tol / 2.0
-
-    entries: list[SpectrumEntry] = []
     if alpha > 0.0:
-        g0 = coulomb_scaling(pp, alpha, energy0).g
-        x0 = math.log(g0)
-
+        # x = ln g; f decreases in ln g for M > 0
         def f_of_x(x: float) -> float:
             return quantization_f(math.exp(x), m_ang)
 
-        def describe(x: float) -> str:
-            return f"E={_energy_from_g(pp, alpha, math.exp(x)):.6g}"
+        def energy_of_x(x: float) -> float:
+            return _energy_from_g(pp, alpha, math.exp(x))
 
-        f0 = f_of_x(x0)
-        slope = -1.0 if m_ang > 0 else 1.0  # f decreasing in ln g for M > 0
-        for n in n_range:
-            if n == 0:
-                entries.append(
-                    SpectrumEntry(0, m_ang, complex(energy0, 0.0), Branch.QUANTIZED_THIRD)
-                )
-                continue
-            target = f0 + math.pi * n
-            xn = _bracket_and_bisect(
-                f_of_x, x0, f0, target, slope, step, max_steps, tol_x, describe
-            )
-            energy = _energy_from_g(pp, alpha, math.exp(xn))
-            entries.append(
-                SpectrumEntry(n, m_ang, complex(energy, 0.0), Branch.QUANTIZED_THIRD)
-            )
+        x0 = math.log(coulomb_scaling(pp, alpha, energy0).g)
+        slope = -1.0 if m_ang > 0 else 1.0
     else:
-        # Free particle: f(E) = -M ln r0(E) up to a constant that cancels.
-        x0 = math.log(-energy0)
-
-        def f_free(x: float) -> float:
+        # Free particle, x = ln|E|: f(E) = -M ln r0(E) up to a constant
+        # that cancels.
+        def f_of_x(x: float) -> float:
             root = math.sqrt(2.0 * pp.mass) * math.exp(0.5 * x)
             return m_ang * math.log(2.0 * root / pp.hbar)
 
-        def describe(x: float) -> str:
-            return f"E={-math.exp(x):.6g}"
+        def energy_of_x(x: float) -> float:
+            return -math.exp(x)
 
-        f0 = f_free(x0)
+        x0 = math.log(-energy0)
         slope = 0.5 if m_ang > 0 else -0.5
-        for n in n_range:
-            if n == 0:
-                entries.append(
-                    SpectrumEntry(0, m_ang, complex(energy0, 0.0), Branch.QUANTIZED_THIRD)
-                )
-                continue
-            target = f0 + math.pi * n
-            xn = _bracket_and_bisect(
-                f_free, x0, f0, target, slope, step, max_steps, tol_x, describe
-            )
-            entries.append(
-                SpectrumEntry(n, m_ang, complex(-math.exp(xn), 0.0), Branch.QUANTIZED_THIRD)
-            )
-    return entries
+    return _ladder(
+        m_ang, energy0, n_range, f_of_x, x0, energy_of_x, 1.0, slope,
+        tol, points_per_decade, max_decades,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -636,35 +657,15 @@ def oscillator_quantized_spectrum(
 
     m_c = 0.5 * m_osc
     two_hw = 2.0 * pp.hbar * omega
-    g0 = energy0 / two_hw
-    x0 = math.log(g0)
 
     def f_of_x(x: float) -> float:
         return quantization_f(math.exp(x), m_c)
 
-    def describe(x: float) -> str:
-        return f"E={two_hw * math.exp(x):.6g}"
+    def energy_of_x(x: float) -> float:
+        return two_hw * math.exp(x)
 
-    step = math.log(10.0) / points_per_decade
-    max_steps = int(points_per_decade * max_decades)
-    tol_x = tol / 2.0
-    f0 = f_of_x(x0)
-    slope = -1.0 if m_c > 0 else 1.0
-
-    entries: list[SpectrumEntry] = []
-    for n in n_range:
-        if n == 0:
-            entries.append(
-                SpectrumEntry(0, m_osc, complex(energy0, 0.0), Branch.QUANTIZED_THIRD)
-            )
-            continue
-        # Rising energy for rising n: the condition reads f(g_n) = f(g_0) - pi n.
-        target = f0 - math.pi * n
-        xn = _bracket_and_bisect(
-            f_of_x, x0, f0, target, slope, step, max_steps, tol_x, describe
-        )
-        energy = two_hw * math.exp(xn)
-        entries.append(
-            SpectrumEntry(n, m_osc, complex(energy, 0.0), Branch.QUANTIZED_THIRD)
-        )
-    return entries
+    # Rising energy for rising n: the condition reads f(g_n) = f(g_0) - pi n.
+    return _ladder(
+        m_osc, energy0, n_range, f_of_x, math.log(energy0 / two_hw), energy_of_x,
+        -1.0, -1.0 if m_c > 0 else 1.0, tol, points_per_decade, max_decades,
+    )

@@ -17,9 +17,6 @@ from .errors import PoleError
 from .model import Coulomb, Free, NATURAL_UNITS
 from .specfun import KummerParams, kummer_asymptotic, kummer_m, kummer_second, ln_gamma
 
-SUITES = ("specfun", "phases", "spectra", "oracle", "duality")
-
-
 @dataclass(frozen=True)
 class CheckResult:
     suite: str
@@ -414,19 +411,21 @@ def suite_duality() -> list[CheckResult]:
     return out
 
 
+_SUITE_FUNCS = {
+    "specfun": suite_specfun,
+    "phases": suite_phases,
+    "spectra": suite_spectra,
+    "oracle": suite_oracle,
+    "duality": suite_duality,
+}
+SUITES = tuple(_SUITE_FUNCS)
+
+
 def run_suite(name: str) -> list[CheckResult]:
-    table = {
-        "specfun": suite_specfun,
-        "phases": suite_phases,
-        "spectra": suite_spectra,
-        "oracle": suite_oracle,
-        "duality": suite_duality,
-    }
+    """One suite's results, or every suite's in SUITES order for "all".
+
+    Raises KeyError for an unknown name.
+    """
     if name == "all":
-        results = []
-        for key in SUITES:
-            results.extend(table[key]())
-        return results
-    if name not in table:
-        raise KeyError(name)
-    return table[name]()
+        return [r for suite in _SUITE_FUNCS.values() for r in suite()]
+    return _SUITE_FUNCS[name]()

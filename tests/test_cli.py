@@ -1,10 +1,49 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from minkqm import verification
 from minkqm.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# The CLI examples of the README, keyed by the name of their golden file.
+README_EXAMPLES = {
+    "spectrum_coulomb_closed": (
+        "spectrum", "--system", "coulomb", "--alpha", "1", "--M", "0", "--closed",
+        "--n", "0..3",
+    ),
+    "spectrum_free_ladder": (
+        "spectrum", "--system", "free", "--M", "1", "--E0", "-1", "--n", "-2..2",
+    ),
+    "spectrum_coulomb_quantized": (
+        "spectrum", "--system", "coulomb", "--alpha", "1", "--M", "1", "--E0", "-2",
+        "--n", "-3..3",
+    ),
+    "spectrum_oscillator_closed": (
+        "spectrum", "--system", "oscillator", "--M", "2", "--closed", "--n", "0..4",
+    ),
+    "spectrum_oscillator_quantized": (
+        "spectrum", "--system", "oscillator", "--M", "1", "--E0", "25", "--n", "0..3",
+    ),
+    "wavefunction_coulomb_third": (
+        "wavefunction", "--system", "coulomb", "--g", "2", "--M", "1", "--branch", "third",
+        "--grid-min", "1e-4", "--grid-max", "35", "--grid-points", "400",
+        "--grid-spacing", "log",
+    ),
+    "wavefunction_oscillator": (
+        "wavefunction", "--system", "oscillator", "--n", "1", "--M", "0", "--grid-max", "4",
+    ),
+    "potential_oscillator": (
+        "potential", "--system", "oscillator", "--M", "1", "--grid-min", "0.2",
+        "--grid-max", "3",
+    ),
+    "phase": ("phase", "--g", "2", "--M", "1"),
+    "duality": ("duality", "--alpha", "1", "--EC", "-2", "--MC", "0.5", "--r0-scale", "1"),
+}
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +104,15 @@ class TestSpectrumCommand:
             "--E0", "-1", "--n", "300..300",
         )
         assert code == 3
+
+    def test_negative_exponent_value(self, capsys):
+        # argparse alone reads "-1e6" as an option and rejects the command
+        args = ("spectrum", "--system", "coulomb", "--M", "1", "--n", "1..2")
+        code, out, _ = run_cli(capsys, *args, "--E0", "-1e6")
+        code_eq, out_eq, _ = run_cli(capsys, *args, "--E0=-1e6")
+        assert code == code_eq == 0
+        assert out == out_eq
+        assert [r["n"] for r in json_records(out)] == [1, 2]
 
     def test_bad_range_syntax(self, capsys):
         code, _, err = run_cli(
@@ -314,3 +362,33 @@ class TestEntryPoints:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
+
+
+class TestGoldenOutput:
+    """Byte-for-byte output of the README examples and of `verify all`.
+
+    The files under tests/golden/ were written by `python -m minkqm` on
+    x86-64 Linux, where numpy's longdouble is the 80-bit x87 format; a
+    platform with a different longdouble may differ in the last digits.
+    A change that alters any of these numbers on purpose rewrites the
+    files (`python -m minkqm <args> > tests/golden/<name>.out` for each
+    entry of README_EXAMPLES, and `verify all` > verify_all.out) and
+    names every changed value in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+    def test_readme_example(self, capsys, name):
+        code, out, _ = run_cli(capsys, *README_EXAMPLES[name])
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+    def test_verify_all(self, capsys, monkeypatch, suite_results):
+        # each suite runs once per session; `verify all` reuses those results
+        results = {suite: suite_results(suite) for suite in verification.SUITES}
+        for suite in verification.SUITES:
+            monkeypatch.setitem(
+                verification._SUITE_FUNCS, suite, lambda suite=suite: results[suite]
+            )
+        code, out, _ = run_cli(capsys, "verify", "all")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "verify_all.out").read_bytes()

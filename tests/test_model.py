@@ -14,7 +14,6 @@ from minkqm.model import (
     angular_mode,
     effective_potential,
     euclidean_effective_for,
-    euclidean_effective_potential,
     hamiltonian_sign,
     potential,
     radial_coefficient,
@@ -59,16 +58,16 @@ class TestEffectivePotential:
                 assert effective_potential(Free(), NATURAL_UNITS, m_ang, float(r)) < 0.0
 
     def test_euclidean_examples(self):
-        assert euclidean_effective_potential(NATURAL_UNITS, 1.0, 1.0, 1.0) == -0.625
+        assert euclidean_effective_for(Coulomb(1.0), NATURAL_UNITS, 1.0, 1.0) == -0.625
         # difference Minkowski - Euclidean = -(hbar^2/m) M^2 / r^2
         mink = effective_potential(Coulomb(1.0), NATURAL_UNITS, 1.0, 1.0)
-        eucl = euclidean_effective_potential(NATURAL_UNITS, 1.0, 1.0, 1.0)
+        eucl = euclidean_effective_for(Coulomb(1.0), NATURAL_UNITS, 1.0, 1.0)
         assert mink - eucl == pytest.approx(-1.0, rel=1e-14)
 
     def test_euclidean_coincides_at_m_zero(self):
         for r in np.geomspace(0.01, 100, 30):
             mink = effective_potential(Coulomb(1.3), NATURAL_UNITS, 0.0, float(r))
-            eucl = euclidean_effective_potential(NATURAL_UNITS, 0.0, 1.3, float(r))
+            eucl = euclidean_effective_for(Coulomb(1.3), NATURAL_UNITS, 0.0, float(r))
             assert mink == eucl
 
     def test_sign_flip_law_random(self):
@@ -79,18 +78,12 @@ class TestEffectivePotential:
             alpha = rng.uniform(0.1, 5)
             r = rng.uniform(0.01, 50)
             mink = effective_potential(Coulomb(alpha), pp, m_ang, r)
-            eucl = euclidean_effective_potential(pp, m_ang, alpha, r)
+            eucl = euclidean_effective_for(Coulomb(alpha), pp, m_ang, r)
             want = -(pp.hbar**2 / pp.mass) * m_ang**2 / r**2
             # the subtraction cancels the shared Coulomb part, so allow for
             # the representation error of the two operands on top of 1e-13
             slack = 1e-13 * abs(want) + 4e-16 * (abs(mink) + abs(eucl))
             assert abs((mink - eucl) - want) <= slack
-
-    def test_generic_euclidean_helper_matches_coulomb_form(self):
-        for r in (0.3, 1.0, 7.0):
-            assert euclidean_effective_for(
-                Coulomb(2.0), NATURAL_UNITS, 1.5, r
-            ) == euclidean_effective_potential(NATURAL_UNITS, 1.5, 2.0, r)
 
 
 class TestRadialCoefficient:
@@ -123,13 +116,26 @@ class TestRadialCoefficient:
                 assert effective_potential(
                     kind, NATURAL_UNITS, m_ang, 0.7
                 ) == effective_potential(kind, NATURAL_UNITS, -m_ang, 0.7)
-            assert euclidean_effective_potential(
-                NATURAL_UNITS, m_ang, 1.0, 0.7
-            ) == euclidean_effective_potential(NATURAL_UNITS, -m_ang, 1.0, 0.7)
+            assert euclidean_effective_for(
+                Coulomb(1.0), NATURAL_UNITS, m_ang, 0.7
+            ) == euclidean_effective_for(Coulomb(1.0), NATURAL_UNITS, -m_ang, 0.7)
 
     def test_origin_rejected(self):
         with pytest.raises(DomainError):
             radial_coefficient(Free(), NATURAL_UNITS, 0.0, -1.0, 0.0)
+        with pytest.raises(DomainError):
+            radial_coefficient(Free(), NATURAL_UNITS, 0.0, -1.0, np.array([1.0, 0.0]))
+
+    def test_grid_matches_pointwise(self):
+        # the oracle evaluates Q on whole grids; each element must carry the
+        # bits of the scalar call
+        pp = PhysicalParams(2.0, 0.5)
+        r = np.geomspace(0.01, 30.0, 200)
+        for kind in (Free(), Oscillator(1.7), Coulomb(0.8)):
+            q = radial_coefficient(kind, pp, 1.3, -0.7, r)
+            assert q.tolist() == [
+                radial_coefficient(kind, pp, 1.3, -0.7, float(ri)) for ri in r
+            ]
 
 
 class TestAngularMode:

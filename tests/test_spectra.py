@@ -17,7 +17,6 @@ from minkqm.spectra import (
     coulomb_u2,
     deep_ladder,
     duality_forward,
-    free_spectrum,
     gamma_phase,
     oscillator_closed_spectrum,
     oscillator_quantized_spectrum,
@@ -113,6 +112,10 @@ class TestWavefunctions:
     def test_z_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             coulomb_u1(1.0, 1.0, 0.0)
+        # NaN fails the z > 0 guard as well, instead of running the series
+        for fn in (coulomb_u1, coulomb_u2, coulomb_third):
+            with pytest.raises(DomainError):
+                fn(2.0, 1.0, math.nan)
 
     def test_u1_asymptotic_agreement_improves(self):
         devs = [
@@ -153,6 +156,16 @@ class TestWavefunctions:
                 bound = float(2 * chi * omitted) + 1e-12
                 dev = float(abs(coulomb_u1_asymptotic(g, m_ang, z) / exact - 1))
                 assert dev <= bound, (z, dev, bound)
+
+    @pytest.mark.parametrize("z", [2e3, 3e4, math.nan])
+    def test_asymptotic_forms_raise_instead_of_non_finite(self, z):
+        # 2e3: the value leaves the double range; 3e4: the longdouble
+        # envelope itself overflows; nan: rejected by the z > 0 guard
+        gamma = gamma_phase(2.0, 1.0).gamma
+        with pytest.raises(DomainError):
+            coulomb_u1_asymptotic(2.0, 1.0, z)
+        with pytest.raises(DomainError):
+            coulomb_third_asymptotic(2.0, 1.0, z, gamma)
 
 
 class TestGammaPhase:
@@ -320,21 +333,17 @@ class TestLadders:
             r = deep_ladder(-2.0, 1.5, n + 1) / deep_ladder(-2.0, 1.5, n)
             assert r == pytest.approx(math.exp(2 * math.pi / 1.5), rel=1e-12)
 
-    def test_free_spectrum_matches_deep_ladder(self):
-        for n in (-2, 0, 3):
-            assert free_spectrum(-1.3, 0.8, n) == deep_ladder(-1.3, 0.8, n)
-
     def test_free_spectrum_example(self):
-        assert free_spectrum(-1.0, 1.0, -1) == pytest.approx(-math.exp(-2 * math.pi), rel=1e-15)
+        assert deep_ladder(-1.0, 1.0, -1) == pytest.approx(-math.exp(-2 * math.pi), rel=1e-15)
 
     def test_spacing_grows_with_n(self):
-        es = [free_spectrum(-1.0, 1.0, n) for n in range(4)]
+        es = [deep_ladder(-1.0, 1.0, n) for n in range(4)]
         gaps = [abs(es[i + 1] - es[i]) for i in range(3)]
         assert gaps == sorted(gaps)
 
     def test_positive_reference_rejected(self):
         with pytest.raises(DomainError):
-            free_spectrum(1.0, 1.0, 0)
+            deep_ladder(1.0, 1.0, 0)
 
     def test_shallow_values(self):
         assert shallow_spectrum(PP, 1.0, 0.5, 0) == -2.0
