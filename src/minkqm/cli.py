@@ -47,7 +47,7 @@ from .model import (
 )
 
 SCHEMA_VERSION = 1
-_DEFAULT_TOLERANCES = {"series": 1e-13, "solver": 1e-10, "fit": 1e-4}
+_DEFAULT_TOLERANCES = {"series": 1e-13, "solver": 1e-10}
 
 _NUMERICAL_ERRORS = (
     BracketError,
@@ -146,18 +146,24 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _common_parser() -> argparse.ArgumentParser:
+def _common_parser(units: bool) -> argparse.ArgumentParser:
+    """Shared options; units adds --hbar, --mass and --tol.
+
+    verify runs in natural units with fixed tolerances, so it takes none
+    of those three.
+    """
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
-    common.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
+    if units:
+        common.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
+        common.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
+        common.add_argument(
+            "--tol",
+            action="append",
+            metavar="NAME=VALUE",
+            help="override a named tolerance (series, solver); repeatable",
+        )
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", metavar="PATH", help="write records to PATH instead of stdout")
-    common.add_argument(
-        "--tol",
-        action="append",
-        metavar="NAME=VALUE",
-        help="override a named tolerance (series, solver, fit); repeatable",
-    )
     common.add_argument("--config", metavar="PATH", help="flat key=value config file")
     return common
 
@@ -170,7 +176,7 @@ def _grid_arguments(sub: argparse.ArgumentParser, default_min: float, default_ma
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_parser()
+    common = _common_parser(units=True)
     parser = argparse.ArgumentParser(
         prog="minkqm",
         description="Quantum spectra and wavefunctions on the Minkowski plane.",
@@ -215,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     du.add_argument("--MC", type=float, required=True, help="Coulomb angular eigenvalue")
     du.add_argument("--r0-scale", type=float, required=True)
 
-    ve = subs.add_parser("verify", parents=[common], help="run invariant suites")
+    ve = subs.add_parser("verify", parents=[_common_parser(units=False)], help="run invariant suites")
     ve.add_argument("suite", choices=verification.SUITES + ("all",))
     return parser
 
@@ -279,7 +285,6 @@ def _grid(args) -> np.ndarray:
 
 def _cmd_spectrum(args, pp: PhysicalParams, tol: dict) -> list[dict]:
     levels = _parse_level_range(args.n)
-    records = []
     if args.closed:
         if args.system == "free":
             raise UsageError(
@@ -288,26 +293,19 @@ def _cmd_spectrum(args, pp: PhysicalParams, tol: dict) -> list[dict]:
             )
         if levels.start < 0:
             raise UsageError("closed-form branch needs level indices n >= 0")
-        for n in levels:
-            if args.system == "coulomb":
-                energy = spectra.coulomb_closed_spectrum(pp, args.alpha, n, args.M)
-            else:
-                energy = spectra.oscillator_closed_spectrum(pp, args.omega, n, args.M)
-            records.append(
-                {
-                    "system": args.system,
-                    "branch": spectra.Branch.CLOSED_FORM_U1.value,
-                    "n": n,
-                    "M": args.M,
-                    "E_re": energy.real,
-                    "E_im": energy.imag,
-                }
+        if args.system == "coulomb":
+            closed, coupling = spectra.coulomb_closed_spectrum, args.alpha
+        else:
+            closed, coupling = spectra.oscillator_closed_spectrum, args.omega
+        entries = [
+            spectra.SpectrumEntry(
+                n, args.M, closed(pp, coupling, n, args.M), spectra.Branch.CLOSED_FORM_U1
             )
-        return records
-
-    if args.E0 is None:
+            for n in levels
+        ]
+    elif args.E0 is None:
         raise UsageError("quantized spectrum needs a reference level --E0")
-    if args.system == "oscillator":
+    elif args.system == "oscillator":
         entries = spectra.oscillator_quantized_spectrum(
             pp, args.omega, args.M, args.E0, levels, tol=tol["solver"]
         )
@@ -316,18 +314,17 @@ def _cmd_spectrum(args, pp: PhysicalParams, tol: dict) -> list[dict]:
         entries = spectra.solve_quantized_spectrum(
             pp, alpha, args.M, args.E0, levels, tol=tol["solver"]
         )
-    for e in entries:
-        records.append(
-            {
-                "system": args.system,
-                "branch": e.branch.value,
-                "n": e.n,
-                "M": e.m_ang,
-                "E_re": e.energy.real,
-                "E_im": e.energy.imag,
-            }
-        )
-    return records
+    return [
+        {
+            "system": args.system,
+            "branch": e.branch.value,
+            "n": e.n,
+            "M": e.m_ang,
+            "E_re": e.energy.real,
+            "E_im": e.energy.imag,
+        }
+        for e in entries
+    ]
 
 
 def _cmd_wavefunction(args, pp: PhysicalParams, tol: dict) -> list[dict]:

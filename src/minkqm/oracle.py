@@ -34,20 +34,16 @@ from .model import Coulomb, PhysicalParams, SystemKind, radial_coefficient
 
 _RENORM_LIMIT = 1e100
 _STABILITY_BOUND = 0.01  # h^2 * max|coefficient| must stay below this
+_FIT_RESIDUAL_TOL = 1e-4  # phase-fit rms residual relative to the amplitude
 
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Grid window for one radial integration; steps is the point count.
-
-    decay_threshold is the |u(r_max)|/max|u| ratio below which a solution
-    counts as decayed at the outer edge (see RadialSolution.decay_ratio).
-    """
+    """Grid window for one radial integration; steps is the point count."""
 
     r_min: float
     r_max: float
     steps: int = 6000
-    decay_threshold: float = 1e-6
 
     def __post_init__(self):
         if not (0 < self.r_min < self.r_max):
@@ -56,13 +52,9 @@ class ShootingConfig:
             )
         if self.steps < 1000:
             raise DomainError(f"steps must be >= 1000, got {self.steps}")
-        if not self.decay_threshold > 0:
-            raise DomainError("decay_threshold must be positive")
 
     def rescaled(self, factor: float) -> "ShootingConfig":
-        return ShootingConfig(
-            self.r_min * factor, self.r_max * factor, self.steps, self.decay_threshold
-        )
+        return ShootingConfig(self.r_min * factor, self.r_max * factor, self.steps)
 
 
 def bound_state_length(pp: PhysicalParams, energy: float) -> float:
@@ -78,11 +70,10 @@ def scaled_config(
     min_factor: float = 1e-4,
     max_factor: float = 50.0,
     steps: int = 6000,
-    decay_threshold: float = 1e-6,
 ) -> ShootingConfig:
     """Config spanning [min_factor, max_factor] in units of r0(E)."""
     r0 = bound_state_length(pp, energy)
-    return ShootingConfig(min_factor * r0, max_factor * r0, steps, decay_threshold)
+    return ShootingConfig(min_factor * r0, max_factor * r0, steps)
 
 
 @dataclass(frozen=True)
@@ -255,7 +246,6 @@ def inward_phase(
     m_ang: float,
     energy: float,
     cfg: ShootingConfig,
-    fit_residual_tol: float = 1e-4,
 ) -> float:
     """Near-origin phase beta of u ~ sqrt(r) sin(M ln r + beta), in [0, pi).
 
@@ -263,8 +253,8 @@ def inward_phase(
     (kappa = sqrt(-2mE)/hbar); the start transient dies out going inward,
     so its crudeness is harmless.  The phase is fit on r in
     [r_min, 10 r_min].  Raises FitQualityError when the rms residual
-    exceeds fit_residual_tol of the fitted amplitude (grid too coarse or
-    r_min not deep enough inside the inverse-square region).
+    exceeds 1e-4 of the fitted amplitude (grid too coarse or r_min not
+    deep enough inside the inverse-square region).
 
     The returned value is reduced mod pi; callers scanning in energy must
     unwind it themselves (see shoot_eigenvalues).
@@ -289,9 +279,9 @@ def inward_phase(
     v, _ = _numerov(coef, h, (v_end, v_prev), inward=True)
     window = x <= x_min + math.log(10.0)
     beta, _, rel = _phase_fit(x[window], v[window], m_ang)
-    if rel > fit_residual_tol:
+    if rel > _FIT_RESIDUAL_TOL:
         raise FitQualityError(
-            f"phase fit residual {rel:.3e} exceeds {fit_residual_tol:.1e} "
+            f"phase fit residual {rel:.3e} exceeds {_FIT_RESIDUAL_TOL:.1e} "
             f"(E={energy:.6g}, r_min={cfg.r_min:.3g})"
         )
     return beta

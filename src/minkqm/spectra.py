@@ -33,6 +33,10 @@ from .specfun import (
 
 _UNIT_MODULUS_TOL = 1e-10
 _DUALITY_TOL = 1e-12
+# Ladder scan: grid steps per decade of e^x, and the decades it may walk
+# either way from the anchor before giving up with BracketError.
+_SCAN_POINTS_PER_DECADE = 64
+_SCAN_DECADES = 160
 
 
 class Branch(str, Enum):
@@ -150,14 +154,6 @@ def _u1_ld(g: float, m_ang: float, z: float, tol: float):
     return pref * _kummer_m_ld(params, z, tol, 10_000)
 
 
-def _u2_ld(g: float, m_ang: float, z: float, tol: float):
-    params = KummerParams(complex(0.5 - g, -m_ang), complex(1.0, -2.0 * m_ang))
-    zl = np.clongdouble(z)
-    lnz = np.log(zl)
-    pref = np.exp(-zl / 2 + np.clongdouble(0.5) * lnz - np.clongdouble(1j * m_ang) * lnz)
-    return pref * _kummer_m_ld(params, z, tol, 10_000)
-
-
 def coulomb_u1(
     g: float, m_ang: float, z: float, tol: float = DEFAULT_SERIES_TOL
 ) -> complex:
@@ -165,20 +161,22 @@ def coulomb_u1(
 
     Unnormalized; |u1| ~ sqrt(z) as z -> 0 regardless of M (the z^{iM}
     factor has unit modulus).  The amplitude depends only on (g, M, z).
+    Raises DomainError where the value leaves the double range (from
+    z ~ 1.4e3 for g = 2).
     """
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
-    return complex(_u1_ld(g, m_ang, z, tol))
+    return _finite("coulomb_u1", g, m_ang, z, _u1_ld(g, m_ang, z, tol))
 
 
 def coulomb_u2(
     g: float, m_ang: float, z: float, tol: float = DEFAULT_SERIES_TOL
 ) -> complex:
     """Second radial solution; the M -> -M mirror of u1, and its complex
-    conjugate for real parameters."""
+    conjugate for real parameters.  Raises DomainError where u1 would."""
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
-    return complex(_u2_ld(g, m_ang, z, tol))
+    return _finite("coulomb_u2", g, m_ang, z, _u1_ld(g, -m_ang, z, tol))
 
 
 def coulomb_third(
@@ -195,14 +193,16 @@ def coulomb_third(
     against each other at large z; extended-precision accumulation keeps
     the combination trustworthy up to z of roughly 60-70.  Beyond that
     the result is cancellation noise; ``coulomb_third_asymptotic`` gives
-    only the growing branch, not this decaying tail.
+    only the growing branch, not this decaying tail.  Raises DomainError
+    where the two series leave the double range (from z ~ 1.4e3 for g = 2).
     """
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
     if gamma is None:
         gamma = gamma_phase(g, m_ang).gamma
     phase = np.exp(np.clongdouble(-2j) * np.clongdouble(gamma))
-    return complex(_u1_ld(g, m_ang, z, tol) - phase * _u2_ld(g, m_ang, z, tol))
+    value = _u1_ld(g, m_ang, z, tol) - phase * _u1_ld(g, -m_ang, z, tol)
+    return _finite("coulomb_third", g, m_ang, z, value)
 
 
 def _large_z_series(g: float, m_ang: float, z: float):
@@ -232,11 +232,12 @@ def _large_z_series(g: float, m_ang: float, z: float):
         k += 1
 
 
-def _finite_asymptotic(name: str, g: float, m_ang: float, z: float, value) -> complex:
+def _finite(name: str, g: float, m_ang: float, z: float, value) -> complex:
     """value as a complex double, or DomainError once e^{z/2} leaves the range.
 
-    The envelope e^{z/2} z^{-g} overflows the double range near z = 1.4e3
-    (for g = 2) and the longdouble one near z = 2.3e4.
+    The envelope e^{z/2} z^{-g} of the Coulomb solutions and their
+    large-z forms overflows the double range near z = 1.4e3 (for g = 2)
+    and the longdouble one near z = 2.3e4.
     """
     out = complex(value)
     if not cmath.isfinite(out):
@@ -274,7 +275,7 @@ def coulomb_u1_asymptotic(g: float, m_ang: float, z: float) -> complex:
             - np.clongdouble(g) * np.log(np.clongdouble(z))
         )
         value = np.exp(expo) * _large_z_series(g, m_ang, z)
-    return _finite_asymptotic("coulomb_u1_asymptotic", g, m_ang, z, value)
+    return _finite("coulomb_u1_asymptotic", g, m_ang, z, value)
 
 
 def coulomb_third_asymptotic(
@@ -304,7 +305,7 @@ def coulomb_third_asymptotic(
         )
         coeff = np.exp(k1) - np.exp(np.clongdouble(-2j) * np.clongdouble(gamma) + k2)
         value = envelope * coeff * _large_z_series(g, m_ang, z)
-    return _finite_asymptotic("coulomb_third_asymptotic", g, m_ang, z, value)
+    return _finite("coulomb_third_asymptotic", g, m_ang, z, value)
 
 
 # --------------------------------------------------------------------------
@@ -433,19 +434,17 @@ def _ladder(
     sign: float,
     slope: float,
     tol: float,
-    points_per_decade: int,
-    max_decades: float,
 ) -> list[SpectrumEntry]:
     """Ladder entries from f(x_n) = f(x0) + sign pi n, one per n in n_range.
 
     x0 is the scan variable at the anchor level energy0, which n = 0
     returns as given; energy_of_x maps a root back to its level, and slope
-    is the sign (and rough size) of df/dx.  The scan steps points_per_decade times per decade
-    of e^x, at most max_decades decades either way, and bisects to
-    tol/2 in x.
+    is the sign (and rough size) of df/dx.  The scan steps
+    _SCAN_POINTS_PER_DECADE times per decade of e^x, at most _SCAN_DECADES
+    decades either way, and bisects to tol/2 in x.
     """
-    step = math.log(10.0) / points_per_decade
-    max_steps = int(points_per_decade * max_decades)
+    step = math.log(10.0) / _SCAN_POINTS_PER_DECADE
+    max_steps = _SCAN_POINTS_PER_DECADE * _SCAN_DECADES
     tol_x = tol / 2.0
     f0 = f_of_x(x0)
 
@@ -475,17 +474,15 @@ def solve_quantized_spectrum(
     energy0: float,
     n_range: Iterable[int],
     tol: float = 1e-10,
-    points_per_decade: int = 64,
-    max_decades: float = 160.0,
 ) -> list[SpectrumEntry]:
     """Levels of the third-solution condition f(E_n) = f(E_0) + pi n.
 
     n > 0 walks toward deeper (more negative) energies, n < 0 toward the
     shallow Rydberg-like end; n = 0 returns the anchor itself.  alpha = 0
     selects the free particle, for which the condition is exactly the
-    geometric ladder.  Bracketing scans a geometric grid (points_per_decade
-    per decade of the scan variable) and refines by bisection to relative
-    energy tolerance tol.
+    geometric ladder.  Bracketing scans a geometric grid (64 points per
+    decade of the scan variable, at most 160 decades either way) and
+    refines by bisection to relative energy tolerance tol.
     """
     if m_ang == 0.0:
         raise DomainError("quantized spectrum needs M != 0")
@@ -522,8 +519,7 @@ def solve_quantized_spectrum(
         x0 = math.log(-energy0)
         slope = 0.5 if m_ang > 0 else -0.5
     return _ladder(
-        m_ang, energy0, n_range, f_of_x, x0, energy_of_x, 1.0, slope,
-        tol, points_per_decade, max_decades,
+        m_ang, energy0, n_range, f_of_x, x0, energy_of_x, 1.0, slope, tol
     )
 
 
@@ -635,8 +631,6 @@ def oscillator_quantized_spectrum(
     energy0: float,
     n_range: Iterable[int],
     tol: float = 1e-10,
-    points_per_decade: int = 64,
-    max_decades: float = 160.0,
 ) -> list[SpectrumEntry]:
     """Oscillator levels of the third-solution condition, with g = E/(2 hbar omega).
 
@@ -667,5 +661,5 @@ def oscillator_quantized_spectrum(
     # Rising energy for rising n: the condition reads f(g_n) = f(g_0) - pi n.
     return _ladder(
         m_osc, energy0, n_range, f_of_x, math.log(energy0 / two_hw), energy_of_x,
-        -1.0, -1.0 if m_c > 0 else 1.0, tol, points_per_decade, max_decades,
+        -1.0, -1.0 if m_c > 0 else 1.0, tol,
     )

@@ -171,6 +171,17 @@ class TestWavefunctionCommand:
         )
         assert code == 2
 
+    def test_non_finite_amplitude_exits_2(self, capsys):
+        # u1 leaves the double range between z = 1400 and z = 1500
+        code, out, err = run_cli(
+            capsys, "wavefunction", "--system", "coulomb", "--g", "2", "--M", "1",
+            "--branch", "u1", "--grid-min", "1400", "--grid-max", "1500",
+            "--grid-points", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "double range" in err
+
     def test_log_grid_needs_positive_min(self, capsys):
         code, _, _ = run_cli(
             capsys, "wavefunction", "--system", "oscillator", "--M", "0",
@@ -298,11 +309,15 @@ class TestConfigAndTolerances:
         assert code == 2
 
     def test_unknown_tolerance_name(self, capsys):
-        code, _, err = run_cli(
-            capsys, "spectrum", "--system", "free", "--M", "1", "--E0", "-1",
-            "--n", "0..0", "--tol", "bogus=1e-5",
-        )
-        assert code == 2
+        # "fit": the phase-fit bound is fixed inside the oracle
+        for name in ("bogus", "fit"):
+            code, out, err = run_cli(
+                capsys, "spectrum", "--system", "free", "--M", "1", "--E0", "-1",
+                "--n", "0..0", "--tol", f"{name}=1e-5",
+            )
+            assert code == 2
+            assert out == ""
+            assert "known names: series, solver" in err
 
     def test_nonpositive_tolerance(self, capsys):
         code, _, _ = run_cli(
@@ -322,6 +337,17 @@ class TestVerifyCommand:
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "verify", "bogus")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "option",
+        [("--hbar", "2"), ("--mass", "2"), ("--tol", "series=1")],
+        ids=["hbar", "mass", "tol"],
+    )
+    def test_units_and_tolerances_rejected(self, capsys, option):
+        # the suites run in natural units with fixed tolerances
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "verify", "duality", *option)
         assert exc.value.code == 2
 
 

@@ -46,7 +46,7 @@ class TestIntegrateRadial:
         # the log-spaced transformed scheme handles the singular origin
         energy = -2.0
         sc = coulomb_scaling(PP, 1.0, energy)
-        cfg = ShootingConfig(0.05 * sc.r0, 30.0 * sc.r0, steps=12000, decay_threshold=1e-4)
+        cfg = ShootingConfig(0.05 * sc.r0, 30.0 * sc.r0, steps=12000)
         r = np.exp(np.linspace(math.log(cfg.r_min), math.log(cfg.r_max), cfg.steps))
         start = (
             coulomb_u1(0.5, 0.0, float(r[0] / sc.r0)),
@@ -58,7 +58,7 @@ class TestIntegrateRadial:
         exact = np.array([coulomb_u1(0.5, 0.0, float(ri / sc.r0)) for ri in r])
         dev = float(np.max(np.abs(sol.u_values - exact)) / np.max(np.abs(exact)))
         assert dev < 1e-6
-        assert sol.decay_ratio() < cfg.decay_threshold
+        assert sol.decay_ratio() < 1e-4
 
     def test_log_spacing_matches_linear(self):
         energy = -2.0

@@ -167,6 +167,14 @@ class TestWavefunctions:
         with pytest.raises(DomainError):
             coulomb_third_asymptotic(2.0, 1.0, z, gamma)
 
+    @pytest.mark.parametrize("z", [1.5e3, 2e3])
+    def test_series_forms_raise_instead_of_non_finite(self, z):
+        # the longdouble series sums are finite here; their double values
+        # are not
+        for func in (coulomb_u1, coulomb_u2, coulomb_third):
+            with pytest.raises(DomainError, match="double range"):
+                func(2.0, 1.0, z)
+
 
 class TestGammaPhase:
     def test_zero_at_m0(self):
@@ -294,8 +302,10 @@ class TestQuantizedSolver:
             assert b.energy.real == pytest.approx(a.energy.real, rel=1e-9)
 
     def test_bracket_failure_reports_window(self):
-        with pytest.raises(BracketError, match="window"):
-            solve_quantized_spectrum(PP, 1.0, 1.0, -1.0, [5], max_decades=0.5)
+        # at M = 0.01 the first free level lies 2 pi / M / ln 10 ~ 273
+        # decades below E0, past the 160 decades the scan may walk
+        with pytest.raises(BracketError, match=r"window \[E=-1, E=-1e\+160\]"):
+            solve_quantized_spectrum(PP, 0.0, 0.01, -1.0, [1])
 
     def test_m_zero_rejected(self):
         with pytest.raises(DomainError):
