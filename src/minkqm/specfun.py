@@ -48,6 +48,9 @@ POLE_TOL = 1e-14
 TERMINATION_TOL = 1e-12
 DEFAULT_SERIES_TOL = 1e-13
 DEFAULT_SERIES_CAP = 10_000
+# The Kummer series checks once per this many terms that its partial sum
+# is still finite in longdouble.
+_OVERFLOW_CHECK_TERMS = 64
 
 
 def _nearest_nonpositive_integer_distance(z: complex) -> float:
@@ -137,7 +140,7 @@ class KummerParams:
 
 def _kummer_m_ld(p: KummerParams, z: float, tol: float, max_terms: int):
     """Series sum of F(a, c, z) in extended precision (clongdouble)."""
-    if z < 0:
+    if not z >= 0:
         raise DomainError(f"Kummer series requires z >= 0, got z={z}")
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -159,19 +162,33 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float, max_terms: int):
         return s
 
     abs_z = abs(z)
-    gap = abs(complex(p.a - p.c))
-    abs_c = abs(complex(p.c))
+    gap = abs(p.a - p.c)
+    abs_c = abs(p.c)
     s = np.clongdouble(1.0)
     t = np.clongdouble(1.0)
-    for k in range(max_terms):
-        t = t * (a + k) * zl / ((c + k) * (k + 1))
-        s = s + t
-        # Geometric tail bound: for j > k, |t_{j+1}/t_j| <= rho once the
-        # index clears both |c| and |z|.
-        j = k + 1
-        if j > abs_c and j + 1 > abs_z:
-            rho = (1.0 + gap / (j - abs_c)) * abs_z / (j + 1)
-            if rho < 0.9 and float(abs(t)) * rho / (1.0 - rho) <= tol * float(abs(s)):
+    # Large z or |a| can overflow longdouble; the terms then turn inf/NaN
+    # quietly and the first non-finite block raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, max_terms, _OVERFLOW_CHECK_TERMS):
+            converged = False
+            for k in range(start, min(start + _OVERFLOW_CHECK_TERMS, max_terms)):
+                t = t * (a + k) * zl / ((c + k) * (k + 1))
+                s = s + t
+                # Geometric tail bound: for j > k, |t_{j+1}/t_j| <= rho once
+                # the index clears both |c| and |z|.
+                j = k + 1
+                if j > abs_c and j + 1 > abs_z:
+                    rho = (1.0 + gap / (j - abs_c)) * abs_z / (j + 1)
+                    if rho < 0.9 and float(abs(t)) * rho / (1.0 - rho) <= tol * float(abs(s)):
+                        converged = True
+                        break
+            if not np.isfinite(s):
+                raise DomainError(
+                    f"Kummer series F(a={p.a}, c={p.c}, z={z:.6g}) leaves the "
+                    f"double range: its terms are not finite in extended "
+                    f"precision by term {k + 1}"
+                )
+            if converged:
                 return s
     raise ConvergenceError(
         f"Kummer series did not converge within {max_terms} terms "

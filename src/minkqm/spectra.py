@@ -439,14 +439,29 @@ def _ladder(
 
     x0 is the scan variable at the anchor level energy0, which n = 0
     returns as given; energy_of_x maps a root back to its level, and slope
-    is the sign (and rough size) of df/dx.  The scan steps
-    _SCAN_POINTS_PER_DECADE times per decade of e^x, at most _SCAN_DECADES
-    decades either way, and bisects to tol/2 in x.
+    is the sign (and rough size) of df/dx.  Each level scans the grid
+    x0 +- k step (_SCAN_POINTS_PER_DECADE steps per decade of e^x, at most
+    _SCAN_DECADES decades either way) from x0 and bisects to tol/2 in x.
+    The levels of one call share their f values, so each grid point and
+    each bisection midpoint is evaluated at most once per call.
+
+    E_n falls as n rises when sign * M > 0 and rises otherwise.  Levels
+    closer together than the bisection resolves (shallow anchors, where
+    the spacing shrinks like 1/g) come out equal or out of order;
+    ConsistencyError names the first such pair of distinct n instead of
+    returning them.
     """
     step = math.log(10.0) / _SCAN_POINTS_PER_DECADE
     max_steps = _SCAN_POINTS_PER_DECADE * _SCAN_DECADES
     tol_x = tol / 2.0
     f0 = f_of_x(x0)
+    seen = {x0: f0}
+
+    def f_shared(x: float) -> float:
+        fx = seen.get(x)
+        if fx is None:
+            fx = seen[x] = f_of_x(x)
+        return fx
 
     def describe(x: float) -> str:
         return f"E={energy_of_x(x):.6g}"
@@ -458,12 +473,22 @@ def _ladder(
         else:
             target = f0 + sign * math.pi * n
             xn = _bracket_and_bisect(
-                f_of_x, x0, f0, target, slope, step, max_steps, tol_x, describe
+                f_shared, x0, f0, target, slope, step, max_steps, tol_x, describe
             )
             energy = energy_of_x(xn)
         entries.append(
             SpectrumEntry(n, m_ang, complex(energy, 0.0), Branch.QUANTIZED_THIRD)
         )
+
+    falling = sign * m_ang > 0
+    levels = sorted({e.n: e.energy.real for e in entries}.items())
+    for (n_a, e_a), (n_b, e_b) in zip(levels, levels[1:]):
+        if not (e_b < e_a if falling else e_b > e_a):
+            raise ConsistencyError(
+                f"levels n={n_a} and n={n_b} collide: E={e_a!r} and E={e_b!r} "
+                f"are not strictly {'de' if falling else 'in'}creasing in n; "
+                f"the solver cannot resolve levels this close (tol={tol:g})"
+            )
     return entries
 
 
@@ -482,7 +507,10 @@ def solve_quantized_spectrum(
     selects the free particle, for which the condition is exactly the
     geometric ladder.  Bracketing scans a geometric grid (64 points per
     decade of the scan variable, at most 160 decades either way) and
-    refines by bisection to relative energy tolerance tol.
+    refines by bisection to relative energy tolerance tol; the levels of
+    one call share the scan, so no grid point is evaluated twice.  Levels
+    that come out equal or out of order in n (shallow anchors, where the
+    spacing falls below tol) raise ConsistencyError.
     """
     if m_ang == 0.0:
         raise DomainError("quantized spectrum needs M != 0")

@@ -105,6 +105,16 @@ class TestSpectrumCommand:
         )
         assert code == 3
 
+    def test_collapsed_levels_exit_3(self, capsys):
+        # n = -1 and n = +1 used to print the same energy with exit code 0
+        code, out, err = run_cli(
+            capsys, "spectrum", "--system", "coulomb", "--alpha=1", "--M=1",
+            "--E0=-1e-300", "--n", "-1..1",
+        )
+        assert code == 3
+        assert out == ""
+        assert "levels n=0 and n=1 collide" in err
+
     def test_negative_exponent_value(self, capsys):
         # argparse alone reads "-1e6" as an option and rejects the command
         args = ("spectrum", "--system", "coulomb", "--M", "1", "--n", "1..2")

@@ -6,6 +6,7 @@ precision arithmetic and frozen here as literals.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,8 +116,40 @@ class TestKummerM:
             assert kummer_m(p, z) == pytest.approx(math.exp(z), rel=1e-13)
 
     def test_negative_z_rejected(self):
-        with pytest.raises(DomainError):
-            kummer_m(KummerParams(1, 2), -1.0)
+        for z in (-1.0, math.nan):
+            with pytest.raises(DomainError):
+                kummer_m(KummerParams(1, 2), z)
+
+    @pytest.mark.parametrize("c", [complex(1, 2), complex(0.5, 2)])
+    def test_overflow_raises_domain_error(self, c):
+        # at z = 3e4 the terms pass the longdouble range long before the
+        # 10,000-term cap; that must raise without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="double range"):
+                kummer_m(KummerParams(complex(-1.5, 1), c), 3e4)
+
+    def test_guarded_sum_matches_plain_loop(self):
+        # the blockwise sum under a quiet errstate keeps the arithmetic and
+        # the stopping rule of the plain loop, for Re c < 1 and large |a| too
+        for a, c, z in [
+            (complex(-1.5, 1), complex(0.5, 2), 30.0),
+            (complex(0.3, -2.1), complex(0.9, 0.4), 12.0),
+            (complex(-1200.5, 1), complex(1, 2), 3.0),
+        ]:
+            abs_z, abs_c, gap = z, abs(c), abs(a - c)
+            t = s = np.clongdouble(1.0)
+            for k in range(10_000):
+                t = t * (np.clongdouble(a) + k) * np.clongdouble(z) / (
+                    (np.clongdouble(c) + k) * (k + 1)
+                )
+                s = s + t
+                j = k + 1
+                if j > abs_c and j + 1 > abs_z:
+                    rho = (1.0 + gap / (j - abs_c)) * abs_z / (j + 1)
+                    if rho < 0.9 and float(abs(t)) * rho / (1.0 - rho) <= 1e-13 * float(abs(s)):
+                        break
+            assert kummer_m(KummerParams(a, c), z) == complex(s)
 
     def test_pole_in_c_rejected(self):
         with pytest.raises(PoleError):

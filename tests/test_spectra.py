@@ -1,10 +1,13 @@
 import cmath
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
 
-from minkqm.errors import BracketError, DomainError, PoleError
+from minkqm import spectra
+from minkqm.errors import BracketError, ConsistencyError, DomainError, PoleError
 from minkqm.model import NATURAL_UNITS, PhysicalParams
 from minkqm.spectra import (
     Branch,
@@ -167,13 +170,16 @@ class TestWavefunctions:
         with pytest.raises(DomainError):
             coulomb_third_asymptotic(2.0, 1.0, z, gamma)
 
-    @pytest.mark.parametrize("z", [1.5e3, 2e3])
+    @pytest.mark.parametrize("z", [1.5e3, 2e3, 3e4])
     def test_series_forms_raise_instead_of_non_finite(self, z):
-        # the longdouble series sums are finite here; their double values
-        # are not
+        # 1.5e3, 2e3: the longdouble series sums are finite, their double
+        # values are not; 3e4: the series terms overflow longdouble itself,
+        # which must raise without a numpy warning
         for func in (coulomb_u1, coulomb_u2, coulomb_third):
-            with pytest.raises(DomainError, match="double range"):
-                func(2.0, 1.0, z)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="double range"):
+                    func(2.0, 1.0, z)
 
 
 class TestGammaPhase:
@@ -331,6 +337,161 @@ class TestQuantizedSolver:
         assert abs(ratios[0] - math.exp(2 * math.pi)) / math.exp(2 * math.pi) < 1e-2
         assert ratios[-1] < 2.0
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
+
+
+def _reference_ladder(f_of_x, x0, energy0, energy_of_x, sign, slope, n_range, tol=1e-10):
+    """The ladder loop without a shared scan: every level rescans from x0."""
+    step = math.log(10.0) / 64
+    max_steps = 64 * 160
+    tol_x = tol / 2.0
+    f0 = f_of_x(x0)
+    energies = []
+    for n in n_range:
+        if n == 0:
+            energies.append(energy0)
+            continue
+        target = f0 + sign * math.pi * n
+        if f0 == target:
+            energies.append(energy_of_x(x0))
+            continue
+        direction = 1.0 if (target - f0) * slope > 0 else -1.0
+        x_prev, f_prev = x0, f0
+        for k in range(1, max_steps + 1):
+            x = x0 + direction * k * step
+            fx = f_of_x(x)
+            if (f_prev - target) * (fx - target) <= 0.0:
+                lo, hi, flo = x_prev, x, f_prev
+                for _ in range(300):
+                    mid = 0.5 * (lo + hi)
+                    fm = f_of_x(mid)
+                    if (flo - target) * (fm - target) <= 0.0:
+                        hi = mid
+                    else:
+                        lo, flo = mid, fm
+                    if abs(hi - lo) <= tol_x:
+                        break
+                energies.append(energy_of_x(0.5 * (lo + hi)))
+                break
+            x_prev, f_prev = x, fx
+        else:
+            x_end = x0 + direction * max_steps * step
+            lo_e = energy_of_x(min(x0, x_end))
+            hi_e = energy_of_x(max(x0, x_end))
+            raise BracketError(
+                f"no sign change for target {target:.6g} inside the scan window "
+                f"[E={lo_e:.6g}, E={hi_e:.6g}]"
+            )
+    return energies
+
+
+def _reference_levels(kind, pp, m_ang, energy0, n_range):
+    """Levels of the reference ladder, set up as each solver sets up its own."""
+    if kind == "coulomb":
+        def energy_of_x(x):
+            g = math.exp(x)
+            return -(pp.mass * 1.0 * 1.0) / (2.0 * pp.hbar * pp.hbar * (g * g))
+
+        return _reference_ladder(
+            lambda x: quantization_f(math.exp(x), m_ang),
+            math.log(coulomb_scaling(pp, 1.0, energy0).g), energy0, energy_of_x,
+            1.0, -1.0 if m_ang > 0 else 1.0, n_range,
+        )
+    if kind == "free":
+        def f_of_x(x):
+            root = math.sqrt(2.0 * pp.mass) * math.exp(0.5 * x)
+            return m_ang * math.log(2.0 * root / pp.hbar)
+
+        return _reference_ladder(
+            f_of_x, math.log(-energy0), energy0, lambda x: -math.exp(x),
+            1.0, 0.5 if m_ang > 0 else -0.5, n_range,
+        )
+    m_c, two_hw = 0.5 * m_ang, 2.0 * pp.hbar * 1.0
+    return _reference_ladder(
+        lambda x: quantization_f(math.exp(x), m_c),
+        math.log(energy0 / two_hw), energy0, lambda x: two_hw * math.exp(x),
+        -1.0, -1.0 if m_c > 0 else 1.0, n_range,
+    )
+
+
+def _solve(kind, pp, m_ang, energy0, n_range):
+    if kind == "oscillator":
+        entries = oscillator_quantized_spectrum(pp, 1.0, m_ang, energy0, n_range)
+    else:
+        alpha = 1.0 if kind == "coulomb" else 0.0
+        entries = solve_quantized_spectrum(pp, alpha, m_ang, energy0, n_range)
+    return [e.energy.real for e in entries]
+
+
+def _outcome(solver, *args):
+    """(energies, None) or (None, BracketError message)."""
+    try:
+        return solver(*args), None
+    except BracketError as exc:
+        return None, str(exc)
+
+
+class TestLadderParity:
+    """The shared-scan ladder against the per-level rescan it replaced."""
+
+    @pytest.mark.parametrize("kind", ["coulomb", "free", "oscillator"])
+    def test_random_windows_match_rescan(self, kind):
+        # anchors reach g ~ 5e8, past g ~ 4e7 where f is rounding noise and
+        # the bracket a scan picks is decided by its last bits
+        rng = random.Random(f"ladder-parity-{kind}")
+        units = (PP, PhysicalParams(mass=2.0, hbar=0.5))
+        cases = [
+            (units[i % 2], rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-0.3, 0.6),
+             10 ** rng.uniform(-16, 9), rng.randint(-4, 0))
+            for i in range(10)
+        ]
+        if kind == "free":
+            # 136 decades per level at |M| = 0.02: n = +-1 brackets, n = +-2
+            # lies past the 160-decade scan cap
+            cases += [(PP, 0.02, 1.0, -1), (PP, -0.02, 1.0, -1)]
+        failures = 0
+        for pp, m_ang, mag, lo in cases:
+            energy0 = mag if kind == "oscillator" else -mag
+            n_range = range(lo, lo + 5)
+            want, want_err = _outcome(_reference_levels, kind, pp, m_ang, energy0, n_range)
+            got, got_err = _outcome(_solve, kind, pp, m_ang, energy0, n_range)
+            assert got_err == want_err
+            if want_err is None:
+                assert [e.hex() for e in got] == [e.hex() for e in want]
+            else:
+                failures += 1
+        assert failures == (2 if kind == "free" else 0)
+
+    @pytest.mark.parametrize(
+        "energy0, n_range, pair",
+        [
+            pytest.param(-1e-300, range(-1, 2), "n=0 and n=1", id="E0=-1e-300"),
+            pytest.param(-1e-30, range(-2, 3), "n=-2 and n=-1", id="E0=-1e-30"),
+        ],
+    )
+    def test_collapsed_levels_raise(self, energy0, n_range, pair):
+        # the rescan returns equal or out-of-order levels here
+        want = _reference_levels("coulomb", PP, 1.0, energy0, n_range)
+        assert not all(b < a for a, b in zip(want, want[1:]))
+        with pytest.raises(ConsistencyError, match=f"{pair}.* not strictly decreasing"):
+            solve_quantized_spectrum(PP, 1.0, 1.0, energy0, n_range)
+
+    def test_f_evaluations_do_not_grow_as_n_squared(self, monkeypatch):
+        # one scan out to the deepest level plus at most 300 bisection
+        # steps per level; rescanning from the anchor for every level
+        # costs about 87 (1 + 2 + ... + 9) = 3,900 evaluations here
+        calls = []
+
+        def counting_f(g, m_ang):
+            calls.append(g)
+            return quantization_f(g, m_ang)
+
+        monkeypatch.setattr(spectra, "quantization_f", counting_f)
+        n_range = range(1, 10)
+        entries = solve_quantized_spectrum(PP, 1.0, 1.0, -2.0, n_range)
+        x0 = math.log(coulomb_scaling(PP, 1.0, -2.0).g)
+        x_deep = math.log(coulomb_scaling(PP, 1.0, entries[-1].energy.real).g)
+        scan = math.ceil(abs(x_deep - x0) / (math.log(10.0) / 64))
+        assert len(calls) <= 1 + scan + 300 * len(n_range)
 
 
 class TestLadders:
