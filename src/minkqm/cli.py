@@ -146,14 +146,14 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _common_parser(units: bool) -> argparse.ArgumentParser:
-    """Shared options; units adds --hbar, --mass and --tol.
+def _common_parser(records: bool) -> argparse.ArgumentParser:
+    """Shared options; records adds --hbar, --mass, --tol and --format.
 
-    verify runs in natural units with fixed tolerances, so it takes none
-    of those three.
+    verify runs in natural units with fixed tolerances and prints a text
+    report, so it takes none of those four.
     """
     common = argparse.ArgumentParser(add_help=False)
-    if units:
+    if records:
         common.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
         common.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
         common.add_argument(
@@ -162,7 +162,7 @@ def _common_parser(units: bool) -> argparse.ArgumentParser:
             metavar="NAME=VALUE",
             help="override a named tolerance (series, solver); repeatable",
         )
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+        common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", metavar="PATH", help="write records to PATH instead of stdout")
     common.add_argument("--config", metavar="PATH", help="flat key=value config file")
     return common
@@ -176,7 +176,7 @@ def _grid_arguments(sub: argparse.ArgumentParser, default_min: float, default_ma
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_parser(units=True)
+    common = _common_parser(records=True)
     parser = argparse.ArgumentParser(
         prog="minkqm",
         description="Quantum spectra and wavefunctions on the Minkowski plane.",
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     du.add_argument("--MC", type=float, required=True, help="Coulomb angular eigenvalue")
     du.add_argument("--r0-scale", type=float, required=True)
 
-    ve = subs.add_parser("verify", parents=[_common_parser(units=False)], help="run invariant suites")
+    ve = subs.add_parser("verify", parents=[_common_parser(records=False)], help="run invariant suites")
     ve.add_argument("suite", choices=verification.SUITES + ("all",))
     return parser
 

@@ -10,6 +10,7 @@ ulps of a double.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,23 @@ def _nearest_nonpositive_integer_distance(z: complex) -> float:
     if k > 0:
         return float("inf")
     return abs(complex(z) - k)
+
+
+def _finite(value, z: float, name: str, growth: str, **params) -> complex:
+    """value as a complex double, or DomainError naming the double range.
+
+    The extended-precision internals stay finite well past the double
+    range, so the conversion to a double is where inf first appears.
+    growth names what carries the value out of the range; name and params
+    say which function at which parameters.
+    """
+    out = complex(value)
+    if not cmath.isfinite(out):
+        args = ", ".join(f"{key}={val}" for key, val in params.items())
+        raise DomainError(
+            f"{name}({args}) is not finite at z={z:.6g}: {growth} leaves the double range"
+        )
+    return out
 
 
 def _lanczos_core(z):
@@ -216,8 +234,12 @@ def kummer_m(
         Relative tail tolerance.
     max_terms : int
         Term cap; exceeding it raises ConvergenceError.
+
+    Raises DomainError where the value leaves the double range.
     """
-    return complex(_kummer_m_ld(p, z, tol, max_terms))
+    return _finite(
+        _kummer_m_ld(p, z, tol, max_terms), z, "kummer_m", "the series sum", a=p.a, c=p.c
+    )
 
 
 def kummer_second(
@@ -230,13 +252,17 @@ def kummer_second(
 
     The complex power uses the principal branch of ln z.  Parameter sets
     where 2-c hits a non-positive integer are rejected rather than
-    continued through the pole.
+    continued through the pole.  Raises DomainError where the value leaves
+    the double range.
     """
     if z <= 0:
         raise DomainError(f"kummer_second requires z > 0, got z={z}")
     shifted = KummerParams(p.a - p.c + 1, 2 - p.c)
     power = np.exp(np.clongdouble(1 - p.c) * np.log(np.clongdouble(z)))
-    return complex(power * _kummer_m_ld(shifted, z, tol, max_terms))
+    return _finite(
+        power * _kummer_m_ld(shifted, z, tol, max_terms), z, "kummer_second",
+        "z^(1-c) times the series sum", a=p.a, c=p.c,
+    )
 
 
 def kummer_asymptotic(p: KummerParams, z: float) -> complex:
@@ -244,7 +270,8 @@ def kummer_asymptotic(p: KummerParams, z: float) -> complex:
 
     Only the exponentially growing branch; relative accuracy is O(1/z).
     Invalid when a is a non-positive integer (the series terminates and
-    the exponential branch is absent).
+    the exponential branch is absent).  Raises DomainError where the value
+    leaves the double range.
     """
     if z <= 0:
         raise DomainError(f"kummer_asymptotic requires z > 0, got z={z}")
@@ -258,4 +285,6 @@ def kummer_asymptotic(p: KummerParams, z: float) -> complex:
         + np.clongdouble(z)
         + np.clongdouble(p.a - p.c) * np.log(np.clongdouble(z))
     )
-    return complex(np.exp(expo))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.exp(expo)
+    return _finite(value, z, "kummer_asymptotic", "e^z z^(a-c)", a=p.a, c=p.c)

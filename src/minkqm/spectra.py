@@ -14,7 +14,6 @@ fixes only level *spacings*, never an absolute anchor.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,10 +21,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import BracketError, ConsistencyError, DomainError, PoleError
+from .errors import BracketError, ConsistencyError, ConvergenceError, DomainError, PoleError
 from .model import PhysicalParams
 from .specfun import (
     KummerParams,
+    _finite,
     _kummer_m_ld,
     _ln_gamma_ld,
     DEFAULT_SERIES_TOL,
@@ -37,6 +37,10 @@ _DUALITY_TOL = 1e-12
 # either way from the anchor before giving up with BracketError.
 _SCAN_POINTS_PER_DECADE = 64
 _SCAN_DECADES = 160
+# What carries the Coulomb solutions and their large-z forms out of the
+# double range: near z = 1.4e3 for g = 2, and out of the longdouble range
+# near z = 2.3e4.
+_ENVELOPE = "e^(z/2) z^(-g)"
 
 
 class Branch(str, Enum):
@@ -148,10 +152,19 @@ def deep_ladder(energy0: float, m_ang: float, n: int) -> float:
 
 def _u1_ld(g: float, m_ang: float, z: float, tol: float):
     params = KummerParams(complex(0.5 - g, m_ang), complex(1.0, 2.0 * m_ang))
+    try:
+        series = _kummer_m_ld(params, z, tol, 10_000)
+    except ConvergenceError:
+        # From z ~ 9e3 the series' tail test needs more terms than the cap
+        # allows.  Where u1's large-z form is already out of the double
+        # range (all of 9e3 <= z <= 1.15e4 for g = 2, M = 1), _finite
+        # raises DomainError saying so; elsewhere the cap error stands.
+        _finite(_u1_asymptotic_ld(g, m_ang, z), z, "u1", _ENVELOPE, g=g, M=m_ang)
+        raise
     zl = np.clongdouble(z)
     lnz = np.log(zl)
     pref = np.exp(-zl / 2 + np.clongdouble(0.5) * lnz + np.clongdouble(1j * m_ang) * lnz)
-    return pref * _kummer_m_ld(params, z, tol, 10_000)
+    return pref * series
 
 
 def coulomb_u1(
@@ -166,7 +179,7 @@ def coulomb_u1(
     """
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
-    return _finite("coulomb_u1", g, m_ang, z, _u1_ld(g, m_ang, z, tol))
+    return _finite(_u1_ld(g, m_ang, z, tol), z, "coulomb_u1", _ENVELOPE, g=g, M=m_ang)
 
 
 def coulomb_u2(
@@ -176,7 +189,7 @@ def coulomb_u2(
     conjugate for real parameters.  Raises DomainError where u1 would."""
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
-    return _finite("coulomb_u2", g, m_ang, z, _u1_ld(g, -m_ang, z, tol))
+    return _finite(_u1_ld(g, -m_ang, z, tol), z, "coulomb_u2", _ENVELOPE, g=g, M=m_ang)
 
 
 def coulomb_third(
@@ -202,7 +215,7 @@ def coulomb_third(
         gamma = gamma_phase(g, m_ang).gamma
     phase = np.exp(np.clongdouble(-2j) * np.clongdouble(gamma))
     value = _u1_ld(g, m_ang, z, tol) - phase * _u1_ld(g, -m_ang, z, tol)
-    return _finite("coulomb_third", g, m_ang, z, value)
+    return _finite(value, z, "coulomb_third", _ENVELOPE, g=g, M=m_ang)
 
 
 def _large_z_series(g: float, m_ang: float, z: float):
@@ -232,22 +245,6 @@ def _large_z_series(g: float, m_ang: float, z: float):
         k += 1
 
 
-def _finite(name: str, g: float, m_ang: float, z: float, value) -> complex:
-    """value as a complex double, or DomainError once e^{z/2} leaves the range.
-
-    The envelope e^{z/2} z^{-g} of the Coulomb solutions and their
-    large-z forms overflows the double range near z = 1.4e3 (for g = 2)
-    and the longdouble one near z = 2.3e4.
-    """
-    out = complex(value)
-    if not cmath.isfinite(out):
-        raise DomainError(
-            f"{name}(g={g}, M={m_ang}) is not finite at z={z:.6g}: "
-            "e^(z/2) z^(-g) leaves the double range"
-        )
-    return out
-
-
 def coulomb_u1_asymptotic(g: float, m_ang: float, z: float) -> complex:
     """Large-z form of u1: e^{z/2} z^{-g} Gamma(1+2iM)/Gamma(1/2+iM-g) S(z).
 
@@ -265,6 +262,11 @@ def coulomb_u1_asymptotic(g: float, m_ang: float, z: float) -> complex:
     """
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
+    value = _u1_asymptotic_ld(g, m_ang, z)
+    return _finite(value, z, "coulomb_u1_asymptotic", _ENVELOPE, g=g, M=m_ang)
+
+
+def _u1_asymptotic_ld(g: float, m_ang: float, z: float):
     a = complex(0.5 - g, m_ang)
     c = complex(1.0, 2.0 * m_ang)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -274,8 +276,7 @@ def coulomb_u1_asymptotic(g: float, m_ang: float, z: float) -> complex:
             + np.clongdouble(z) / 2
             - np.clongdouble(g) * np.log(np.clongdouble(z))
         )
-        value = np.exp(expo) * _large_z_series(g, m_ang, z)
-    return _finite("coulomb_u1_asymptotic", g, m_ang, z, value)
+        return np.exp(expo) * _large_z_series(g, m_ang, z)
 
 
 def coulomb_third_asymptotic(
@@ -305,7 +306,7 @@ def coulomb_third_asymptotic(
         )
         coeff = np.exp(k1) - np.exp(np.clongdouble(-2j) * np.clongdouble(gamma) + k2)
         value = envelope * coeff * _large_z_series(g, m_ang, z)
-    return _finite("coulomb_third_asymptotic", g, m_ang, z, value)
+    return _finite(value, z, "coulomb_third_asymptotic", _ENVELOPE, g=g, M=m_ang)
 
 
 # --------------------------------------------------------------------------

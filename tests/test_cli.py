@@ -182,15 +182,18 @@ class TestWavefunctionCommand:
         assert code == 2
 
     def test_non_finite_amplitude_exits_2(self, capsys):
-        # u1 leaves the double range between z = 1400 and z = 1500
-        code, out, err = run_cli(
-            capsys, "wavefunction", "--system", "coulomb", "--g", "2", "--M", "1",
-            "--branch", "u1", "--grid-min", "1400", "--grid-max", "1500",
-            "--grid-points", "2",
-        )
-        assert code == 2
-        assert out == ""
-        assert "double range" in err
+        # u1 leaves the double range between z = 1400 and z = 1500; past
+        # z ~ 9e3 its Kummer series cannot converge within the term cap
+        # either, which must exit 2 the same way
+        for grid in (("1400", "1500"), ("10500", "10600")):
+            code, out, err = run_cli(
+                capsys, "wavefunction", "--system", "coulomb", "--g", "2", "--M", "1",
+                "--branch", "u1", "--grid-min", grid[0], "--grid-max", grid[1],
+                "--grid-points", "2",
+            )
+            assert code == 2
+            assert out == ""
+            assert "double range" in err
 
     def test_log_grid_needs_positive_min(self, capsys):
         code, _, _ = run_cli(
@@ -351,11 +354,12 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "option",
-        [("--hbar", "2"), ("--mass", "2"), ("--tol", "series=1")],
-        ids=["hbar", "mass", "tol"],
+        [("--hbar", "2"), ("--mass", "2"), ("--tol", "series=1"), ("--format", "csv")],
+        ids=["hbar", "mass", "tol", "format"],
     )
     def test_units_and_tolerances_rejected(self, capsys, option):
-        # the suites run in natural units with fixed tolerances
+        # the suites run in natural units with fixed tolerances and print a
+        # text report
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "verify", "duality", *option)
         assert exc.value.code == 2

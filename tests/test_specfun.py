@@ -129,6 +129,18 @@ class TestKummerM:
             with pytest.raises(DomainError, match="double range"):
                 kummer_m(KummerParams(complex(-1.5, 1), c), 3e4)
 
+    @pytest.mark.parametrize("z", [800.0, 3e4])
+    def test_non_finite_double_raises_domain_error(self, z):
+        # at z = 800 the longdouble values are finite, their doubles are
+        # not; at z = 3e4 the longdouble ones overflow too, which must
+        # raise without a numpy warning
+        p = KummerParams(complex(-1.5, 1), complex(1, 2))
+        for func in (kummer_m, kummer_second, kummer_asymptotic):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="double range"):
+                    func(p, z)
+
     def test_guarded_sum_matches_plain_loop(self):
         # the blockwise sum under a quiet errstate keeps the arithmetic and
         # the stopping rule of the plain loop, for Re c < 1 and large |a| too
