@@ -78,6 +78,17 @@ def _parse_level_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _finite_float(text: str) -> float:
+    """float(text) for argparse's type=, refusing nan and +-inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_tolerances(pairs: list[str] | None) -> dict[str, float]:
     tol = dict(_DEFAULT_TOLERANCES)
     for item in pairs or []:
@@ -87,9 +98,9 @@ def _parse_tolerances(pairs: list[str] | None) -> dict[str, float]:
                 f"bad --tol {item!r}; known names: {', '.join(sorted(tol))}"
             )
         try:
-            parsed = float(value)
-        except ValueError as exc:
-            raise UsageError(f"bad --tol value in {item!r}") from exc
+            parsed = _finite_float(value)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"bad --tol value in {item!r}: {exc}") from exc
         if not parsed > 0:
             raise UsageError(f"tolerance {name} must be positive, got {parsed}")
         tol[name] = parsed
@@ -154,8 +165,8 @@ def _common_parser(records: bool) -> argparse.ArgumentParser:
     """
     common = argparse.ArgumentParser(add_help=False)
     if records:
-        common.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
-        common.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
+        common.add_argument("--hbar", type=_finite_float, default=1.0, help="Planck constant (default 1)")
+        common.add_argument("--mass", type=_finite_float, default=1.0, help="particle mass (default 1)")
         common.add_argument(
             "--tol",
             action="append",
@@ -169,8 +180,8 @@ def _common_parser(records: bool) -> argparse.ArgumentParser:
 
 
 def _grid_arguments(sub: argparse.ArgumentParser, default_min: float, default_max: float):
-    sub.add_argument("--grid-min", type=float, default=default_min)
-    sub.add_argument("--grid-max", type=float, default=default_max)
+    sub.add_argument("--grid-min", type=_finite_float, default=default_min)
+    sub.add_argument("--grid-max", type=_finite_float, default=default_max)
     sub.add_argument("--grid-points", type=int, default=200)
     sub.add_argument("--grid-spacing", choices=("linear", "log"), default="linear")
 
@@ -185,41 +196,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("spectrum", parents=[common], help="energy levels")
     sp.add_argument("--system", choices=("coulomb", "free", "oscillator"), required=True)
-    sp.add_argument("--alpha", type=float, default=1.0, help="Coulomb coupling")
-    sp.add_argument("--omega", type=float, default=1.0, help="oscillator frequency")
-    sp.add_argument("--M", type=float, required=True, help="angular eigenvalue (M_osc for the oscillator)")
+    sp.add_argument("--alpha", type=_finite_float, default=1.0, help="Coulomb coupling")
+    sp.add_argument("--omega", type=_finite_float, default=1.0, help="oscillator frequency")
+    sp.add_argument("--M", type=_finite_float, required=True, help="angular eigenvalue (M_osc for the oscillator)")
     sp.add_argument("--closed", action="store_true", help="closed-form branch instead of the quantized one")
-    sp.add_argument("--E0", type=float, help="reference level for the quantized branch")
+    sp.add_argument("--E0", type=_finite_float, help="reference level for the quantized branch")
     sp.add_argument("--n", required=True, metavar="A..B", help="inclusive level index range")
 
     wf = subs.add_parser("wavefunction", parents=[common], help="radial amplitude samples")
     wf.add_argument("--system", choices=("coulomb", "oscillator"), required=True)
     wf.add_argument("--branch", choices=("u1", "u2", "third"), default="u1")
-    wf.add_argument("--g", type=float, help="Coulomb strength parameter")
-    wf.add_argument("--M", type=float, required=True)
+    wf.add_argument("--g", type=_finite_float, help="Coulomb strength parameter")
+    wf.add_argument("--M", type=_finite_float, required=True)
     wf.add_argument("--gamma", default="auto", help="reflection phase for the third branch, or 'auto'")
-    wf.add_argument("--omega", type=float, default=1.0)
+    wf.add_argument("--omega", type=_finite_float, default=1.0)
     wf.add_argument("--n", type=int, default=0, help="oscillator level index")
-    wf.add_argument("--phi", type=float, default=0.0, help="oscillator angular coordinate")
+    wf.add_argument("--phi", type=_finite_float, default=0.0, help="oscillator angular coordinate")
     _grid_arguments(wf, 0.01, 30.0)
 
     pot = subs.add_parser("potential", parents=[common], help="potential and effective potentials")
     pot.add_argument("--system", choices=("coulomb", "free", "oscillator"), required=True)
-    pot.add_argument("--alpha", type=float, default=1.0)
-    pot.add_argument("--omega", type=float, default=1.0)
-    pot.add_argument("--M", type=float, required=True)
+    pot.add_argument("--alpha", type=_finite_float, default=1.0)
+    pot.add_argument("--omega", type=_finite_float, default=1.0)
+    pot.add_argument("--M", type=_finite_float, required=True)
     _grid_arguments(pot, 0.1, 10.0)
 
     ph = subs.add_parser("phase", parents=[common], help="reflection phase gamma and beta")
-    ph.add_argument("--g", type=float, required=True)
-    ph.add_argument("--M", type=float, required=True)
-    ph.add_argument("--r0", type=float, help="length unit for beta (default natural-units g/2)")
+    ph.add_argument("--g", type=_finite_float, required=True)
+    ph.add_argument("--M", type=_finite_float, required=True)
+    ph.add_argument("--r0", type=_finite_float, help="length unit for beta (default natural-units g/2)")
 
     du = subs.add_parser("duality", parents=[common], help="Coulomb-oscillator duality map")
-    du.add_argument("--alpha", type=float, required=True)
-    du.add_argument("--EC", type=float, required=True, help="Coulomb energy (negative)")
-    du.add_argument("--MC", type=float, required=True, help="Coulomb angular eigenvalue")
-    du.add_argument("--r0-scale", type=float, required=True)
+    du.add_argument("--alpha", type=_finite_float, required=True)
+    du.add_argument("--EC", type=_finite_float, required=True, help="Coulomb energy (negative)")
+    du.add_argument("--MC", type=_finite_float, required=True, help="Coulomb angular eigenvalue")
+    du.add_argument("--r0-scale", type=_finite_float, required=True)
 
     ve = subs.add_parser("verify", parents=[_common_parser(records=False)], help="run invariant suites")
     ve.add_argument("suite", choices=verification.SUITES + ("all",))
@@ -338,9 +349,9 @@ def _cmd_wavefunction(args, pp: PhysicalParams, tol: dict) -> list[dict]:
                 gamma = spectra.gamma_phase(args.g, args.M).gamma
             else:
                 try:
-                    gamma = float(args.gamma)
-                except ValueError as exc:
-                    raise UsageError(f"bad --gamma {args.gamma!r}") from exc
+                    gamma = _finite_float(args.gamma)
+                except argparse.ArgumentTypeError as exc:
+                    raise UsageError(f"bad --gamma: {exc}") from exc
 
             def amplitude(z: float) -> complex:
                 return spectra.coulomb_third(args.g, args.M, z, gamma, tol["series"])

@@ -156,11 +156,11 @@ class KummerParams:
         return None
 
 
-def _kummer_m_ld(p: KummerParams, z: float, tol: float, max_terms: int):
+def _kummer_m_ld(p: KummerParams, z: float, tol: float):
     """Series sum of F(a, c, z) in extended precision (clongdouble)."""
     if not z >= 0:
         raise DomainError(f"Kummer series requires z >= 0, got z={z}")
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
     if z == 0.0:
         return np.clongdouble(1.0)
@@ -187,9 +187,9 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float, max_terms: int):
     # Large z or |a| can overflow longdouble; the terms then turn inf/NaN
     # quietly and the first non-finite block raises.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, max_terms, _OVERFLOW_CHECK_TERMS):
+        for start in range(0, DEFAULT_SERIES_CAP, _OVERFLOW_CHECK_TERMS):
             converged = False
-            for k in range(start, min(start + _OVERFLOW_CHECK_TERMS, max_terms)):
+            for k in range(start, min(start + _OVERFLOW_CHECK_TERMS, DEFAULT_SERIES_CAP)):
                 t = t * (a + k) * zl / ((c + k) * (k + 1))
                 s = s + t
                 # Geometric tail bound: for j > k, |t_{j+1}/t_j| <= rho once
@@ -209,17 +209,12 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float, max_terms: int):
             if converged:
                 return s
     raise ConvergenceError(
-        f"Kummer series did not converge within {max_terms} terms "
+        f"Kummer series did not converge within {DEFAULT_SERIES_CAP} terms "
         f"(a={p.a}, c={p.c}, z={z})"
     )
 
 
-def kummer_m(
-    p: KummerParams,
-    z: float,
-    tol: float = DEFAULT_SERIES_TOL,
-    max_terms: int = DEFAULT_SERIES_CAP,
-) -> complex:
+def kummer_m(p: KummerParams, z: float, tol: float = DEFAULT_SERIES_TOL) -> complex:
     """Confluent hypergeometric function F(a, c, z) = sum (a)_k/(c)_k z^k/k!.
 
     Terms are added until a geometric tail bound drops below tol times the
@@ -232,22 +227,16 @@ def kummer_m(
     z : float, >= 0
     tol : float
         Relative tail tolerance.
-    max_terms : int
-        Term cap; exceeding it raises ConvergenceError.
 
-    Raises DomainError where the value leaves the double range.
+    Raises ConvergenceError past DEFAULT_SERIES_CAP terms and DomainError
+    where the value leaves the double range.
     """
     return _finite(
-        _kummer_m_ld(p, z, tol, max_terms), z, "kummer_m", "the series sum", a=p.a, c=p.c
+        _kummer_m_ld(p, z, tol), z, "kummer_m", "the series sum", a=p.a, c=p.c
     )
 
 
-def kummer_second(
-    p: KummerParams,
-    z: float,
-    tol: float = DEFAULT_SERIES_TOL,
-    max_terms: int = DEFAULT_SERIES_CAP,
-) -> complex:
+def kummer_second(p: KummerParams, z: float, tol: float = DEFAULT_SERIES_TOL) -> complex:
     """Second-kind solution z^(1-c) F(a-c+1, 2-c, z) for z > 0.
 
     The complex power uses the principal branch of ln z.  Parameter sets
@@ -260,7 +249,7 @@ def kummer_second(
     shifted = KummerParams(p.a - p.c + 1, 2 - p.c)
     power = np.exp(np.clongdouble(1 - p.c) * np.log(np.clongdouble(z)))
     return _finite(
-        power * _kummer_m_ld(shifted, z, tol, max_terms), z, "kummer_second",
+        power * _kummer_m_ld(shifted, z, tol), z, "kummer_second",
         "z^(1-c) times the series sum", a=p.a, c=p.c,
     )
 

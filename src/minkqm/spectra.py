@@ -15,6 +15,7 @@ fixes only level *spacings*, never an absolute anchor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
@@ -94,7 +95,7 @@ class ReflectionPhase:
 
 def coulomb_scaling(pp: PhysicalParams, alpha: float, energy: float) -> ScaledCoulomb:
     """Length unit r0 = hbar/(2 sqrt(-2mE)) and strength g = m alpha/(hbar sqrt(-2mE))."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     if not energy < 0:
         raise DomainError(f"bound-state scaling needs E < 0, got E={energy}")
@@ -121,7 +122,7 @@ def coulomb_closed_spectrum(
     """
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     w = complex(n + 0.5, m_ang)
     return -(pp.mass * alpha * alpha) / (2.0 * pp.hbar * pp.hbar * (w * w))
@@ -129,7 +130,7 @@ def coulomb_closed_spectrum(
 
 def shallow_spectrum(pp: PhysicalParams, alpha: float, g0: float, n: int) -> float:
     """Rydberg-like level -m alpha^2/(2 hbar^2 (n+g0)^2) of the shallow regime."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     s = n + g0
     if not s > 0:
@@ -144,7 +145,17 @@ def deep_ladder(energy0: float, m_ang: float, n: int) -> float:
         raise DomainError(f"ladder anchor must be negative, got {energy0}")
     if m_ang == 0:
         raise DomainError("ladder undefined at M = 0")
-    return energy0 * math.exp(2.0 * math.pi * n / m_ang)
+    try:
+        level = energy0 * math.exp(2.0 * math.pi * n / m_ang)
+    except OverflowError:
+        level = -math.inf
+    # Written so that NaN fails as well; subnormal levels have lost bits.
+    if not -sys.float_info.max <= level <= -sys.float_info.min:
+        raise DomainError(
+            f"ladder level n={n} at E0={energy0!r}, M={m_ang!r} is {level!r}: "
+            f"E0 exp(2 pi n / M) leaves the normal double range"
+        )
+    return level
 
 
 # --------------------------------------------------------------------------
@@ -153,7 +164,7 @@ def deep_ladder(energy0: float, m_ang: float, n: int) -> float:
 def _u1_ld(g: float, m_ang: float, z: float, tol: float):
     params = KummerParams(complex(0.5 - g, m_ang), complex(1.0, 2.0 * m_ang))
     try:
-        series = _kummer_m_ld(params, z, tol, 10_000)
+        series = _kummer_m_ld(params, z, tol)
     except ConvergenceError:
         # From z ~ 9e3 the series' tail test needs more terms than the cap
         # allows.  Where u1's large-z form is already out of the double
@@ -328,11 +339,11 @@ def gamma_phase(g: float, m_ang: float, r0: float | None = None) -> ReflectionPh
     non-negative integer, where the Gamma factors sit on poles (these are
     exactly the closed-form levels) and PoleError is raised.
     """
-    if g <= 0:
+    if not g > 0:
         raise DomainError(f"g must be positive, got {g}")
     if r0 is None:
         r0 = g / 2.0
-    if r0 <= 0:
+    if not r0 > 0:
         raise DomainError(f"r0 must be positive, got {r0}")
 
     if m_ang == 0.0:
@@ -371,7 +382,7 @@ def quantization_f(g: float, m_ang: float) -> float:
     there are no poles at all.  Deep regime (g -> 0): f ~ -M ln g.
     Shallow regime (g -> inf): f ~ -pi g (for M > 0).
     """
-    if g <= 0:
+    if not g > 0:
         raise DomainError(f"g must be positive, got {g}")
     w = complex(0.5 - g, m_ang)
     if m_ang == 0.0:
@@ -386,26 +397,89 @@ def quantization_f(g: float, m_ang: float) -> float:
     return float(value)
 
 
-def _bracket_and_bisect(
-    f: Callable[[float], float],
+def _quantized_entries(
+    m_ang: float, levels: list[tuple[int, float]], falling: bool, resolution: str
+) -> list[SpectrumEntry]:
+    """Entries for (n, E_n) pairs whose E_n strictly fall (falling) or rise in n.
+
+    Levels that are equal or out of order raise ConsistencyError naming the
+    first such pair of distinct n; resolution says what limits how close
+    two levels can be told apart.
+    """
+    ordered = sorted(dict(levels).items())
+    for (n_a, e_a), (n_b, e_b) in zip(ordered, ordered[1:]):
+        if not (e_b < e_a if falling else e_b > e_a):
+            raise ConsistencyError(
+                f"levels n={n_a} and n={n_b} collide: E={e_a!r} and E={e_b!r} "
+                f"are not strictly {'de' if falling else 'in'}creasing in n; "
+                f"the solver cannot resolve levels this close ({resolution})"
+            )
+    return [
+        SpectrumEntry(n, m_ang, complex(energy, 0.0), Branch.QUANTIZED_THIRD)
+        for n, energy in levels
+    ]
+
+
+def _ladder(
+    m_ang: float,
+    energy0: float,
+    n_range: Iterable[int],
+    m_c: float,
     x0: float,
-    f0: float,
-    target: float,
-    slope_sign: float,
-    step: float,
-    max_steps: int,
-    tol_x: float,
-    describe: Callable[[float], str],
-) -> float:
-    """March along a monotone f from x0 until target is bracketed, then bisect."""
-    if f0 == target:
-        return x0
-    direction = 1.0 if (target - f0) * slope_sign > 0 else -1.0
-    x_prev, f_prev = x0, f0
-    for k in range(1, max_steps + 1):
-        x = x0 + direction * k * step
-        fx = f(x)
-        if (f_prev - target) * (fx - target) <= 0.0:
+    energy_of_x: Callable[[float], float],
+    sign: float,
+    tol: float,
+) -> list[SpectrumEntry]:
+    """Ladder entries from f(x_n) = f(x0) + sign pi n, one per n in n_range.
+
+    f(x) = quantization_f(e^x, m_c) falls in x for m_c > 0 and rises
+    otherwise.  x0 = ln g at the anchor level energy0, which n = 0 returns
+    as given; energy_of_x maps a root back to its level.  Each level scans
+    the grid x0 +- k step (_SCAN_POINTS_PER_DECADE steps per decade of e^x,
+    at most _SCAN_DECADES decades either way) until the target is
+    bracketed, then bisects to tol/2 in x.  The levels of one call share
+    their f values, so no grid point or midpoint is evaluated twice.
+
+    E_n falls as n rises when sign * M > 0 and rises otherwise.  Levels
+    closer together than the bisection resolves (shallow anchors, where
+    the spacing shrinks like 1/g) raise ConsistencyError.
+    """
+    step = math.log(10.0) / _SCAN_POINTS_PER_DECADE
+    max_steps = _SCAN_POINTS_PER_DECADE * _SCAN_DECADES
+    tol_x = tol / 2.0
+    slope = -1.0 if m_c > 0 else 1.0
+    seen: dict[float, float] = {}
+
+    def f(x: float) -> float:
+        fx = seen.get(x)
+        if fx is None:
+            fx = seen[x] = quantization_f(math.exp(x), m_c)
+        return fx
+
+    f0 = f(x0)
+    levels: list[tuple[int, float]] = []
+    for n in n_range:
+        target = f0 + sign * math.pi * n
+        if n == 0:
+            energy = energy0
+        elif f0 == target:
+            energy = energy_of_x(x0)
+        else:
+            direction = 1.0 if (target - f0) * slope > 0 else -1.0
+            x_prev, f_prev = x0, f0
+            for k in range(1, max_steps + 1):
+                x = x0 + direction * k * step
+                fx = f(x)
+                if (f_prev - target) * (fx - target) <= 0.0:
+                    break
+                x_prev, f_prev = x, fx
+            else:
+                x_end = x0 + direction * max_steps * step
+                raise BracketError(
+                    f"no sign change for target {target:.6g} inside the scan window "
+                    f"[E={energy_of_x(min(x0, x_end)):.6g}, "
+                    f"E={energy_of_x(max(x0, x_end)):.6g}]"
+                )
             lo, hi, flo = x_prev, x, f_prev
             for _ in range(300):
                 mid = 0.5 * (lo + hi)
@@ -416,81 +490,9 @@ def _bracket_and_bisect(
                     lo, flo = mid, fm
                 if abs(hi - lo) <= tol_x:
                     break
-            return 0.5 * (lo + hi)
-        x_prev, f_prev = x, fx
-    x_end = x0 + direction * max_steps * step
-    raise BracketError(
-        f"no sign change for target {target:.6g} inside the scan window "
-        f"[{describe(min(x0, x_end))}, {describe(max(x0, x_end))}]"
-    )
-
-
-def _ladder(
-    m_ang: float,
-    energy0: float,
-    n_range: Iterable[int],
-    f_of_x: Callable[[float], float],
-    x0: float,
-    energy_of_x: Callable[[float], float],
-    sign: float,
-    slope: float,
-    tol: float,
-) -> list[SpectrumEntry]:
-    """Ladder entries from f(x_n) = f(x0) + sign pi n, one per n in n_range.
-
-    x0 is the scan variable at the anchor level energy0, which n = 0
-    returns as given; energy_of_x maps a root back to its level, and slope
-    is the sign (and rough size) of df/dx.  Each level scans the grid
-    x0 +- k step (_SCAN_POINTS_PER_DECADE steps per decade of e^x, at most
-    _SCAN_DECADES decades either way) from x0 and bisects to tol/2 in x.
-    The levels of one call share their f values, so each grid point and
-    each bisection midpoint is evaluated at most once per call.
-
-    E_n falls as n rises when sign * M > 0 and rises otherwise.  Levels
-    closer together than the bisection resolves (shallow anchors, where
-    the spacing shrinks like 1/g) come out equal or out of order;
-    ConsistencyError names the first such pair of distinct n instead of
-    returning them.
-    """
-    step = math.log(10.0) / _SCAN_POINTS_PER_DECADE
-    max_steps = _SCAN_POINTS_PER_DECADE * _SCAN_DECADES
-    tol_x = tol / 2.0
-    f0 = f_of_x(x0)
-    seen = {x0: f0}
-
-    def f_shared(x: float) -> float:
-        fx = seen.get(x)
-        if fx is None:
-            fx = seen[x] = f_of_x(x)
-        return fx
-
-    def describe(x: float) -> str:
-        return f"E={energy_of_x(x):.6g}"
-
-    entries: list[SpectrumEntry] = []
-    for n in n_range:
-        if n == 0:
-            energy = energy0
-        else:
-            target = f0 + sign * math.pi * n
-            xn = _bracket_and_bisect(
-                f_shared, x0, f0, target, slope, step, max_steps, tol_x, describe
-            )
-            energy = energy_of_x(xn)
-        entries.append(
-            SpectrumEntry(n, m_ang, complex(energy, 0.0), Branch.QUANTIZED_THIRD)
-        )
-
-    falling = sign * m_ang > 0
-    levels = sorted({e.n: e.energy.real for e in entries}.items())
-    for (n_a, e_a), (n_b, e_b) in zip(levels, levels[1:]):
-        if not (e_b < e_a if falling else e_b > e_a):
-            raise ConsistencyError(
-                f"levels n={n_a} and n={n_b} collide: E={e_a!r} and E={e_b!r} "
-                f"are not strictly {'de' if falling else 'in'}creasing in n; "
-                f"the solver cannot resolve levels this close (tol={tol:g})"
-            )
-    return entries
+            energy = energy_of_x(0.5 * (lo + hi))
+        levels.append((n, energy))
+    return _quantized_entries(m_ang, levels, sign * m_ang > 0, f"tol={tol:g}")
 
 
 def solve_quantized_spectrum(
@@ -503,15 +505,14 @@ def solve_quantized_spectrum(
 ) -> list[SpectrumEntry]:
     """Levels of the third-solution condition f(E_n) = f(E_0) + pi n.
 
-    n > 0 walks toward deeper (more negative) energies, n < 0 toward the
-    shallow Rydberg-like end; n = 0 returns the anchor itself.  alpha = 0
-    selects the free particle, for which the condition is exactly the
-    geometric ladder.  Bracketing scans a geometric grid (64 points per
-    decade of the scan variable, at most 160 decades either way) and
-    refines by bisection to relative energy tolerance tol; the levels of
-    one call share the scan, so no grid point is evaluated twice.  Levels
-    that come out equal or out of order in n (shallow anchors, where the
-    spacing falls below tol) raise ConsistencyError.
+    n > 0 walks toward deeper (more negative) energies when M > 0, n < 0
+    toward the shallow end; n = 0 returns the anchor itself.  alpha = 0
+    selects the free particle, whose condition is exactly the geometric
+    ladder: its levels are ``deep_ladder``'s.  For alpha > 0 ``_ladder``
+    scans ln g and bisects to relative energy tolerance tol.  Levels that
+    come out equal or out of order in n (shallow Coulomb anchors, where
+    the spacing falls below tol, or free levels that round to the same
+    double) raise ConsistencyError.
     """
     if m_ang == 0.0:
         raise DomainError("quantized spectrum needs M != 0")
@@ -520,36 +521,20 @@ def solve_quantized_spectrum(
             f"reference level must be negative (E > 0 is the continuous "
             f"spectrum), got {energy0}"
         )
-    if alpha < 0:
+    if not alpha >= 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
 
-    if alpha > 0.0:
-        # x = ln g; f decreases in ln g for M > 0
-        def f_of_x(x: float) -> float:
-            return quantization_f(math.exp(x), m_ang)
+    if alpha == 0:
+        levels = [(n, deep_ladder(energy0, m_ang, n)) for n in n_range]
+        return _quantized_entries(m_ang, levels, m_ang > 0, "double precision")
 
-        def energy_of_x(x: float) -> float:
-            return _energy_from_g(pp, alpha, math.exp(x))
+    def energy_of_x(x: float) -> float:
+        return _energy_from_g(pp, alpha, math.exp(x))
 
-        x0 = math.log(coulomb_scaling(pp, alpha, energy0).g)
-        slope = -1.0 if m_ang > 0 else 1.0
-    else:
-        # Free particle, x = ln|E|: f(E) = -M ln r0(E) up to a constant
-        # that cancels.
-        def f_of_x(x: float) -> float:
-            root = math.sqrt(2.0 * pp.mass) * math.exp(0.5 * x)
-            return m_ang * math.log(2.0 * root / pp.hbar)
-
-        def energy_of_x(x: float) -> float:
-            return -math.exp(x)
-
-        x0 = math.log(-energy0)
-        slope = 0.5 if m_ang > 0 else -0.5
-    return _ladder(
-        m_ang, energy0, n_range, f_of_x, x0, energy_of_x, 1.0, slope, tol
-    )
+    x0 = math.log(coulomb_scaling(pp, alpha, energy0).g)
+    return _ladder(m_ang, energy0, n_range, m_ang, x0, energy_of_x, 1.0, tol)
 
 
 # --------------------------------------------------------------------------
@@ -585,9 +570,9 @@ def duality_forward(
     """
     if not e_coulomb < 0:
         raise DomainError(f"duality needs E_coulomb < 0, got {e_coulomb}")
-    if r0_scale <= 0:
+    if not r0_scale > 0:
         raise DomainError(f"r0_scale must be positive, got {r0_scale}")
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     omega = math.sqrt(-8.0 * e_coulomb / (pp.mass * r0_scale * r0_scale))
     e_osc = 4.0 * alpha / r0_scale
@@ -616,7 +601,7 @@ def oscillator_closed_spectrum(
     """Closed-form oscillator level hbar omega (2n + 1 + i M_osc)."""
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")
-    if omega <= 0:
+    if not omega > 0:
         raise DomainError(f"omega must be positive, got {omega}")
     hw = pp.hbar * omega
     return complex(hw * (2 * n + 1), hw * m_osc)
@@ -634,23 +619,30 @@ def oscillator_wavefunction(
     """Unnormalized oscillator amplitude
     rho^{iM} e^{-m omega rho^2 / 2 hbar} F(-n, 1 + iM, m omega rho^2/hbar) e^{iM phi}.
 
-    The Kummer factor is a degree-n polynomial in m omega rho^2 / hbar.
+    The Kummer factor is a degree-n polynomial in z = m omega rho^2 / hbar.
+    Raises DomainError where z leaves the double range (rho ~ 1.3e154 in
+    natural units).
     """
-    if rho <= 0:
+    if not rho > 0:
         raise DomainError(f"rho must be positive, got {rho}")
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    if omega <= 0:
+    if not omega > 0:
         raise DomainError(f"omega must be positive, got {omega}")
-    x = pp.mass * omega * rho * rho / pp.hbar
+    z = pp.mass * omega * rho * rho / pp.hbar
     params = KummerParams(complex(-n, 0.0), complex(1.0, m_osc))
     lnrho = np.log(np.clongdouble(rho))
-    pref = np.exp(
-        np.clongdouble(1j * m_osc) * lnrho
-        - np.clongdouble(x) / 2
-        + np.clongdouble(1j * m_osc * phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pref = np.exp(
+            np.clongdouble(1j * m_osc) * lnrho
+            - np.clongdouble(z) / 2
+            + np.clongdouble(1j * m_osc * phi)
+        )
+        value = pref * _kummer_m_ld(params, z, tol)
+    return _finite(
+        value, z, "oscillator_wavefunction", "z = m omega rho^2 / hbar",
+        n=n, M=m_osc, rho=rho,
     )
-    return complex(pref * _kummer_m_ld(params, x, tol, 10_000))
 
 
 def oscillator_quantized_spectrum(
@@ -673,22 +665,18 @@ def oscillator_quantized_spectrum(
         raise DomainError("quantized spectrum needs M_osc != 0")
     if not energy0 > 0:
         raise DomainError(f"oscillator reference level must be positive, got {energy0}")
-    if omega <= 0:
+    if not omega > 0:
         raise DomainError(f"omega must be positive, got {omega}")
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
 
-    m_c = 0.5 * m_osc
     two_hw = 2.0 * pp.hbar * omega
-
-    def f_of_x(x: float) -> float:
-        return quantization_f(math.exp(x), m_c)
 
     def energy_of_x(x: float) -> float:
         return two_hw * math.exp(x)
 
     # Rising energy for rising n: the condition reads f(g_n) = f(g_0) - pi n.
     return _ladder(
-        m_osc, energy0, n_range, f_of_x, math.log(energy0 / two_hw), energy_of_x,
-        -1.0, -1.0 if m_c > 0 else 1.0, tol,
+        m_osc, energy0, n_range, 0.5 * m_osc, math.log(energy0 / two_hw), energy_of_x,
+        -1.0, tol,
     )

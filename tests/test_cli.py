@@ -98,12 +98,30 @@ class TestSpectrumCommand:
         assert code == 2
 
     def test_numerical_failure_exit_code(self, capsys):
-        # a level so deep its energy overflows the double range
+        # the level below E0 lies ~341 decades down, past the 160 decades
+        # the ladder scan may walk
         code, _, err = run_cli(
+            capsys, "spectrum", "--system", "oscillator", "--M", "0.008",
+            "--E0", "1", "--n", "-1..-1",
+        )
+        assert code == 3
+        assert "scan window" in err
+
+    def test_level_outside_double_range_exits_2(self, capsys):
+        # E0 exp(2 pi n / M) overflows; a finite level a double can hold
+        # (n = 2 at M = 0.02 is -7.5e272) prints
+        code, out, err = run_cli(
             capsys, "spectrum", "--system", "free", "--M", "1",
             "--E0", "-1", "--n", "300..300",
         )
-        assert code == 3
+        assert code == 2 and out == ""
+        assert "normal double range" in err
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--system", "free", "--M", "0.02",
+            "--E0", "-1", "--n", "0..2",
+        )
+        assert code == 0
+        assert json_records(out)[-1]["E_re"] == -1.0 * math.exp(2 * math.pi * 2 / 0.02)
 
     def test_collapsed_levels_exit_3(self, capsys):
         # n = -1 and n = +1 used to print the same energy with exit code 0
@@ -184,11 +202,16 @@ class TestWavefunctionCommand:
     def test_non_finite_amplitude_exits_2(self, capsys):
         # u1 leaves the double range between z = 1400 and z = 1500; past
         # z ~ 9e3 its Kummer series cannot converge within the term cap
-        # either, which must exit 2 the same way
-        for grid in (("1400", "1500"), ("10500", "10600")):
+        # either, which must exit 2 the same way; the oscillator's
+        # m omega rho^2 / hbar overflows at rho = 1e199
+        coulomb = ("--system", "coulomb", "--g", "2", "--M", "1", "--branch", "u1")
+        oscillator = ("--system", "oscillator", "--n", "2", "--M", "1")
+        for system, lo, hi in (
+            (coulomb, "1400", "1500"), (coulomb, "10500", "10600"),
+            (oscillator, "1e199", "1e200"),
+        ):
             code, out, err = run_cli(
-                capsys, "wavefunction", "--system", "coulomb", "--g", "2", "--M", "1",
-                "--branch", "u1", "--grid-min", grid[0], "--grid-max", grid[1],
+                capsys, "wavefunction", *system, "--grid-min", lo, "--grid-max", hi,
                 "--grid-points", "2",
             )
             assert code == 2
@@ -338,6 +361,31 @@ class TestConfigAndTolerances:
             "--n", "0..0", "--tol", "solver=-1",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("phase", "--g", "nan", "--M", "1"),
+            ("spectrum", "--system", "coulomb", "--alpha", "nan", "--M", "1", "--closed",
+             "--n", "0..1"),
+            ("spectrum", "--system", "coulomb", "--M", "1", "--E0", "-2", "--n", "0..1",
+             "--tol", "solver=inf"),
+            ("spectrum", "--system", "free", "--M", "1", "--E0=-inf", "--n", "0..1"),
+            ("duality", "--alpha", "1", "--EC", "-2", "--MC", "0.5", "--r0-scale", "inf"),
+            ("wavefunction", "--system", "coulomb", "--g", "2", "--M", "1", "--branch",
+             "third", "--gamma", "nan", "--grid-points", "2"),
+        ],
+        ids=["phase-g", "closed-alpha", "tol-solver", "E0", "r0-scale", "gamma"],
+    )
+    def test_non_finite_number_exits_2(self, capsys, argv):
+        # each of these used to print NaN or a wrong level and exit 0
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the option's value
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "expected a finite number" in captured.err
 
 
 class TestVerifyCommand:

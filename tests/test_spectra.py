@@ -218,7 +218,7 @@ def _bare_u1_ld(g, m_ang, z):
     zl = np.clongdouble(z)
     lnz = np.log(zl)
     pref = np.exp(-zl / 2 + np.clongdouble(0.5) * lnz + np.clongdouble(1j * m_ang) * lnz)
-    return pref * _kummer_m_ld(params, z, DEFAULT_SERIES_TOL, 10_000)
+    return pref * _kummer_m_ld(params, z, DEFAULT_SERIES_TOL)
 
 
 class TestGammaPhase:
@@ -324,14 +324,41 @@ class TestQuantizedSolver:
             assert b.energy.real == pytest.approx(a.energy.real, rel=1e-9)
 
     def test_bracket_failure_reports_window(self):
-        # at M = 0.01 the first free level lies 2 pi / M / ln 10 ~ 273
-        # decades below E0, past the 160 decades the scan may walk
-        with pytest.raises(BracketError, match=r"window \[E=-1, E=-1e\+160\]"):
-            solve_quantized_spectrum(PP, 0.0, 0.01, -1.0, [1])
+        # at M_osc = 0.008 the level below E0 lies about 2 pi / M_osc / ln 10
+        # ~ 341 decades down, past the 160 decades the scan may walk
+        with pytest.raises(BracketError, match=r"window \[E=1e-160, E=1\]") as got:
+            oscillator_quantized_spectrum(PP, 1.0, 0.008, 1.0, [-1])
+        with pytest.raises(BracketError) as want:
+            _reference_levels("oscillator", PP, 0.008, 1.0, [-1])
+        assert str(got.value) == str(want.value)
 
     def test_m_zero_rejected(self):
         with pytest.raises(DomainError):
             solve_quantized_spectrum(PP, 1.0, 0.0, -1.0, [1])
+
+    def test_nan_alpha_rejected(self):
+        # NaN used to fail both alpha < 0 and alpha > 0 and solve the free
+        # particle
+        with pytest.raises(DomainError, match="alpha"):
+            solve_quantized_spectrum(PP, math.nan, 1.0, -1.0, [0, 1])
+
+    @pytest.mark.parametrize(
+        "m_ang, energy0, n",
+        [(0.01, -1.0, 2), (-0.02, -1.0, 3), (1.0, -1e-300, -3), (0.5, -1e-300, -5)],
+        ids=["overflow", "underflow", "subnormal", "E0=-1e-300"],
+    )
+    def test_free_level_outside_double_range_raises(self, m_ang, energy0, n):
+        # E0 exp(2 pi n / M) overflows math.exp, is -0.0, is -6.5e-309
+        # (bits lost), and is -0.0 again
+        with pytest.raises(DomainError, match="normal double range"):
+            solve_quantized_spectrum(PP, 0.0, m_ang, energy0, [0, n])
+        with pytest.raises(DomainError, match="normal double range"):
+            deep_ladder(energy0, m_ang, n)
+
+    def test_free_levels_colliding_in_double_precision_raise(self):
+        # exp(2 pi / 1e17) rounds to 1, so n = 1 repeats E0
+        with pytest.raises(ConsistencyError, match="n=0 and n=1 collide"):
+            solve_quantized_spectrum(PP, 0.0, 1e17, -1.0, range(0, 2))
 
     def test_units_scale_out(self):
         # natural units vs scaled units related by exact energy scaling
@@ -412,15 +439,6 @@ def _reference_levels(kind, pp, m_ang, energy0, n_range):
             math.log(coulomb_scaling(pp, 1.0, energy0).g), energy0, energy_of_x,
             1.0, -1.0 if m_ang > 0 else 1.0, n_range,
         )
-    if kind == "free":
-        def f_of_x(x):
-            root = math.sqrt(2.0 * pp.mass) * math.exp(0.5 * x)
-            return m_ang * math.log(2.0 * root / pp.hbar)
-
-        return _reference_ladder(
-            f_of_x, math.log(-energy0), energy0, lambda x: -math.exp(x),
-            1.0, 0.5 if m_ang > 0 else -0.5, n_range,
-        )
     m_c, two_hw = 0.5 * m_ang, 2.0 * pp.hbar * 1.0
     return _reference_ladder(
         lambda x: quantization_f(math.exp(x), m_c),
@@ -433,49 +451,45 @@ def _solve(kind, pp, m_ang, energy0, n_range):
     if kind == "oscillator":
         entries = oscillator_quantized_spectrum(pp, 1.0, m_ang, energy0, n_range)
     else:
-        alpha = 1.0 if kind == "coulomb" else 0.0
-        entries = solve_quantized_spectrum(pp, alpha, m_ang, energy0, n_range)
+        entries = solve_quantized_spectrum(pp, 1.0, m_ang, energy0, n_range)
     return [e.energy.real for e in entries]
 
 
-def _outcome(solver, *args):
-    """(energies, None) or (None, BracketError message)."""
-    try:
-        return solver(*args), None
-    except BracketError as exc:
-        return None, str(exc)
+def _random_windows(kind):
+    """Ten seeded (units, M, |E0|, n_range) ladder windows per kind."""
+    rng = random.Random(f"ladder-parity-{kind}")
+    units = (PP, PhysicalParams(mass=2.0, hbar=0.5))
+    cases = [
+        (units[i % 2], rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-0.3, 0.6),
+         10 ** rng.uniform(-16, 9), rng.randint(-4, 0))
+        for i in range(10)
+    ]
+    return [(pp, m_ang, mag, range(lo, lo + 5)) for pp, m_ang, mag, lo in cases]
 
 
 class TestLadderParity:
     """The shared-scan ladder against the per-level rescan it replaced."""
 
-    @pytest.mark.parametrize("kind", ["coulomb", "free", "oscillator"])
+    @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
     def test_random_windows_match_rescan(self, kind):
         # anchors reach g ~ 5e8, past g ~ 4e7 where f is rounding noise and
         # the bracket a scan picks is decided by its last bits
-        rng = random.Random(f"ladder-parity-{kind}")
-        units = (PP, PhysicalParams(mass=2.0, hbar=0.5))
-        cases = [
-            (units[i % 2], rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-0.3, 0.6),
-             10 ** rng.uniform(-16, 9), rng.randint(-4, 0))
-            for i in range(10)
-        ]
-        if kind == "free":
-            # 136 decades per level at |M| = 0.02: n = +-1 brackets, n = +-2
-            # lies past the 160-decade scan cap
-            cases += [(PP, 0.02, 1.0, -1), (PP, -0.02, 1.0, -1)]
-        failures = 0
-        for pp, m_ang, mag, lo in cases:
+        for pp, m_ang, mag, n_range in _random_windows(kind):
             energy0 = mag if kind == "oscillator" else -mag
-            n_range = range(lo, lo + 5)
-            want, want_err = _outcome(_reference_levels, kind, pp, m_ang, energy0, n_range)
-            got, got_err = _outcome(_solve, kind, pp, m_ang, energy0, n_range)
-            assert got_err == want_err
-            if want_err is None:
-                assert [e.hex() for e in got] == [e.hex() for e in want]
-            else:
-                failures += 1
-        assert failures == (2 if kind == "free" else 0)
+            want = _reference_levels(kind, pp, m_ang, energy0, n_range)
+            got = _solve(kind, pp, m_ang, energy0, n_range)
+            assert [e.hex() for e in got] == [e.hex() for e in want]
+
+    def test_free_levels_are_the_closed_form(self):
+        # 136 decades per level at |M| = 0.02: n = +-2 lie 272 decades from
+        # E0, past the 160 decades a ladder scan may walk
+        cases = _random_windows("free")
+        cases += [(PP, 0.02, 1.0, range(-2, 3)), (PP, -0.02, 1.0, range(-2, 3))]
+        for pp, m_ang, mag, n_range in cases:
+            got = [e.energy.real for e in solve_quantized_spectrum(pp, 0.0, m_ang, -mag, n_range)]
+            want = [deep_ladder(-mag, m_ang, n) for n in n_range]
+            assert [e.hex() for e in got] == [e.hex() for e in want]
+        assert abs(got[0]) > 1e272 and abs(got[-1]) < 1e-272
 
     @pytest.mark.parametrize(
         "energy0, n_range, pair",
@@ -531,6 +545,7 @@ class TestLadders:
     def test_positive_reference_rejected(self):
         with pytest.raises(DomainError):
             deep_ladder(1.0, 1.0, 0)
+
 
     def test_shallow_values(self):
         assert shallow_spectrum(PP, 1.0, 0.5, 0) == -2.0
@@ -636,6 +651,15 @@ class TestOscillator:
         with pytest.raises(DomainError):
             oscillator_quantized_spectrum(PP, 1.0, 1.0, -1.0, [0])
 
+    def test_overflowing_argument_raises(self):
+        # z = m omega rho^2 / hbar overflows from rho ~ 1.3e154; below that
+        # the Gaussian factor takes the amplitude to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert oscillator_wavefunction(PP, 1.0, 2, 1.0, 1e150, 0.0) == 0.0
+            with pytest.raises(DomainError, match=r"rho\^2 / hbar leaves the double range"):
+                oscillator_wavefunction(PP, 1.0, 2, 1.0, 1e200, 0.0)
+
 
 class TestThirdSolutionPhaseLaw:
     def test_small_z_oscillation(self):
@@ -710,3 +734,33 @@ class TestClosedFormResidual:
         r2, s2 = self._segment_residual(u_func, q_func, 1.0, 30.0, 1e-4)
         scale = max(s1, s2)
         assert float(max(r1, r2) / scale) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "call, args, kwargs",
+    [
+        pytest.param(coulomb_closed_spectrum, (PP, math.nan, 0, 1.0), {}, id="closed-alpha"),
+        pytest.param(shallow_spectrum, (PP, math.nan, 0.5, 0), {}, id="shallow-alpha"),
+        pytest.param(oscillator_closed_spectrum, (PP, math.nan, 0, 1.0), {}, id="osc-closed-omega"),
+        pytest.param(
+            oscillator_quantized_spectrum, (PP, math.nan, 1.0, 1.0, [0, 1]), {},
+            id="osc-ladder-omega",
+        ),
+        pytest.param(duality_forward, (PP, math.nan, -2.0, 0.5, 1.0), {}, id="duality-alpha"),
+        pytest.param(duality_forward, (PP, 1.0, -2.0, 0.5, math.nan), {}, id="duality-r0_scale"),
+        pytest.param(gamma_phase, (math.nan, 1.0), {}, id="phase-g"),
+        pytest.param(gamma_phase, (2.0, 1.0), {"r0": math.nan}, id="phase-r0"),
+        pytest.param(quantization_f, (math.nan, 1.0), {}, id="f-g"),
+        pytest.param(
+            solve_quantized_spectrum, (PP, 1.0, 1.0, -2.0, [0, 1]), {"tol": math.nan},
+            id="ladder-tol",
+        ),
+        pytest.param(
+            oscillator_quantized_spectrum, (PP, 1.0, 1.0, 1.0, [0, 1]), {"tol": math.nan},
+            id="osc-ladder-tol",
+        ),
+    ],
+)
+def test_nan_parameter_raises(call, args, kwargs):
+    with pytest.raises(DomainError):
+        call(*args, **kwargs)
