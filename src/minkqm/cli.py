@@ -9,8 +9,8 @@ command, hbar and mass alongside its payload, and floats are serialized
 as shortest round-trip decimals, so identical configurations produce
 byte-identical output and the two formats carry identical numbers.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 numerical failure.
+Exit codes: 0 success, 1 verification failure, 2 usage/config error or
+any DomainError, 3 any other MinkqmError or an OverflowError.
 """
 
 from __future__ import annotations
@@ -26,16 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import spectra, verification
-from .errors import (
-    BracketError,
-    ConsistencyError,
-    ConvergenceError,
-    DomainError,
-    FitQualityError,
-    InsufficientRootsError,
-    PoleError,
-)
+from . import specfun, spectra, verification
+from .errors import DomainError, MinkqmError
 from .model import (
     Coulomb,
     Free,
@@ -47,17 +39,10 @@ from .model import (
 )
 
 SCHEMA_VERSION = 1
-_DEFAULT_TOLERANCES = {"series": 1e-13, "solver": 1e-10}
-
-_NUMERICAL_ERRORS = (
-    BracketError,
-    ConvergenceError,
-    InsufficientRootsError,
-    FitQualityError,
-    ConsistencyError,
-    OverflowError,
-)
-_USAGE_ERRORS = (DomainError, PoleError)
+_DEFAULT_TOLERANCES = {
+    "series": specfun.DEFAULT_SERIES_TOL,
+    "solver": spectra.DEFAULT_SOLVER_TOL,
+}
 
 
 class UsageError(Exception):
@@ -136,7 +121,7 @@ def _load_config_args(path: str) -> list[str]:
             if value.lower() == "true":
                 args.append(f"--{key}")
         else:
-            args.extend([f"--{key}", value])
+            args.append(f"--{key}={value}")
     return args
 
 
@@ -239,43 +224,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ------------------------------------------------------------ emission
 
-def _record(command: str, pp: PhysicalParams, payload: dict) -> dict:
-    rec = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "hbar": pp.hbar,
-        "mass": pp.mass,
-    }
-    rec.update(payload)
-    return rec
-
-
-def _serialize(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _emit(records: list[dict], command: str, pp: PhysicalParams, fmt: str) -> str:
+def _emit(payloads: list[dict], command: str, pp: PhysicalParams, fmt: str) -> str:
+    """Records of one command: each payload behind the fields every record carries."""
+    head = {"schema_version": SCHEMA_VERSION, "command": command}
+    records = [{**head, "hbar": pp.hbar, "mass": pp.mass, **p} for p in payloads]
     if fmt == "json":
-        lines = [
-            json.dumps(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": command,
-                    "units": {"hbar": pp.hbar, "mass": pp.mass},
-                }
-            )
-        ]
+        lines = [json.dumps({**head, "units": {"hbar": pp.hbar, "mass": pp.mass}})]
         lines.extend(json.dumps(rec) for rec in records)
         return "\n".join(lines) + "\n"
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     if records:
-        cols = list(records[0].keys())
-        writer.writerow(cols)
-        for rec in records:
-            writer.writerow([_serialize(rec[c]) for c in cols])
+        writer = csv.DictWriter(buf, records[0], lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
     return buf.getvalue()
 
 
@@ -388,7 +349,7 @@ def _cmd_wavefunction(args, pp: PhysicalParams, tol: dict) -> list[dict]:
     return records
 
 
-def _cmd_potential(args, pp: PhysicalParams) -> list[dict]:
+def _cmd_potential(args, pp: PhysicalParams, tol: dict) -> list[dict]:
     if args.grid_min <= 0:
         raise UsageError("potential grid needs r > 0")
     if args.system == "coulomb":
@@ -413,7 +374,7 @@ def _cmd_potential(args, pp: PhysicalParams) -> list[dict]:
     return records
 
 
-def _cmd_phase(args, pp: PhysicalParams) -> list[dict]:
+def _cmd_phase(args, pp: PhysicalParams, tol: dict) -> list[dict]:
     rp = spectra.gamma_phase(args.g, args.M, args.r0)
     r0 = args.r0 if args.r0 is not None else args.g / 2.0
     return [
@@ -428,7 +389,7 @@ def _cmd_phase(args, pp: PhysicalParams) -> list[dict]:
     ]
 
 
-def _cmd_duality(args, pp: PhysicalParams) -> list[dict]:
+def _cmd_duality(args, pp: PhysicalParams, tol: dict) -> list[dict]:
     d = spectra.duality_forward(pp, args.alpha, args.EC, args.MC, args.r0_scale)
     return [
         {
@@ -444,10 +405,7 @@ def _cmd_duality(args, pp: PhysicalParams) -> list[dict]:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    try:
-        results = verification.run_suite(args.suite)
-    except KeyError:
-        raise UsageError(f"unknown suite {args.suite!r}")
+    results = verification.run_suite(args.suite)
     lines = [r.line() for r in results]
     failures = sum(not r.passed for r in results)
     lines.append(
@@ -457,65 +415,62 @@ def _cmd_verify(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", (1 if failures else 0)
 
 
+_COMMANDS = {
+    "spectrum": _cmd_spectrum,
+    "wavefunction": _cmd_wavefunction,
+    "potential": _cmd_potential,
+    "phase": _cmd_phase,
+    "duality": _cmd_duality,
+}
+
+
 # ------------------------------------------------------------ entry point
 
 def _write(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # apply --config as pseudo-flags inserted before the explicit ones
-    try:
-        if argv and not argv[0].startswith("-"):
-            rest = argv[1:]
-            cfg_path = None
-            for i, token in enumerate(rest):
-                if token == "--config" and i + 1 < len(rest):
-                    cfg_path = rest[i + 1]
-                elif token.startswith("--config="):
-                    cfg_path = token.split("=", 1)[1]
-            if cfg_path is not None:
-                argv = [argv[0]] + _load_config_args(cfg_path) + rest
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Namespace of argv, with the --config file's flags inserted before
+    the explicit ones so that those win.
 
+    The --config pre-parser applies argparse's own rules to the tokens
+    after the command, so every spelling the full parser takes as
+    --config (--config PATH, --config=PATH, unambiguous prefixes such as
+    --conf PATH) is the file that gets read.
+    """
     argv = _join_negative_values(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv and not argv[0].startswith("-"):
+        pre = argparse.ArgumentParser(prog="minkqm", add_help=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(argv[1:])[0].config
+        if path is not None:
+            argv = argv[:1] + _load_config_args(path) + argv[1:]
+    return build_parser().parse_args(argv)
 
+
+def main(argv: Sequence[str] | None = None) -> int:
     try:
+        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
         if args.command == "verify":
-            report, code = _cmd_verify(args)
-            _write(report, args.out)
-            return code
-
-        pp = PhysicalParams(mass=args.mass, hbar=args.hbar)
-        tol = _parse_tolerances(args.tol)
-        if args.command == "spectrum":
-            records = _cmd_spectrum(args, pp, tol)
-        elif args.command == "wavefunction":
-            records = _cmd_wavefunction(args, pp, tol)
-        elif args.command == "potential":
-            records = _cmd_potential(args, pp)
-        elif args.command == "phase":
-            records = _cmd_phase(args, pp)
-        elif args.command == "duality":
-            records = _cmd_duality(args, pp)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError(f"unknown command {args.command!r}")
-        full = [_record(args.command, pp, payload) for payload in records]
-        _write(_emit(full, args.command, pp, args.format), args.out)
-        return 0
-    except (UsageError, *_USAGE_ERRORS) as exc:
+            text, code = _cmd_verify(args)
+        else:
+            pp = PhysicalParams(mass=args.mass, hbar=args.hbar)
+            payloads = _COMMANDS[args.command](args, pp, _parse_tolerances(args.tol))
+            text, code = _emit(payloads, args.command, pp, args.format), 0
+        _write(text, args.out)
+        return code
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except (MinkqmError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

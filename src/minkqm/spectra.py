@@ -32,6 +32,8 @@ from .specfun import (
     DEFAULT_SERIES_TOL,
 )
 
+# Relative energy tolerance of the ladder solvers' bisection.
+DEFAULT_SOLVER_TOL = 1e-10
 _UNIT_MODULUS_TOL = 1e-10
 _DUALITY_TOL = 1e-12
 # Ladder scan: grid steps per decade of e^x, and the decades it may walk
@@ -42,6 +44,18 @@ _SCAN_DECADES = 160
 # double range: near z = 1.4e3 for g = 2, and out of the longdouble range
 # near z = 2.3e4.
 _ENVELOPE = "e^(z/2) z^(-g)"
+
+
+def _require_positive(name: str, value: float) -> None:
+    """DomainError unless value is a positive finite number (NaN fails too)."""
+    if not (value > 0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def _require_finite(name: str, value: float) -> None:
+    """DomainError unless value is finite."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
 
 
 class Branch(str, Enum):
@@ -71,10 +85,8 @@ class ScaledCoulomb:
     energy: float
 
     def __post_init__(self):
-        if not (self.r0 > 0 and math.isfinite(self.r0)):
-            raise DomainError(f"r0 must be positive, got {self.r0}")
-        if not (self.g > 0 and math.isfinite(self.g)):
-            raise DomainError(f"g must be positive, got {self.g}")
+        _require_positive("r0", self.r0)
+        _require_positive("g", self.g)
         if not self.energy < 0:
             raise DomainError(f"scaling defined for E < 0, got {self.energy}")
 
@@ -95,8 +107,7 @@ class ReflectionPhase:
 
 def coulomb_scaling(pp: PhysicalParams, alpha: float, energy: float) -> ScaledCoulomb:
     """Length unit r0 = hbar/(2 sqrt(-2mE)) and strength g = m alpha/(hbar sqrt(-2mE))."""
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    _require_positive("alpha", alpha)
     if not energy < 0:
         raise DomainError(f"bound-state scaling needs E < 0, got E={energy}")
     root = math.sqrt(-2.0 * pp.mass * energy)
@@ -107,7 +118,8 @@ def coulomb_scaling(pp: PhysicalParams, alpha: float, energy: float) -> ScaledCo
     )
 
 
-def _energy_from_g(pp: PhysicalParams, alpha: float, g: float) -> float:
+def _energy_from_g(pp: PhysicalParams, alpha: float, g: complex) -> complex:
+    """-m alpha^2 / (2 hbar^2 g^2); real for real g."""
     s2 = g * g
     return -(pp.mass * alpha * alpha) / (2.0 * pp.hbar * pp.hbar * s2)
 
@@ -122,20 +134,17 @@ def coulomb_closed_spectrum(
     """
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    w = complex(n + 0.5, m_ang)
-    return -(pp.mass * alpha * alpha) / (2.0 * pp.hbar * pp.hbar * (w * w))
+    _require_positive("alpha", alpha)
+    _require_finite("M", m_ang)
+    return _energy_from_g(pp, alpha, complex(n + 0.5, m_ang))
 
 
 def shallow_spectrum(pp: PhysicalParams, alpha: float, g0: float, n: int) -> float:
     """Rydberg-like level -m alpha^2/(2 hbar^2 (n+g0)^2) of the shallow regime."""
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    _require_positive("alpha", alpha)
     s = n + g0
-    if not s > 0:
-        raise DomainError(f"n + g0 must be positive, got {s}")
-    return -(pp.mass * alpha * alpha) / (2.0 * pp.hbar * pp.hbar * (s * s))
+    _require_positive("n + g0", s)
+    return _energy_from_g(pp, alpha, s)
 
 
 def deep_ladder(energy0: float, m_ang: float, n: int) -> float:
@@ -162,6 +171,8 @@ def deep_ladder(energy0: float, m_ang: float, n: int) -> float:
 # wavefunctions (unnormalized, leading constant 1, argument z = r/r0)
 
 def _u1_ld(g: float, m_ang: float, z: float, tol: float):
+    _require_finite("g", g)
+    _require_finite("M", m_ang)
     params = KummerParams(complex(0.5 - g, m_ang), complex(1.0, 2.0 * m_ang))
     try:
         series = _kummer_m_ld(params, z, tol)
@@ -224,6 +235,7 @@ def coulomb_third(
         raise DomainError(f"z must be positive, got {z}")
     if gamma is None:
         gamma = gamma_phase(g, m_ang).gamma
+    _require_finite("gamma", gamma)
     phase = np.exp(np.clongdouble(-2j) * np.clongdouble(gamma))
     value = _u1_ld(g, m_ang, z, tol) - phase * _u1_ld(g, -m_ang, z, tol)
     return _finite(value, z, "coulomb_third", _ENVELOPE, g=g, M=m_ang)
@@ -307,6 +319,8 @@ def coulomb_third_asymptotic(
     """
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
+    _require_finite("g", g)
+    _require_finite("M", m_ang)
     a = complex(0.5 - g, m_ang)
     c = complex(1.0, 2.0 * m_ang)
     k1 = _ln_gamma_ld(c) - _ln_gamma_ld(a)
@@ -322,6 +336,16 @@ def coulomb_third_asymptotic(
 
 # --------------------------------------------------------------------------
 # reflection phase and quantization condition
+
+def _refuse_m0_pole(g: float, what: str) -> None:
+    """PoleError where g - 1/2 is a non-negative integer (to 1e-12): at M = 0
+    the Gamma factors sit on poles there, the closed-form levels."""
+    k = round(g - 0.5)
+    if k >= 0 and abs(g - 0.5 - k) <= 1e-12:
+        raise PoleError(
+            f"{what} undefined at M=0, g={g}: Gamma pole (closed-form level n={k})"
+        )
+
 
 def gamma_phase(g: float, m_ang: float, r0: float | None = None) -> ReflectionPhase:
     """Reflection phase gamma solving the decay condition at infinity.
@@ -339,19 +363,14 @@ def gamma_phase(g: float, m_ang: float, r0: float | None = None) -> ReflectionPh
     non-negative integer, where the Gamma factors sit on poles (these are
     exactly the closed-form levels) and PoleError is raised.
     """
-    if not g > 0:
-        raise DomainError(f"g must be positive, got {g}")
+    _require_positive("g", g)
+    _require_finite("M", m_ang)
     if r0 is None:
         r0 = g / 2.0
-    if not r0 > 0:
-        raise DomainError(f"r0 must be positive, got {r0}")
+    _require_positive("r0", r0)
 
     if m_ang == 0.0:
-        k = round(g - 0.5)
-        if k >= 0 and abs(g - 0.5 - k) <= 1e-12:
-            raise PoleError(
-                f"gamma undefined at M=0, g={g}: Gamma pole (closed-form level n={k})"
-            )
+        _refuse_m0_pole(g, "gamma")
         return ReflectionPhase(gamma=0.0, beta=0.0, gamma_raw=0.0)
 
     num = _ln_gamma_ld(complex(1.0, 2.0 * m_ang)) + _ln_gamma_ld(
@@ -382,13 +401,11 @@ def quantization_f(g: float, m_ang: float) -> float:
     there are no poles at all.  Deep regime (g -> 0): f ~ -M ln g.
     Shallow regime (g -> inf): f ~ -pi g (for M > 0).
     """
-    if not g > 0:
-        raise DomainError(f"g must be positive, got {g}")
+    _require_positive("g", g)
+    _require_finite("M", m_ang)
     w = complex(0.5 - g, m_ang)
     if m_ang == 0.0:
-        k = round(g - 0.5)
-        if k >= 0 and abs(g - 0.5 - k) <= 1e-12:
-            raise PoleError(f"quantization function hits a Gamma pole at g={g}, M=0")
+        _refuse_m0_pole(g, "quantization function")
     value = (
         np.longdouble(-m_ang) * np.log(np.longdouble(g))
         + np.imag(_ln_gamma_ld(w))
@@ -501,7 +518,7 @@ def solve_quantized_spectrum(
     m_ang: float,
     energy0: float,
     n_range: Iterable[int],
-    tol: float = 1e-10,
+    tol: float = DEFAULT_SOLVER_TOL,
 ) -> list[SpectrumEntry]:
     """Levels of the third-solution condition f(E_n) = f(E_0) + pi n.
 
@@ -514,17 +531,16 @@ def solve_quantized_spectrum(
     the spacing falls below tol, or free levels that round to the same
     double) raise ConsistencyError.
     """
-    if m_ang == 0.0:
-        raise DomainError("quantized spectrum needs M != 0")
-    if not energy0 < 0:
+    if not (m_ang != 0.0 and math.isfinite(m_ang)):
+        raise DomainError(f"quantized spectrum needs a finite M != 0, got {m_ang}")
+    if not -math.inf < energy0 < 0:
         raise DomainError(
-            f"reference level must be negative (E > 0 is the continuous "
-            f"spectrum), got {energy0}"
+            f"reference level must be negative and finite (E > 0 is the "
+            f"continuous spectrum), got {energy0}"
         )
     if not alpha >= 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    _require_positive("tol", tol)
 
     if alpha == 0:
         levels = [(n, deep_ladder(energy0, m_ang, n)) for n in n_range]
@@ -568,12 +584,11 @@ def duality_forward(
     The equivalent relation E_osc = 2 alpha omega sqrt(m) / sqrt(-2 E_C)
     (positive branch) is verified to 1e-12 relative as a consistency check.
     """
-    if not e_coulomb < 0:
-        raise DomainError(f"duality needs E_coulomb < 0, got {e_coulomb}")
-    if not r0_scale > 0:
-        raise DomainError(f"r0_scale must be positive, got {r0_scale}")
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not -math.inf < e_coulomb < 0:
+        raise DomainError(f"duality needs a finite E_coulomb < 0, got {e_coulomb}")
+    _require_finite("M_coulomb", m_coulomb)
+    _require_positive("r0_scale", r0_scale)
+    _require_positive("alpha", alpha)
     omega = math.sqrt(-8.0 * e_coulomb / (pp.mass * r0_scale * r0_scale))
     e_osc = 4.0 * alpha / r0_scale
     e_osc_alt = 2.0 * alpha * omega * math.sqrt(pp.mass) / math.sqrt(-2.0 * e_coulomb)
@@ -601,8 +616,8 @@ def oscillator_closed_spectrum(
     """Closed-form oscillator level hbar omega (2n + 1 + i M_osc)."""
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")
-    if not omega > 0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    _require_positive("omega", omega)
+    _require_finite("M_osc", m_osc)
     hw = pp.hbar * omega
     return complex(hw * (2 * n + 1), hw * m_osc)
 
@@ -627,8 +642,7 @@ def oscillator_wavefunction(
         raise DomainError(f"rho must be positive, got {rho}")
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    if not omega > 0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    _require_positive("omega", omega)
     z = pp.mass * omega * rho * rho / pp.hbar
     params = KummerParams(complex(-n, 0.0), complex(1.0, m_osc))
     lnrho = np.log(np.clongdouble(rho))
@@ -651,7 +665,7 @@ def oscillator_quantized_spectrum(
     m_osc: float,
     energy0: float,
     n_range: Iterable[int],
-    tol: float = 1e-10,
+    tol: float = DEFAULT_SOLVER_TOL,
 ) -> list[SpectrumEntry]:
     """Oscillator levels of the third-solution condition, with g = E/(2 hbar omega).
 
@@ -661,14 +675,11 @@ def oscillator_quantized_spectrum(
     E_n = E_0 exp(2 pi n / M_osc), so the descending levels carry
     n = -1, -2, ... as they condense.
     """
-    if m_osc == 0.0:
-        raise DomainError("quantized spectrum needs M_osc != 0")
-    if not energy0 > 0:
-        raise DomainError(f"oscillator reference level must be positive, got {energy0}")
-    if not omega > 0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    if not (m_osc != 0.0 and math.isfinite(m_osc)):
+        raise DomainError(f"quantized spectrum needs a finite M_osc != 0, got {m_osc}")
+    _require_positive("oscillator reference level", energy0)
+    _require_positive("omega", omega)
+    _require_positive("tol", tol)
 
     two_hw = 2.0 * pp.hbar * omega
 

@@ -160,9 +160,7 @@ def suite_phases() -> list[CheckResult]:
         m = rng.uniform(0.1, 3.0)
         gp = spectra.gamma_phase(g, m).gamma
         gm = spectra.gamma_phase(g, -m).gamma
-        dev = math.fmod(gp + gm, math.pi)
-        dev = min(abs(dev), math.pi - abs(dev))
-        worst = max(worst, dev)
+        worst = max(worst, _mod_pi_distance(gp, -gm))
     out.append(_check("phases", "gamma_conjugation", worst, 1e-12))
 
     out.append(

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minkqm import verification
+from minkqm import cli, errors, verification
 from minkqm.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -307,6 +308,14 @@ class TestOutputContract:
         content = path.read_text()
         assert json.loads(content.strip().split("\n")[1])["gamma"] > 0
 
+    @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, target):
+        # used to escape as a traceback with exit 1, the verify-failure code
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, "phase", "--g", "2", "--M", "1", "--out", str(path))
+        assert code == 2 and out == ""
+        assert f"cannot write {path}" in err
+
     def test_units_flags_propagate(self, capsys):
         _, out, _ = run_cli(
             capsys, "spectrum", "--hbar", "2", "--mass", "0.5",
@@ -337,6 +346,23 @@ class TestConfigAndTolerances:
         )
         assert code == 0
         assert len(json_records(out)) == 4
+
+    @pytest.mark.parametrize(
+        "spelling",
+        [("--config", "{}"), ("--config={}",), ("--conf", "{}"), ("--conf={}",)],
+        ids=["config", "config=", "conf", "conf="],
+    )
+    def test_config_spellings_read_the_file(self, capsys, tmp_path, spelling):
+        # argparse takes any unambiguous prefix of --config; --conf used to
+        # parse without the file being read, and printed E = -2.0 with exit 0
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("alpha = 2\n")
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--system", "coulomb", "--M", "0", "--closed",
+            "--n", "0..0", *(token.format(cfg) for token in spelling),
+        )
+        assert code == 0
+        assert json_records(out)[0]["E_re"] == -8.0
 
     def test_bad_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -386,6 +412,25 @@ class TestConfigAndTolerances:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "expected a finite number" in captured.err
+
+
+ERROR_CLASSES = [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.MinkqmError)
+] + [OverflowError]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_exit_code_follows_error_class(self, capsys, monkeypatch, error):
+        def fail(args, pp, tol):
+            raise error("planted failure")
+
+        monkeypatch.setitem(cli._COMMANDS, "phase", fail)
+        code, out, err = run_cli(capsys, "phase", "--g", "2", "--M", "1")
+        assert code == (2 if issubclass(error, errors.DomainError) else 3)
+        assert out == ""
+        assert "planted failure" in err
 
 
 class TestVerifyCommand:

@@ -759,6 +759,58 @@ class TestClosedFormResidual:
             oscillator_quantized_spectrum, (PP, 1.0, 1.0, 1.0, [0, 1]), {"tol": math.nan},
             id="osc-ladder-tol",
         ),
+        # +-inf as well as NaN: each of these returned NaN, -0.0, a beta of
+        # -inf or a wrong level, warned, or raised an untyped error
+        pytest.param(gamma_phase, (math.inf, 1.0), {}, id="phase-g-inf"),
+        pytest.param(gamma_phase, (2.0, math.nan), {}, id="phase-M"),
+        pytest.param(gamma_phase, (2.0, math.inf), {}, id="phase-M-inf"),
+        pytest.param(gamma_phase, (2.0, 1.0), {"r0": math.inf}, id="phase-r0-inf"),
+        pytest.param(quantization_f, (math.inf, 1.0), {}, id="f-g-inf"),
+        pytest.param(quantization_f, (2.0, math.nan), {}, id="f-M"),
+        pytest.param(quantization_f, (2.0, -math.inf), {}, id="f-M-inf"),
+        pytest.param(solve_quantized_spectrum, (PP, 1.0, math.nan, -2.0, [0, 1]), {}, id="ladder-M"),
+        pytest.param(
+            solve_quantized_spectrum, (PP, 1.0, math.inf, -2.0, [0, 1]), {}, id="ladder-M-inf"
+        ),
+        pytest.param(
+            oscillator_quantized_spectrum, (PP, 1.0, math.nan, 1.0, [0, 1]), {},
+            id="osc-ladder-M",
+        ),
+        pytest.param(
+            oscillator_quantized_spectrum, (PP, 1.0, math.inf, 1.0, [0, 1]), {},
+            id="osc-ladder-M-inf",
+        ),
+        pytest.param(
+            oscillator_quantized_spectrum, (PP, 1.0, 1.0, math.inf, [0, 1]), {},
+            id="osc-ladder-E0-inf",
+        ),
+        pytest.param(coulomb_u1, (math.inf, 1.0, 1.0), {}, id="u1-g-inf"),
+        pytest.param(coulomb_u1, (math.nan, 1.0, 1.0), {}, id="u1-g"),
+        pytest.param(coulomb_u2, (math.inf, 1.0, 1.0), {}, id="u2-g-inf"),
+        pytest.param(coulomb_u2, (math.nan, 1.0, 1.0), {}, id="u2-g"),
+        pytest.param(coulomb_third, (math.inf, 1.0, 1.0, 0.5), {}, id="third-g-inf"),
+        pytest.param(coulomb_third, (math.nan, 1.0, 1.0, 0.5), {}, id="third-g"),
+        pytest.param(coulomb_third, (math.inf, 1.0, 1.0), {}, id="third-auto-g-inf"),
+        pytest.param(coulomb_third, (2.0, 1.0, 1.0, math.inf), {}, id="third-gamma-inf"),
+        pytest.param(coulomb_third_asymptotic, (math.nan, 1.0, 40.0, 0.5), {}, id="third-asym-g"),
+        pytest.param(coulomb_closed_spectrum, (PP, 1.0, 0, math.nan), {}, id="closed-M"),
+        pytest.param(coulomb_closed_spectrum, (PP, 1.0, 0, math.inf), {}, id="closed-M-inf"),
+        pytest.param(oscillator_closed_spectrum, (PP, 1.0, 0, math.nan), {}, id="osc-closed-M"),
+        pytest.param(oscillator_closed_spectrum, (PP, math.inf, 0, 1.0), {}, id="osc-closed-omega-inf"),
+        pytest.param(shallow_spectrum, (PP, 1.0, math.inf, 0), {}, id="shallow-g0-inf"),
+        pytest.param(duality_forward, (PP, 1.0, -math.inf, 0.5, 1.0), {}, id="duality-EC-inf"),
+        pytest.param(duality_forward, (PP, 1.0, -2.0, math.nan, 1.0), {}, id="duality-MC"),
+        pytest.param(
+            solve_quantized_spectrum, (PP, 1.0, 1.0, -math.inf, [0, 1]), {}, id="ladder-E0-inf"
+        ),
+        pytest.param(
+            solve_quantized_spectrum, (PP, 1.0, 1.0, -2.0, [0, 1]), {"tol": math.inf},
+            id="ladder-tol-inf",
+        ),
+        pytest.param(
+            oscillator_quantized_spectrum, (PP, math.inf, 1.0, 1.0, [0, 1]), {},
+            id="osc-ladder-omega-inf",
+        ),
     ],
 )
 def test_nan_parameter_raises(call, args, kwargs):
