@@ -11,6 +11,9 @@ ulps of a double.
 from __future__ import annotations
 
 import cmath
+import functools
+import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +55,9 @@ DEFAULT_SERIES_CAP = 10_000
 # The Kummer series checks once per this many terms that its partial sum
 # is still finite in longdouble.
 _OVERFLOW_CHECK_TERMS = 64
+# Blocks of series term factors kept by _term_block; a u1 series at z = 80
+# takes three.
+_TERM_BLOCKS_CACHED = 32
 
 
 def _nearest_nonpositive_integer_distance(z: complex) -> float:
@@ -145,8 +151,15 @@ class KummerParams:
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "c", complex(self.c))
+        if not (cmath.isfinite(self.a) and cmath.isfinite(self.c)):
+            raise DomainError(f"Kummer parameters must be finite, got a={self.a}, c={self.c}")
         if _nearest_nonpositive_integer_distance(self.c) <= TERMINATION_TOL:
             raise PoleError(f"Kummer parameter c={self.c} is a non-positive integer")
+        # The bits of a and c, the cache key of their term factors: complex
+        # hashing and equality would merge +0.0 and -0.0.
+        object.__setattr__(
+            self, "_key", struct.pack("<4d", self.a.real, self.a.imag, self.c.real, self.c.imag)
+        )
 
     def terminating_order(self) -> int | None:
         """Degree n if the series terminates (a = -n within tolerance), else None."""
@@ -156,41 +169,61 @@ class KummerParams:
         return None
 
 
+@functools.lru_cache(maxsize=_TERM_BLOCKS_CACHED)
+def _term_block(key: bytes, start: int, stop: int):
+    """Term factors A[k] = a + k and D[k] = (c + k)(k + 1) as clongdouble, for
+    start <= k < stop: a block of _OVERFLOW_CHECK_TERMS series terms, or
+    what is left of a terminating polynomial.
+
+    key is ``KummerParams._key``, the packed bits of (a, c).  Term k + 1 of
+    the series is t_k * A[k] * z / D[k]: the same operations on the same
+    values as computing the factors in place, since numpy's elementwise
+    complex arithmetic gives the bits of the scalar expressions, so a cached
+    block changes no bit.
+    """
+    a_re, a_im, c_re, c_im = struct.unpack("<4d", key)
+    a = np.clongdouble(complex(a_re, a_im))
+    c = np.clongdouble(complex(c_re, c_im))
+    # Finite a and c keep every factor finite: |c + k| (k + 1) stays below
+    # 1e313, far inside the longdouble range.
+    ks = np.arange(start, stop, dtype=np.clongdouble)
+    return tuple(a + ks), tuple((c + ks) * (ks + 1))
+
+
 def _kummer_m_ld(p: KummerParams, z: float, tol: float):
     """Series sum of F(a, c, z) in extended precision (clongdouble)."""
     if not z >= 0:
         raise DomainError(f"Kummer series requires z >= 0, got z={z}")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     if z == 0.0:
         return np.clongdouble(1.0)
 
-    a = np.clongdouble(p.a)
-    c = np.clongdouble(p.c)
     zl = np.clongdouble(z)
+    s = np.clongdouble(1.0)
+    t = np.clongdouble(1.0)
 
     n_term = p.terminating_order()
     if n_term is not None:
         # Degree-n polynomial: exactly n+1 terms, no tail heuristics.
-        s = np.clongdouble(1.0)
-        t = np.clongdouble(1.0)
-        for k in range(n_term):
-            t = t * (a + k) * zl / ((c + k) * (k + 1))
-            s = s + t
+        for start in range(0, n_term, _OVERFLOW_CHECK_TERMS):
+            stop = min(start + _OVERFLOW_CHECK_TERMS, n_term)
+            for a_k, d_k in zip(*_term_block(p._key, start, stop)):
+                t = t * a_k * zl / d_k
+                s = s + t
         return s
 
     abs_z = abs(z)
     gap = abs(p.a - p.c)
     abs_c = abs(p.c)
-    s = np.clongdouble(1.0)
-    t = np.clongdouble(1.0)
     # Large z or |a| can overflow longdouble; the terms then turn inf/NaN
     # quietly and the first non-finite block raises.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, DEFAULT_SERIES_CAP, _OVERFLOW_CHECK_TERMS):
             converged = False
-            for k in range(start, min(start + _OVERFLOW_CHECK_TERMS, DEFAULT_SERIES_CAP)):
-                t = t * (a + k) * zl / ((c + k) * (k + 1))
+            factors, denominators = _term_block(p._key, start, start + _OVERFLOW_CHECK_TERMS)
+            for k, a_k, d_k in zip(range(start, DEFAULT_SERIES_CAP), factors, denominators):
+                t = t * a_k * zl / d_k
                 s = s + t
                 # Geometric tail bound: for j > k, |t_{j+1}/t_j| <= rho once
                 # the index clears both |c| and |z|.
@@ -244,7 +277,7 @@ def kummer_second(p: KummerParams, z: float, tol: float = DEFAULT_SERIES_TOL) ->
     continued through the pole.  Raises DomainError where the value leaves
     the double range.
     """
-    if z <= 0:
+    if not z > 0:
         raise DomainError(f"kummer_second requires z > 0, got z={z}")
     shifted = KummerParams(p.a - p.c + 1, 2 - p.c)
     power = np.exp(np.clongdouble(1 - p.c) * np.log(np.clongdouble(z)))
@@ -262,7 +295,7 @@ def kummer_asymptotic(p: KummerParams, z: float) -> complex:
     the exponential branch is absent).  Raises DomainError where the value
     leaves the double range.
     """
-    if z <= 0:
+    if not z > 0:
         raise DomainError(f"kummer_asymptotic requires z > 0, got z={z}")
     if p.terminating_order() is not None:
         raise PoleError(

@@ -14,6 +14,7 @@ fixes only level *spacings*, never an absolute anchor.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -44,6 +45,9 @@ _SCAN_DECADES = 160
 # double range: near z = 1.4e3 for g = 2, and out of the longdouble range
 # near z = 2.3e4.
 _ENVELOPE = "e^(z/2) z^(-g)"
+# (g, M) pairs whose u1 series parameters _u1_params keeps; the points of
+# one grid share a pair.
+_U1_PARAMS_CACHED = 32
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -170,10 +174,18 @@ def deep_ladder(energy0: float, m_ang: float, n: int) -> float:
 # --------------------------------------------------------------------------
 # wavefunctions (unnormalized, leading constant 1, argument z = r/r0)
 
+@functools.lru_cache(maxsize=_U1_PARAMS_CACHED)
+def _u1_params(g: float, m_ang: float, m_sign: float) -> KummerParams:
+    """u1's series parameters (1/2 + iM - g, 1 + 2iM).  m_sign, the sign of
+    M, keeps M = +0.0 and -0.0 apart, which float hashing merges."""
+    return KummerParams(complex(0.5 - g, m_ang), complex(1.0, 2.0 * m_ang))
+
+
 def _u1_ld(g: float, m_ang: float, z: float, tol: float):
     _require_finite("g", g)
     _require_finite("M", m_ang)
-    params = KummerParams(complex(0.5 - g, m_ang), complex(1.0, 2.0 * m_ang))
+    # float() also takes a 0-d array, which the cache could not hash.
+    params = _u1_params(float(g), float(m_ang), math.copysign(1.0, m_ang))
     try:
         series = _kummer_m_ld(params, z, tol)
     except ConvergenceError:
@@ -224,12 +236,19 @@ def coulomb_third(
     """Superposition u1 - e^{-2i gamma} u2 (leading constant 1).
 
     With gamma = None the reflection phase that kills the growing
-    exponential is solved for automatically.  The two series cancel
-    against each other at large z; extended-precision accumulation keeps
-    the combination trustworthy up to z of roughly 60-70.  Beyond that
-    the result is cancellation noise; ``coulomb_third_asymptotic`` gives
-    only the growing branch, not this decaying tail.  Raises DomainError
-    where the two series leave the double range (from z ~ 1.4e3 for g = 2).
+    exponential is solved for automatically.  One Kummer series is summed
+    per point: for real M != 0, u2 is the complex conjugate of u1, bit for
+    bit, since every step of its series and prefactor is the conjugate of
+    u1's.  At M = +-0 the series is real: it starts at (1, +0) and adding
+    +-0 to +0 gives +0, and the prefactor's real part is positive, so
+    Im u1 = +0.  conj(u1) and u2's own series then differ at most in the
+    sign of a zero imaginary part, which the result does not keep, since
+    +0 - (+-0) = +0.  u1 and e^{-2i gamma} u2 cancel against each other at
+    large z; extended-precision accumulation keeps the combination
+    trustworthy up to z of roughly 60-70.  Beyond that the result is
+    cancellation noise; ``coulomb_third_asymptotic`` gives only the growing
+    branch, not this decaying tail.  Raises DomainError where the series
+    leaves the double range (from z ~ 1.4e3 for g = 2).
     """
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
@@ -237,8 +256,8 @@ def coulomb_third(
         gamma = gamma_phase(g, m_ang).gamma
     _require_finite("gamma", gamma)
     phase = np.exp(np.clongdouble(-2j) * np.clongdouble(gamma))
-    value = _u1_ld(g, m_ang, z, tol) - phase * _u1_ld(g, -m_ang, z, tol)
-    return _finite(value, z, "coulomb_third", _ENVELOPE, g=g, M=m_ang)
+    u1 = _u1_ld(g, m_ang, z, tol)
+    return _finite(u1 - phase * np.conj(u1), z, "coulomb_third", _ENVELOPE, g=g, M=m_ang)
 
 
 def _large_z_series(g: float, m_ang: float, z: float):
@@ -643,6 +662,8 @@ def oscillator_wavefunction(
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     _require_positive("omega", omega)
+    _require_finite("M_osc", m_osc)
+    _require_finite("phi", phi)
     z = pp.mass * omega * rho * rho / pp.hbar
     params = KummerParams(complex(-n, 0.0), complex(1.0, m_osc))
     lnrho = np.log(np.clongdouble(rho))

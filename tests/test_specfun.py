@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minkqm import specfun
 from minkqm.errors import ConvergenceError, DomainError, PoleError
 from minkqm.specfun import (
     KummerParams,
+    _kummer_m_ld,
     kummer_asymptotic,
     kummer_m,
     kummer_second,
@@ -116,9 +118,24 @@ class TestKummerM:
             assert kummer_m(p, z) == pytest.approx(math.exp(z), rel=1e-13)
 
     def test_negative_z_rejected(self):
-        for z in (-1.0, math.nan):
-            with pytest.raises(DomainError):
-                kummer_m(KummerParams(1, 2), z)
+        # NaN fails each guard too, rather than reaching a later error that
+        # names the wrong bound or the double range
+        p = KummerParams(1, 2)
+        for func, guard in (
+            (kummer_m, "Kummer series requires z >= 0"),
+            (kummer_second, "kummer_second requires z > 0"),
+            (kummer_asymptotic, "kummer_asymptotic requires z > 0"),
+        ):
+            for z in (-1.0, math.nan):
+                with pytest.raises(DomainError, match=guard):
+                    func(p, z)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-13, math.nan, math.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # tol = inf used to stop the sum at the first term where the tail
+        # test can run, and return a wrong number
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            kummer_m(KummerParams(complex(0.5, 1), complex(1, 2)), 3.0, tol)
 
     @pytest.mark.parametrize("c", [complex(1, 2), complex(0.5, 2)])
     def test_overflow_raises_domain_error(self, c):
@@ -141,27 +158,60 @@ class TestKummerM:
                 with pytest.raises(DomainError, match="double range"):
                     func(p, z)
 
-    def test_guarded_sum_matches_plain_loop(self):
-        # the blockwise sum under a quiet errstate keeps the arithmetic and
-        # the stopping rule of the plain loop, for Re c < 1 and large |a| too
-        for a, c, z in [
-            (complex(-1.5, 1), complex(0.5, 2), 30.0),
-            (complex(0.3, -2.1), complex(0.9, 0.4), 12.0),
-            (complex(-1200.5, 1), complex(1, 2), 3.0),
+    def test_term_block_matches_scalar_factors(self):
+        # the block's elementwise factors are the scalar expressions' bits,
+        # for zero imaginary parts of either sign and past the double range
+        for a, c, start in [
+            (complex(-1.5, 1), complex(0.5, 2), 0),
+            (complex(-2.5, -0.0), complex(1, -0.0), 64),
+            (complex(0.3, -2.1), complex(0.9, 0.4), 9_984),
+            (complex(1e300, 3), complex(1, 1e306), 9_984),
         ]:
-            abs_z, abs_c, gap = z, abs(c), abs(a - c)
-            t = s = np.clongdouble(1.0)
-            for k in range(10_000):
-                t = t * (np.clongdouble(a) + k) * np.clongdouble(z) / (
-                    (np.clongdouble(c) + k) * (k + 1)
-                )
-                s = s + t
-                j = k + 1
-                if j > abs_c and j + 1 > abs_z:
-                    rho = (1.0 + gap / (j - abs_c)) * abs_z / (j + 1)
-                    if rho < 0.9 and float(abs(t)) * rho / (1.0 - rho) <= 1e-13 * float(abs(s)):
-                        break
-            assert kummer_m(KummerParams(a, c), z) == complex(s)
+            p = KummerParams(a, c)
+            factors, denominators = specfun._term_block(p._key, start, start + 64)
+            al, cl = np.clongdouble(a), np.clongdouble(c)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k, a_k, d_k in zip(range(start, start + 64), factors, denominators):
+                    assert _same_bits(a_k, al + k) and _same_bits(d_k, (cl + k) * (k + 1))
+
+    def test_guarded_sum_matches_plain_loop(self):
+        # The blockwise sum with cached term factors keeps the arithmetic and
+        # the stopping rule of the plain loop: for Re c < 1 and large |a|,
+        # for a terminating polynomial of two blocks, and for a series of
+        # about 50 blocks, more than the cache holds.  Each group of cases
+        # runs cold and then warm.  Parameters whose imaginary parts are
+        # +0.0 and -0.0 share a group, and must not share cached blocks.
+        groups = [
+            [(complex(-1.5, 1), complex(0.5, 2), 30.0)],
+            [(complex(0.3, -2.1), complex(0.9, 0.4), 12.0)],
+            [(complex(-1200.5, 1), complex(1, 2), 3.0)],
+            [(complex(-70, 0.0), complex(1, 0.5), 40.0)],
+            [(complex(0.5, 1), complex(1, 2), 3e3)],
+        ] + [
+            [(complex(a, sign * 0.0), complex(1, sign * 0.0), z) for sign in (1.0, -1.0)]
+            for a, z in ((-2.5, 20.0), (-3, 2.0))
+        ]
+        for group in groups:
+            specfun._term_block.cache_clear()
+            for run in ("cold", "warm"):
+                for a, c, z in group:
+                    p = KummerParams(a, c)
+                    got = _kummer_m_ld(p, z, 1e-13)
+                    assert _same_bits(got, _plain_kummer_loop(p, z)), (run, a, c, z)
+                if run == "cold":
+                    assert specfun._term_block.cache_info().hits == 0
+            # a series longer than the cache evicts its own first blocks
+            longer_than_cache = group[0][2] == 3e3
+            assert (specfun._term_block.cache_info().hits > 0) != longer_than_cache
+
+    @pytest.mark.parametrize(
+        "a, c", [(math.nan, 2), (math.inf, 2), (complex(1, -math.inf), 2), (1, math.nan), (1, complex(1, math.inf))]
+    )
+    def test_non_finite_parameters_rejected(self, a, c):
+        # these raised ValueError or OverflowError from round(), or summed
+        # NaN factors into a "leaves the double range" error
+        with pytest.raises(DomainError, match="Kummer parameters must be finite"):
+            KummerParams(a, c)
 
     def test_pole_in_c_rejected(self):
         with pytest.raises(PoleError):
@@ -279,3 +329,29 @@ class TestKummerAsymptotic:
                 for z in (30.0, 40.0, 50.0, 60.0)
             ]
             assert all(devs[i + 1] < devs[i] for i in range(3))
+
+
+def _plain_kummer_loop(p, z):
+    """F(a, c, z) summed term by term with the library's stopping rule."""
+    abs_z, abs_c, gap = z, abs(p.c), abs(p.a - p.c)
+    n = p.terminating_order()
+    t = s = np.clongdouble(1.0)
+    for k in range(10_000 if n is None else n):
+        t = t * (np.clongdouble(p.a) + k) * np.clongdouble(z) / (
+            (np.clongdouble(p.c) + k) * (k + 1)
+        )
+        s = s + t
+        j = k + 1
+        if n is None and j > abs_c and j + 1 > abs_z:
+            rho = (1.0 + gap / (j - abs_c)) * abs_z / (j + 1)
+            if rho < 0.9 and float(abs(t)) * rho / (1.0 - rho) <= 1e-13 * float(abs(s)):
+                break
+    return s
+
+
+def _same_bits(x, y):
+    """Equal real and imaginary parts, signs of zero included."""
+    return all(
+        u == v and np.signbit(u) == np.signbit(v)
+        for u, v in ((np.real(x), np.real(y)), (np.imag(x), np.imag(y)))
+    )

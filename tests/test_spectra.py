@@ -176,6 +176,38 @@ class TestWavefunctions:
                     outcomes += self._check_against_bare_series(g, m_ang, rng.uniform(z_lo, z_hi))
         assert "finite" in outcomes and "cap" in outcomes
 
+    def test_zero_dim_array_parameters(self):
+        # g and M as 0-d arrays give the values of the equal floats
+        for func in (coulomb_u1, coulomb_u2, coulomb_third):
+            assert func(np.array(2.0), np.array(1.0), 3.0) == func(2.0, 1.0, 3.0)
+
+    def test_third_sums_one_series_bit_for_bit(self):
+        # coulomb_third takes u2 as the conjugate of u1, at M = +-0 too,
+        # where the two differ in the sign of a zero imaginary part.
+        # Against the two-series formula every value keeps its bits, signs
+        # of zero included, and every raising point raises the same error.
+        rng = random.Random("third-one-series")
+        cases = []
+        for i in range(300):
+            g = rng.uniform(0.05, 40.0) if i % 2 else rng.uniform(0.05, 5.0)
+            m_ang = rng.choice((1.0, -1.0)) * math.exp(rng.uniform(math.log(1e-3), math.log(6.0)))
+            if i % 10 < 4:
+                m_ang = (0.0, -0.0, 1e-13, -5e-324)[i % 10]
+            gamma = (None, 0.0, rng.uniform(-math.pi, math.pi))[i % 3]
+            zs = [math.exp(rng.uniform(math.log(1e-6), math.log(80.0))) for _ in range(4)]
+            if i % 50 == 0:
+                zs += [1.5e3, 1e4, 3e4]
+            cases += [(g, m_ang, z, gamma) for z in zs]
+        raised = []
+        for g, m_ang, z, gamma in cases:
+            got, want = (_outcome(coulomb_third, g, m_ang, z, gamma),
+                         _outcome(_two_series_third, g, m_ang, z, gamma))
+            assert got == want, (g, m_ang, z, gamma)
+            if isinstance(got[0], type):
+                raised.append(z)
+        # z = 1e4 runs into the term cap and 3e4 overflows, for every (g, M)
+        assert raised.count(1e4) == raised.count(3e4) == 6
+
     @staticmethod
     def _check_against_bare_series(g, m_ang, z):
         gamma = gamma_phase(g, m_ang).gamma
@@ -209,6 +241,25 @@ class TestWavefunctions:
                 outcomes.append("finite")
                 assert call() == complex(want)
         return outcomes
+
+
+def _two_series_third(g, m_ang, z, gamma):
+    """u1 - e^{-2i gamma} u2 with both series summed."""
+    if gamma is None:
+        gamma = gamma_phase(g, m_ang).gamma
+    phase = np.exp(np.clongdouble(-2j) * np.clongdouble(gamma))
+    value = (spectra._u1_ld(g, m_ang, z, DEFAULT_SERIES_TOL)
+             - phase * spectra._u1_ld(g, -m_ang, z, DEFAULT_SERIES_TOL))
+    return spectra._finite(value, z, "coulomb_third", spectra._ENVELOPE, g=g, M=m_ang)
+
+
+def _outcome(call, *args):
+    """A call's value with the signs of its zeros, or its error class and message."""
+    try:
+        v = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return v, math.copysign(1.0, v.real), math.copysign(1.0, v.imag)
 
 
 def _bare_u1_ld(g, m_ang, z):
@@ -793,6 +844,17 @@ class TestClosedFormResidual:
         pytest.param(coulomb_third, (math.inf, 1.0, 1.0), {}, id="third-auto-g-inf"),
         pytest.param(coulomb_third, (2.0, 1.0, 1.0, math.inf), {}, id="third-gamma-inf"),
         pytest.param(coulomb_third_asymptotic, (math.nan, 1.0, 40.0, 0.5), {}, id="third-asym-g"),
+        # tol = inf returned a wrong number: the series stopped at the first
+        # term where its tail test could run
+        pytest.param(coulomb_u1, (2.0, 1.0, 3.0), {"tol": math.inf}, id="u1-tol-inf"),
+        pytest.param(coulomb_u2, (2.0, 1.0, 3.0), {"tol": math.inf}, id="u2-tol-inf"),
+        pytest.param(coulomb_third, (2.0, 1.0, 3.0, 0.5), {"tol": math.inf}, id="third-tol-inf"),
+        pytest.param(coulomb_third, (2.0, 1.0, 3.0), {"tol": math.nan}, id="third-auto-tol"),
+        # these blamed z for leaving the double range
+        pytest.param(oscillator_wavefunction, (PP, 1.0, 2, math.nan, 1.0, 0.0), {}, id="osc-wave-M"),
+        pytest.param(oscillator_wavefunction, (PP, 1.0, 2, math.inf, 1.0, 0.0), {}, id="osc-wave-M-inf"),
+        pytest.param(oscillator_wavefunction, (PP, 1.0, 2, 1.0, 1.0, math.nan), {}, id="osc-wave-phi"),
+        pytest.param(oscillator_wavefunction, (PP, 1.0, 2, 1.0, 1.0, -math.inf), {}, id="osc-wave-phi-inf"),
         pytest.param(coulomb_closed_spectrum, (PP, 1.0, 0, math.nan), {}, id="closed-M"),
         pytest.param(coulomb_closed_spectrum, (PP, 1.0, 0, math.inf), {}, id="closed-M-inf"),
         pytest.param(oscillator_closed_spectrum, (PP, 1.0, 0, math.nan), {}, id="osc-closed-M"),
@@ -814,5 +876,7 @@ class TestClosedFormResidual:
     ],
 )
 def test_nan_parameter_raises(call, args, kwargs):
-    with pytest.raises(DomainError):
+    # refused as a parameter, not blamed on a value leaving the double range
+    with pytest.raises(DomainError) as excinfo:
         call(*args, **kwargs)
+    assert "double range" not in str(excinfo.value)
