@@ -90,12 +90,13 @@ def effective_potential(
 ) -> float:
     """U_eff(r) = -(hbar^2/2m) (M^2 + 1/4)/r^2 + U(r).
 
-    Strictly negative at every r > 0 for the free particle.
+    Strictly negative at every r > 0 for the free particle.  Raises
+    DomainError where the value leaves the double range.
     """
     if r <= 0:
         raise DomainError(f"effective potential needs r > 0, got {r}")
     centrifugal = -(pp.hbar**2 / (2.0 * pp.mass)) * (m_ang * m_ang + 0.25) / (r * r)
-    return centrifugal + potential(kind, pp, r)
+    return _finite_potential(centrifugal + potential(kind, pp, r), m_ang, r)
 
 
 def euclidean_effective_for(
@@ -105,7 +106,16 @@ def euclidean_effective_for(
     if r <= 0:
         raise DomainError(f"effective potential needs r > 0, got {r}")
     centrifugal = -(pp.hbar**2 / (2.0 * pp.mass)) * (0.25 - m_ang * m_ang) / (r * r)
-    return centrifugal + potential(kind, pp, r)
+    return _finite_potential(centrifugal + potential(kind, pp, r), m_ang, r)
+
+
+def _finite_potential(value: float, m_ang: float, r: float) -> float:
+    """value, or DomainError where M^2 / r^2 or U(r) leaves the double range."""
+    if not math.isfinite(value):
+        raise DomainError(
+            f"effective potential at M={m_ang}, r={r} is {value}: it leaves the double range"
+        )
+    return value
 
 
 def angular_mode(m_ang: float, phi: float) -> complex:

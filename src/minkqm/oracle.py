@@ -126,28 +126,24 @@ def _numerov(
     in complex128.  Uses the summed form of the recurrence (the running
     first difference of z = (1 + h^2 coef/12) y is updated each step),
     which keeps roundoff growth linear in the step count instead of
-    quadratic.
+    quadratic.  Inward is the outward sweep of the reversed coefficients,
+    reversed: the same operations on the same values.
     Returns (values in grid order, accumulated log scale).
     """
+    if inward:
+        y, log_scale = _numerov(coef[::-1], h, start, inward=False)
+        # contiguous, so that RadialSolution can view it as floats
+        return np.ascontiguousarray(y[::-1]), log_scale
     n = coef.size
     h2 = h * h
     w = 1.0 + (h2 / 12.0) * coef  # Numerov weights
     y = np.zeros(n, dtype=np.result_type(*start))
     log_scale = 0.0
-    if inward:
-        y[n - 1], y[n - 2] = start
-        rng = range(n - 3, -1, -1)
-        offs = 1
-    else:
-        y[0], y[1] = start
-        rng = range(2, n)
-        offs = -1
-    i_prev = n - 2 if inward else 1
-    i_first = n - 1 if inward else 0
-    z_curr = w[i_prev] * y[i_prev]
-    diff = z_curr - w[i_first] * y[i_first]
-    for i in rng:
-        diff = diff - h2 * coef[i + offs] * y[i + offs]
+    y[0], y[1] = start
+    z_curr = w[1] * y[1]
+    diff = z_curr - w[0] * y[0]
+    for i in range(2, n):
+        diff = diff - h2 * coef[i - 1] * y[i - 1]
         z_curr = z_curr + diff
         y[i] = z_curr / w[i]
         mag = abs(y[i])
@@ -160,12 +156,23 @@ def _numerov(
 
 
 def _check_stability(h: float, coef: np.ndarray):
+    """DomainError unless every coef is finite and h^2 max|coef| is small."""
+    if not np.all(np.isfinite(coef)):
+        raise DomainError("coefficient not finite on the grid")
     worst = h * h * float(np.max(np.abs(coef)))
     if worst > _STABILITY_BOUND:
         raise DomainError(
             f"grid too coarse: h^2 max|coef| = {worst:.3g} > {_STABILITY_BOUND}; "
             "increase steps"
         )
+
+
+def _log_grid(cfg: ShootingConfig, q: Callable[[np.ndarray], np.ndarray]):
+    """(x, r = e^x, h, W = r^2 q(r) - 1/4) on cfg's grid uniform in x = ln r,
+    W being the coefficient of v'' + W v = 0 for v = u/sqrt(r)."""
+    x = np.linspace(math.log(cfg.r_min), math.log(cfg.r_max), cfg.steps)
+    r = np.exp(x)
+    return x, r, x[1] - x[0], r * r * q(r) - 0.25
 
 
 def integrate_radial(
@@ -191,23 +198,15 @@ def integrate_radial(
         raise DomainError(f"direction must be outward or inward, got {direction!r}")
     inward = direction == "inward"
 
+    q = q_func or (lambda rr: radial_coefficient(kind, pp, m_ang, energy, rr))
     if spacing == "linear":
         r = np.linspace(cfg.r_min, cfg.r_max, cfg.steps)
         h = r[1] - r[0]
+        coef = q(r)
     elif spacing == "log":
-        x = np.linspace(math.log(cfg.r_min), math.log(cfg.r_max), cfg.steps)
-        r = np.exp(x)
-        h = x[1] - x[0]
+        _, r, h, coef = _log_grid(cfg, q)
     else:
         raise DomainError(f"spacing must be linear or log, got {spacing!r}")
-    if q_func is not None:
-        coef = q_func(r)
-    else:
-        coef = radial_coefficient(kind, pp, m_ang, energy, r)
-    if spacing == "log":
-        coef = r * r * coef - 0.25  # W of the equation for v = u/sqrt(r)
-    if not np.all(np.isfinite(coef)):
-        raise DomainError("coefficient not finite on the grid")
     _check_stability(h, coef)
     start = (complex(start_values[0]), complex(start_values[1]))
     if spacing == "linear":
@@ -265,19 +264,16 @@ def inward_phase(
         raise DomainError(f"need E < 0, got {energy}")
     kappa = math.sqrt(-2.0 * pp.mass * energy) / pp.hbar
 
-    x_min = math.log(cfg.r_min)
-    x_max = math.log(cfg.r_max)
-    x = np.linspace(x_min, x_max, cfg.steps)
-    r = np.exp(x)
-    h = x[1] - x[0]
-    coef = r * r * radial_coefficient(kind, pp, m_ang, energy, r) - 0.25
+    x, r, h, coef = _log_grid(
+        cfg, lambda rr: radial_coefficient(kind, pp, m_ang, energy, rr)
+    )
     _check_stability(h, coef)
 
     # decaying start, v = u/sqrt(r) with u ~ e^{-kappa r}
     v_end = 1.0
     v_prev = math.exp(kappa * (r[-1] - r[-2])) * math.sqrt(r[-1] / r[-2]) * v_end
     v, _ = _numerov(coef, h, (v_end, v_prev), inward=True)
-    window = x <= x_min + math.log(10.0)
+    window = x <= x[0] + math.log(10.0)
     beta, _, rel = _phase_fit(x[window], v[window], m_ang)
     if rel > _FIT_RESIDUAL_TOL:
         raise FitQualityError(
@@ -320,6 +316,8 @@ def shoot_eigenvalues(
         raise DomainError("count must be >= 1")
     if m_ang == 0.0:
         raise DomainError("phase condition needs M != 0")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol}")
 
     r0_anchor = bound_state_length(pp, e_hi)
     alpha = kind.alpha if isinstance(kind, Coulomb) else 0.0

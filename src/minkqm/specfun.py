@@ -264,9 +264,12 @@ def kummer_m(p: KummerParams, z: float, tol: float = DEFAULT_SERIES_TOL) -> comp
     Raises ConvergenceError past DEFAULT_SERIES_CAP terms and DomainError
     where the value leaves the double range.
     """
-    return _finite(
-        _kummer_m_ld(p, z, tol), z, "kummer_m", "the series sum", a=p.a, c=p.c
-    )
+    # A terminating polynomial sums outside _kummer_m_ld's errstate; its
+    # overflow is reported by _finite, not by a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(
+            _kummer_m_ld(p, z, tol), z, "kummer_m", "the series sum", a=p.a, c=p.c
+        )
 
 
 def kummer_second(p: KummerParams, z: float, tol: float = DEFAULT_SERIES_TOL) -> complex:
@@ -280,11 +283,12 @@ def kummer_second(p: KummerParams, z: float, tol: float = DEFAULT_SERIES_TOL) ->
     if not z > 0:
         raise DomainError(f"kummer_second requires z > 0, got z={z}")
     shifted = KummerParams(p.a - p.c + 1, 2 - p.c)
-    power = np.exp(np.clongdouble(1 - p.c) * np.log(np.clongdouble(z)))
-    return _finite(
-        power * _kummer_m_ld(shifted, z, tol), z, "kummer_second",
-        "z^(1-c) times the series sum", a=p.a, c=p.c,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.exp(np.clongdouble(1 - p.c) * np.log(np.clongdouble(z)))
+        return _finite(
+            power * _kummer_m_ld(shifted, z, tol), z, "kummer_second",
+            "z^(1-c) times the series sum", a=p.a, c=p.c,
+        )
 
 
 def kummer_asymptotic(p: KummerParams, z: float) -> complex:

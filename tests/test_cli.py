@@ -414,6 +414,48 @@ class TestConfigAndTolerances:
         assert "expected a finite number" in captured.err
 
 
+HUGE_M_COMMANDS = [
+    ("spectrum", "--system", "coulomb", "--closed", "--n", "0..2"),
+    ("spectrum", "--system", "coulomb", "--E0", "-2", "--n", "-1..1"),
+    ("spectrum", "--system", "free", "--E0", "-1", "--n", "-1..1"),
+    ("spectrum", "--system", "oscillator", "--closed", "--n", "0..2"),
+    ("spectrum", "--system", "oscillator", "--omega", "10", "--closed", "--n", "0..2"),
+    ("spectrum", "--system", "oscillator", "--E0", "25", "--n", "-1..1"),
+    *(
+        ("wavefunction", "--system", "coulomb", "--g", "2", "--branch", branch,
+         "--grid-points", "3")
+        for branch in ("u1", "u2", "third")
+    ),
+    ("wavefunction", "--system", "oscillator", "--n", "1", "--grid-points", "3"),
+    *(("potential", "--system", system, "--grid-points", "3")
+      for system in ("coulomb", "free", "oscillator")),
+    ("phase", "--g", "2"),
+    ("duality", "--alpha", "1", "--EC", "-2", "--r0-scale", "1"),
+]
+
+
+@pytest.mark.parametrize("m_ang", ["1.4e154", "1e200", "1e308"])
+@pytest.mark.parametrize("argv", HUGE_M_COMMANDS, ids=lambda argv: "-".join(argv[:3]))
+def test_huge_m_prints_finite_numbers_or_fails(capsys, argv, m_ang):
+    # each record command at |M| near the top of the double range either
+    # prints finite numbers or exits 2 or 3 with one error line; NaN and
+    # +-inf used to print with exit 0.  Some exits are 3 by nature:
+    # coulomb_u1 runs into its series term cap at M = 1e200, and levels
+    # of the oscillator ladder collide at M = 1e308.
+    flag = "--MC" if argv[0] == "duality" else "--M"
+    code, out, err = run_cli(capsys, *argv, flag, m_ang)
+    if code == 0:
+        assert err == ""
+        for rec in json_records(out):
+            for value in rec.values():
+                if isinstance(value, float):
+                    assert math.isfinite(value), rec
+    else:
+        assert code in (2, 3) and out == ""
+        prefix = "error: " if code == 2 else "numerical failure: "
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
 ERROR_CLASSES = [
     cls for _, cls in inspect.getmembers(errors, inspect.isclass)
     if issubclass(cls, errors.MinkqmError)

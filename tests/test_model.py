@@ -86,6 +86,14 @@ class TestEffectivePotential:
             assert abs((mink - eucl) - want) <= slack
 
 
+    @pytest.mark.parametrize("m_ang", [1.4e154, -1e200, 1e308])
+    def test_huge_m_raises(self, m_ang):
+        # M^2 overflows; both forms printed -inf or +inf
+        for func in (effective_potential, euclidean_effective_for):
+            with pytest.raises(DomainError, match="double range"):
+                func(Free(), NATURAL_UNITS, m_ang, 1.0)
+
+
 class TestRadialCoefficient:
     def test_hand_values(self):
         assert radial_coefficient(Free(), NATURAL_UNITS, 0.0, -1.0, 1.0) == -1.75

@@ -1,8 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from minkqm import oracle
 from minkqm.errors import DomainError, FitQualityError, InsufficientRootsError
 from minkqm.model import Coulomb, Free, NATURAL_UNITS, PhysicalParams
 from minkqm.oracle import (
@@ -75,6 +77,98 @@ class TestIntegrateRadial:
         with pytest.raises(DomainError):
             integrate_radial(Free(), PP, 0.0, -1.0, cfg, "sideways", (1.0, 1.0))
 
+    def test_non_finite_coefficient_rejected(self):
+        # both spacings and the inward phase share one finiteness check
+        cfg = ShootingConfig(0.05, 10.0, steps=2000)
+        for spacing in ("linear", "log"):
+            with pytest.raises(DomainError, match="coefficient not finite on the grid"):
+                integrate_radial(
+                    Coulomb(1.0), PP, math.nan, -1.0, cfg, "inward", (1.0, 1.0), spacing
+                )
+
+
+class TestNumerovKernel:
+    """The one-direction kernel against the two-direction loop it replaced."""
+
+    def test_matches_two_direction_loop_bit_for_bit(self):
+        rng = random.Random("numerov-one-direction")
+        renormalised = 0
+        for i in range(24):
+            n = rng.choice((3, 4, 50, 1000))
+            h = rng.uniform(1e-3, 5e-2)
+            coef = np.array([rng.uniform(-40.0, 40.0) for _ in range(n)])
+            if i % 4 == 0:
+                coef = np.full(1000, -0.1 / (h * h))  # grows past 1e100 twice
+            start = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+            if i % 2:
+                start = (complex(start[0], rng.uniform(-1, 1)), complex(start[1], -0.0))
+            for inward in (False, True):
+                want, want_scale = _two_direction_numerov(coef, h, start, inward)
+                got, got_scale = oracle._numerov(coef, h, start, inward)
+                assert got.dtype == want.dtype and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), (i, inward)
+                assert got_scale == want_scale
+                renormalised += got_scale > 0.0
+        assert renormalised >= 2
+
+    def test_renormalising_radial_sweeps_bit_for_bit(self):
+        # integrate_radial in both directions on both grids, each with a
+        # growing solution that the kernel rescales on the way
+        cfg = ShootingConfig(1.0, 500.0, steps=20000)
+        start = (1e90, 1.01e90)
+        for spacing, q in (("linear", -1.0), ("log", -1400.0)):
+            def q_func(rr):
+                return q / rr ** (2 if spacing == "log" else 0)
+
+            if spacing == "log":
+                x = np.linspace(math.log(cfg.r_min), math.log(cfg.r_max), cfg.steps)
+                r, h = np.exp(x), x[1] - x[0]
+                coef, scale = r * r * q_func(r) - 0.25, np.sqrt(r)
+            else:
+                r = np.linspace(cfg.r_min, cfg.r_max, cfg.steps)
+                h, coef, scale = r[1] - r[0], q_func(r), np.ones_like(r)
+            for direction, ends in (("outward", (0, 1)), ("inward", (-1, -2))):
+                sol = integrate_radial(
+                    Free(), PP, 0.0, -1.0, cfg, direction, start, spacing, q_func
+                )
+                v_start = tuple(complex(u) / scale[e] for u, e in zip(start, ends))
+                want, want_scale = _two_direction_numerov(
+                    coef, h, v_start, direction == "inward"
+                )
+                assert sol.log_scale == want_scale > 0.0
+                assert sol.u_values.tobytes() == (want * scale).tobytes()
+
+
+def _two_direction_numerov(coef, h, start, inward):
+    """The summed Numerov recurrence run in either direction by index
+    bookkeeping, as the kernel did before it swept outward only."""
+    n = coef.size
+    h2 = h * h
+    w = 1.0 + (h2 / 12.0) * coef
+    y = np.zeros(n, dtype=np.result_type(*start))
+    log_scale = 0.0
+    if inward:
+        y[n - 1], y[n - 2] = start
+        rng, offs = range(n - 3, -1, -1), 1
+    else:
+        y[0], y[1] = start
+        rng, offs = range(2, n), -1
+    i_prev = n - 2 if inward else 1
+    i_first = n - 1 if inward else 0
+    z_curr = w[i_prev] * y[i_prev]
+    diff = z_curr - w[i_first] * y[i_first]
+    for i in rng:
+        diff = diff - h2 * coef[i + offs] * y[i + offs]
+        z_curr = z_curr + diff
+        y[i] = z_curr / w[i]
+        mag = abs(y[i])
+        if mag > 1e100:
+            y /= mag
+            z_curr /= mag
+            diff /= mag
+            log_scale += math.log(mag)
+    return y, log_scale
+
 
 class TestRadialSolution:
     def test_validation(self):
@@ -114,6 +208,19 @@ class TestInwardPhase:
         with pytest.raises(DomainError):
             inward_phase(Free(), PP, 0.0, -1.0, scaled_config(PP, -1.0))
 
+    @pytest.mark.parametrize(
+        "m_ang, energy",
+        [(math.nan, -1.0), (math.inf, -1.0), (-math.inf, -1.0), (1.0, -math.inf)],
+        ids=["M-nan", "M-inf", "M-minus-inf", "E-minus-inf"],
+    )
+    def test_non_finite_parameters_rejected_quietly(self, capfd, m_ang, energy):
+        # M = nan reached LAPACK, which printed to stderr and then raised
+        # LinAlgError; the infinite cases blamed the step count
+        cfg = scaled_config(PP, -1.0, min_factor=1e-5)
+        with pytest.raises(DomainError, match="coefficient not finite on the grid"):
+            inward_phase(Coulomb(1.0), PP, m_ang, energy, cfg)
+        assert capfd.readouterr() == ("", "")
+
 
 class TestShootEigenvalues:
     def test_free_particle_exact_ratios(self):
@@ -137,3 +244,18 @@ class TestShootEigenvalues:
         cfg = scaled_config(PP, -1.0)
         with pytest.raises(DomainError):
             shoot_eigenvalues(Free(), PP, 1.0, (-1.0, -10.0), 1, cfg)
+
+    @pytest.mark.parametrize("m_ang", [math.nan, math.inf, -math.inf])
+    def test_non_finite_m_rejected_quietly(self, capfd, m_ang):
+        cfg = scaled_config(PP, -1.0, min_factor=1e-5)
+        with pytest.raises(DomainError, match="coefficient not finite on the grid"):
+            shoot_eigenvalues(Coulomb(1.0), PP, m_ang, (-1e9, -1.0), 2, cfg)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # tol = inf returned the midpoints of the scan brackets, [-39.76,
+        # -26015.5], for levels at [-48.72, -19087.4]
+        cfg = scaled_config(PP, -1.0, min_factor=1e-5)
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            shoot_eigenvalues(Coulomb(1.0), PP, 1.0, (-1e9, -1.0), 2, cfg, tol=tol)

@@ -130,6 +130,16 @@ class TestKummerM:
                 with pytest.raises(DomainError, match=guard):
                     func(p, z)
 
+    def test_overflowing_polynomial_raises_without_warning(self):
+        # the degree-640 polynomial overflows at z = 1e15; its sum ran
+        # outside errstate and warned before the DomainError
+        p = KummerParams(-640, 1)
+        for func in (kummer_m, kummer_second):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="leaves the double range"):
+                    func(p, 1e15)
+
     @pytest.mark.parametrize("tol", [0.0, -1e-13, math.nan, math.inf])
     def test_tol_must_be_positive_and_finite(self, tol):
         # tol = inf used to stop the sum at the first term where the tail

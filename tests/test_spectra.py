@@ -314,6 +314,112 @@ class TestGammaPhase:
         assert red == pytest.approx(rp.gamma, abs=1e-12)
 
 
+    def test_two_lngamma_ratio_bit_for_bit(self, monkeypatch):
+        # gamma_raw = -Im ln[Gamma(1+2iM) / Gamma(1/2+iM-g)] keeps every bit
+        # of the four-lnGamma ratio of conjugate products, for g on both
+        # sides of 1/2, either sign of M and M down to the smallest subnormal
+        rng = random.Random("gamma-ratio")
+        cases = [(g, m) for g in (0.3, 0.7, 2.0, 7.3) for m in (5e-324, -1e-13, 1.0, -3e4)]
+        for i in range(2000):
+            g = rng.uniform(0.01, 0.5) if i % 2 else math.exp(rng.uniform(math.log(0.5), 6.0))
+            m_ang = rng.choice((1.0, -1.0)) * math.exp(rng.uniform(math.log(1e-8), math.log(1e5)))
+            cases.append((g, m_ang))
+        for g, m_ang in cases:
+            for r0 in (None, 0.7):
+                got = spectra.gamma_phase(g, m_ang, r0)
+                want = _four_lngamma_phase(g, m_ang, r0)
+                assert [x.hex() for x in (got.gamma, got.beta, got.gamma_raw)] == [
+                    x.hex() for x in (want.gamma, want.beta, want.gamma_raw)
+                ], (g, m_ang, r0)
+        calls = []
+        monkeypatch.setattr(spectra, "_ln_gamma_ld", lambda w: calls.append(w) or 0j)
+        spectra.gamma_phase(2.0, 1.0)
+        assert calls == [complex(1.0, 2.0), complex(-1.5, 1.0)]
+
+
+def _four_lngamma_phase(g, m_ang, r0=None):
+    """gamma_phase from the four-lnGamma ratio of conjugate products, as it
+    was computed before the ratio was written with two."""
+    if r0 is None:
+        r0 = g / 2.0
+    lng = spectra._ln_gamma_ld
+    num = lng(complex(1.0, 2.0 * m_ang)) + lng(complex(0.5 - g, -m_ang))
+    den = lng(complex(1.0, -2.0 * m_ang)) + lng(complex(0.5 - g, m_ang))
+    gamma_raw = float(np.longdouble(-0.5) * np.imag(num - den))
+    gamma = math.fmod(gamma_raw, math.pi)
+    if gamma < 0.0:
+        gamma += math.pi
+    return spectra.ReflectionPhase(gamma, gamma - m_ang * math.log(r0), gamma_raw)
+
+
+class TestLargeZForms:
+    """Both large-z forms take their Gamma ratios from one helper."""
+
+    def test_ratio_forms_bit_for_bit(self):
+        # Against the forms written out with the conjugate parameters.  At
+        # M = +-0 with g > 1/2 both lnGamma arguments of each ratio lie on
+        # the cut, where lnGamma takes the upper-half-plane limit for either
+        # sign of zero: there K2 is not the conjugate of K1, and taking it
+        # as one changes the result.
+        rng = random.Random("large-z-ratio")
+        cases = []
+        for i in range(1500):
+            g = rng.uniform(0.02, 0.5) if i % 3 == 0 else rng.uniform(0.5, 12.0)
+            m_ang = rng.choice((1.0, -1.0)) * rng.uniform(1e-3, 4.0)
+            if i % 5 < 2:
+                m_ang = (0.0, -0.0)[i % 5]
+            z = math.exp(rng.uniform(math.log(0.5), math.log(2e3)))
+            gamma = rng.choice((0.0, rng.uniform(0.0, math.pi)))
+            cases.append((g, m_ang, z, gamma))
+        conj_differs = 0
+        for g, m_ang, z, gamma in cases:
+            assert _outcome(coulomb_third_asymptotic, g, m_ang, z, gamma) == _outcome(
+                _conjugate_parameter_third_asymptotic, g, m_ang, z, gamma
+            ), (g, m_ang, z, gamma)
+            assert _outcome(coulomb_u1_asymptotic, g, m_ang, z) == _outcome(
+                _four_term_u1_asymptotic, g, m_ang, z
+            ), (g, m_ang, z)
+            k1 = spectra._gamma_ratio_ld(g, m_ang)
+            conj_differs += not _same_bits(np.conj(k1), spectra._gamma_ratio_ld(g, -m_ang))
+        assert conj_differs > 0
+
+
+def _four_term_u1_asymptotic(g, m_ang, z):
+    """coulomb_u1_asymptotic with its Gamma ratio written out in place."""
+    a = complex(0.5 - g, m_ang)
+    c = complex(1.0, 2.0 * m_ang)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = (
+            spectra._ln_gamma_ld(c)
+            - spectra._ln_gamma_ld(a)
+            + np.clongdouble(z) / 2
+            - np.clongdouble(g) * np.log(np.clongdouble(z))
+        )
+        value = np.exp(expo) * spectra._large_z_series(g, m_ang, z)
+    return spectra._finite(value, z, "coulomb_u1_asymptotic", spectra._ENVELOPE, g=g, M=m_ang)
+
+
+def _conjugate_parameter_third_asymptotic(g, m_ang, z, gamma):
+    """coulomb_third_asymptotic with K2 from the conjugated parameters."""
+    a = complex(0.5 - g, m_ang)
+    c = complex(1.0, 2.0 * m_ang)
+    k1 = spectra._ln_gamma_ld(c) - spectra._ln_gamma_ld(a)
+    k2 = spectra._ln_gamma_ld(c.conjugate()) - spectra._ln_gamma_ld(a.conjugate())
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelope = np.exp(np.clongdouble(z) / 2 - np.clongdouble(g) * np.log(np.clongdouble(z)))
+        coeff = np.exp(k1) - np.exp(np.clongdouble(-2j) * np.clongdouble(gamma) + k2)
+        value = envelope * coeff * spectra._large_z_series(g, m_ang, z)
+    return spectra._finite(value, z, "coulomb_third_asymptotic", spectra._ENVELOPE, g=g, M=m_ang)
+
+
+def _same_bits(x, y):
+    """Equal real and imaginary parts, signs of zero included."""
+    return all(
+        u == v and np.signbit(u) == np.signbit(v)
+        for u, v in ((np.real(x), np.real(y)), (np.imag(x), np.imag(y)))
+    )
+
+
 class TestQuantizationF:
     def test_reference_value(self):
         assert quantization_f(1.0, 1.0) == pytest.approx(QUANT_F_G1_M1, abs=1e-13)
@@ -788,6 +894,38 @@ class TestClosedFormResidual:
 
 
 @pytest.mark.parametrize(
+    "call, args, match",
+    [
+        # each of these returned NaN or +-inf, or warned, at |M| near the
+        # top of the double range
+        pytest.param(coulomb_closed_spectrum, (PP, 1.0, 0, 1.4e154), "double range", id="closed"),
+        pytest.param(coulomb_closed_spectrum, (PP, 1.0, 3, -1e200), "double range", id="closed-neg"),
+        pytest.param(oscillator_closed_spectrum, (PP, 10.0, 0, 1e308), "double range", id="osc-closed"),
+        pytest.param(
+            duality_forward, (PP, 1.0, -2.0, 1e308, 1.0), "M_osc = 2 M_coulomb must be finite",
+            id="duality",
+        ),
+        pytest.param(gamma_phase, (2.0, 1e308), "2M must be finite", id="phase"),
+        pytest.param(quantization_f, (2.0, 1e308), "2M must be finite", id="f"),
+        pytest.param(quantization_f, (2.0, -1e308), "2M must be finite", id="f-neg"),
+        pytest.param(
+            solve_quantized_spectrum, (PP, 1.0, 1e308, -2.0, [0, 1]), "2M must be finite",
+            id="ladder",
+        ),
+        pytest.param(coulomb_third, (2.0, 1e308, 1.0), "2M must be finite", id="third-auto"),
+        pytest.param(coulomb_u1_asymptotic, (2.0, 1e308, 40.0), "2M must be finite", id="u1-asym"),
+        pytest.param(
+            coulomb_third_asymptotic, (2.0, -1e308, 40.0, 0.5), "2M must be finite",
+            id="third-asym",
+        ),
+    ],
+)
+def test_huge_m_raises(call, args, match):
+    with pytest.raises(DomainError, match=match):
+        call(*args)
+
+
+@pytest.mark.parametrize(
     "call, args, kwargs",
     [
         pytest.param(coulomb_closed_spectrum, (PP, math.nan, 0, 1.0), {}, id="closed-alpha"),
@@ -844,6 +982,9 @@ class TestClosedFormResidual:
         pytest.param(coulomb_third, (math.inf, 1.0, 1.0), {}, id="third-auto-g-inf"),
         pytest.param(coulomb_third, (2.0, 1.0, 1.0, math.inf), {}, id="third-gamma-inf"),
         pytest.param(coulomb_third_asymptotic, (math.nan, 1.0, 40.0, 0.5), {}, id="third-asym-g"),
+        # these blamed e^(z/2) z^(-g) for leaving the double range
+        pytest.param(coulomb_u1_asymptotic, (math.nan, 1.0, 5.0), {}, id="u1-asym-g"),
+        pytest.param(coulomb_u1_asymptotic, (2.0, -math.inf, 5.0), {}, id="u1-asym-M-inf"),
         # tol = inf returned a wrong number: the series stopped at the first
         # term where its tail test could run
         pytest.param(coulomb_u1, (2.0, 1.0, 3.0), {"tol": math.inf}, id="u1-tol-inf"),
