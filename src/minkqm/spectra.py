@@ -130,8 +130,11 @@ def coulomb_scaling(pp: PhysicalParams, alpha: float, energy: float) -> ScaledCo
 
 
 def _energy_from_g(pp: PhysicalParams, alpha: float, g: complex) -> complex:
-    """-m alpha^2 / (2 hbar^2 g^2); real for real g."""
+    """-m alpha^2 / (2 hbar^2 g^2); real for real g.  DomainError where g^2
+    underflows to 0."""
     s2 = g * g
+    if s2 == 0:
+        raise DomainError(f"the level at g={g!r} leaves the double range: g^2 underflows to 0")
     return -(pp.mass * alpha * alpha) / (2.0 * pp.hbar * pp.hbar * s2)
 
 
@@ -462,6 +465,11 @@ def _quantized_entries(
     ]
 
 
+class _Unsettled(Exception):
+    """A ladder level whose f values the search without a scan does not
+    decide on."""
+
+
 def _ladder(
     m_ang: float,
     energy0: float,
@@ -476,19 +484,43 @@ def _ladder(
 
     f(x) = quantization_f(e^x, m_c) falls in x for m_c > 0 and rises
     otherwise.  x0 = ln g at the anchor level energy0, which n = 0 returns
-    as given; energy_of_x maps a root back to its level.  Each level scans
-    the grid x0 +- k step (_SCAN_POINTS_PER_DECADE steps per decade of e^x,
-    at most _SCAN_DECADES decades either way) until the target is
-    bracketed, then bisects to tol/2 in x.  The levels of one call share
-    their f values, so no grid point or midpoint is evaluated twice.
+    as given; energy_of_x maps a root back to its level.
 
-    E_n falls as n rises when sign * M > 0 and rises otherwise.  Levels
-    closer together than the bisection resolves (shallow anchors, where
-    the spacing shrinks like 1/g) raise ConsistencyError.
+    Each level is the one a scan and a bisection return.  The scan walks
+    the grid x_k = x0 +- k step (_SCAN_POINTS_PER_DECADE steps per decade
+    of e^x, at most _SCAN_DECADES decades either way) to the first point
+    where f reaches the target, or raises (that error is then the
+    level's); the bisection halves that grid cell to tol/2 in x.  Neither
+    is walked, because f is monotone: df/dx = -m_c - g Im psi(1/2 - g +
+    i m_c), and Im psi has the sign of m_c, so |df/dx| >= |m_c|.
+
+    * Secant steps (through the anchor and the level before, or grid point
+      1) probe the grid until a point is past the target, and doubling
+      steps back bracket the scan's cell.  Illinois steps in the bracket
+      estimate the root r, and the ends of r's cell are checked.
+    * The bisection is replayed with each midpoint decided by r.  Every
+      midpoint that moved lo lies between the cell's lo and the final lo,
+      and every one that moved hi between the final hi and the cell's hi,
+      so f short of the target at the final lo and past it at the final hi
+      certify every decision.  An end at or outside the last Illinois
+      bracket needs no evaluation.  Where the certificate fails, the
+      bisection runs again on f.
+    * A level where f is not finite, or raises off the grid, is solved by
+      the scan itself: a NaN neither stops the scan nor keeps the
+      bisection from moving lo.
+
+    The levels of one call share their f values.  E_n falls as n rises
+    when sign * M > 0 and rises otherwise.  Levels closer together than the
+    bisection resolves (shallow anchors, where the spacing shrinks like
+    1/g) raise ConsistencyError, and levels that leave the double range
+    DomainError.
     """
     step = math.log(10.0) / _SCAN_POINTS_PER_DECADE
     max_steps = _SCAN_POINTS_PER_DECADE * _SCAN_DECADES
     tol_x = tol / 2.0
+    # Illinois stops once a step is this short, so that r is much closer to
+    # the root than most bisection midpoints are.
+    narrow = min(tol_x, step) / 1024.0
     slope = -1.0 if m_c > 0 else 1.0
     seen: dict[float, float] = {}
 
@@ -498,8 +530,175 @@ def _ladder(
             fx = seen[x] = quantization_f(math.exp(x), m_c)
         return fx
 
+    def settled_f(x: float) -> float:
+        # Whatever f raises here, the scan finds out what it means.
+        try:
+            fx = f(x)
+        except Exception:
+            raise _Unsettled from None
+        if not math.isfinite(fx):
+            raise _Unsettled
+        return fx
+
+    def bisect(
+        lo: float, hi: float, past: Callable[[float], bool]
+    ) -> tuple[float, float, float]:
+        """(root, final lo, final hi) of the bisection of [lo, hi], where
+        past(mid) says whether mid lies beyond the root."""
+        for _ in range(300):
+            mid = 0.5 * (lo + hi)
+            if past(mid):
+                hi = mid
+            else:
+                lo = mid
+            if abs(hi - lo) <= tol_x:
+                break
+        return 0.5 * (lo + hi), lo, hi
+
+    def past_on_f(target: float, flo: float) -> Callable[[float], bool]:
+        """The scan's own test: f(mid) and f(lo) lie on opposite sides."""
+        def past(mid: float) -> bool:
+            nonlocal flo
+            fm = f(mid)
+            if (flo - target) * (fm - target) <= 0.0:
+                return True
+            flo = fm
+            return False
+        return past
+
+    def no_bracket(target: float, direction: float) -> BracketError:
+        def end(x: float) -> str:
+            try:
+                return f"E={energy_of_x(x):.6g}"
+            except DomainError:
+                return f"g={math.exp(x):.6g} (E leaves the double range)"
+
+        x_end = x0 + direction * max_steps * step
+        return BracketError(
+            f"no sign change for target {target:.6g} inside the scan window "
+            f"[{end(min(x0, x_end))}, {end(max(x0, x_end))}]"
+        )
+
+    def scan(target: float, direction: float) -> float:
+        x_prev, f_prev = x0, f0
+        for k in range(1, max_steps + 1):
+            x = x0 + direction * k * step
+            fx = f(x)
+            if (f_prev - target) * (fx - target) <= 0.0:
+                return bisect(x_prev, x, past_on_f(target, f_prev))[0]
+            x_prev, f_prev = x, fx
+        raise no_bracket(target, direction)
+
+    def solve(target: float, direction: float, guess: tuple[float, float] | None) -> float:
+        """The root scan() returns, found without walking; guess is the
+        previous level's (root, target).  _Unsettled where it cannot tell."""
+        ahead = f0 - target
+        probes: dict[int, float | Exception] = {0: f0}
+
+        def x_at(k: int) -> float:
+            return x0 + direction * k * step
+
+        def at(k: int) -> float | Exception:
+            """f at grid point k, or what evaluating it raises (re-raised
+            only where the scan would have stopped there)."""
+            if k not in probes:
+                try:
+                    fx = f(x_at(k))
+                except Exception as exc:
+                    probes[k] = exc
+                else:
+                    if not math.isfinite(fx):
+                        raise _Unsettled
+                    probes[k] = fx
+            return probes[k]
+
+        def past(fx: float) -> bool:
+            return ahead * (fx - target) <= 0.0
+
+        def stops(k: int) -> bool:
+            fx = at(k)
+            return isinstance(fx, Exception) or past(fx)
+
+        # The scan's point lies in (a, b].  (xp, fp) and (xq, fq) are the
+        # secant's points: xq the last one short of the target, xp the one
+        # before or a point past it.
+        a, b = 0, None
+        (xp, fp), (xq, fq) = guess or (x0, f0), (x0, f0)
+        if guess is None:
+            if stops(1):
+                b = 1
+            else:
+                a, (xq, fq) = 1, (x_at(1), at(1))
+        while b is None:
+            if a == max_steps:
+                raise no_bracket(target, direction)
+            k = math.nan
+            if fq != fp:
+                k = direction * (xq + (target - fq) * (xq - xp) / (fq - fp) - x0) / step
+            if not a < k < max_steps:
+                k = max_steps if k >= max_steps else 2 * a + 1
+            k = min(math.ceil(k), max_steps)
+            if stops(k):
+                b, gap = k, 1
+                while b - gap > a and stops(b - gap):
+                    b, gap = b - gap, 2 * gap
+                a = max(a, b - gap)
+            else:
+                if not past(fp):
+                    xp, fp = xq, fq
+                a, (xq, fq) = k, (x_at(k), at(k))
+        while isinstance(at(b), Exception) and b - a > 1:
+            mid = (a + b) // 2
+            if stops(mid):
+                b = mid
+            else:
+                a = mid
+        if isinstance(at(b), Exception):
+            raise at(b)
+
+        # Illinois on f - target in [x_a, x_b]
+        xa, ya, xb, yb = x_at(a), at(a) - target, x_at(b), at(b) - target
+        held, root = 0, math.inf
+        for _ in range(100):
+            x = xb - yb * (xb - xa) / (yb - ya)
+            if abs(x - root) <= narrow or not min(xa, xb) < x < max(xa, xb):
+                break
+            root = x
+            fx = settled_f(x)
+            if past(fx):
+                xb, yb = x, fx - target
+                if held < 0:
+                    ya *= 0.5
+                held = -1
+            else:
+                xa, ya = x, fx - target
+                if held > 0:
+                    yb *= 0.5
+                held = 1
+        # x clamped to the bracket; a NaN x (infinite y) gives its lower end
+        root = min(max(xa, xb), max(min(xa, xb), x))
+
+        # bisect (a, b] down to one cell, first at the ends of r's cell
+        k = math.ceil(direction * (root - x0) / step)
+        while b - a > 1:
+            mid = k - 1 if a < k - 1 < b else k if a < k < b else (a + b) // 2
+            if stops(mid):
+                b = mid
+            else:
+                a = mid
+        k = b
+        if isinstance(at(k), Exception):
+            raise at(k)
+        x, lo, hi = bisect(x_at(k - 1), x_at(k), lambda mid: direction * (mid - root) >= 0.0)
+        if (direction * (lo - xa) <= 0.0 or not past(settled_f(lo))) and (
+            direction * (hi - xb) >= 0.0 or past(settled_f(hi))
+        ):
+            return x
+        return bisect(x_at(k - 1), x_at(k), past_on_f(target, at(k - 1)))[0]
+
     f0 = f(x0)
     levels: list[tuple[int, float]] = []
+    guess = None
     for n in n_range:
         target = f0 + sign * math.pi * n
         if n == 0:
@@ -508,31 +707,14 @@ def _ladder(
             energy = energy_of_x(x0)
         else:
             direction = 1.0 if (target - f0) * slope > 0 else -1.0
-            x_prev, f_prev = x0, f0
-            for k in range(1, max_steps + 1):
-                x = x0 + direction * k * step
-                fx = f(x)
-                if (f_prev - target) * (fx - target) <= 0.0:
-                    break
-                x_prev, f_prev = x, fx
-            else:
-                x_end = x0 + direction * max_steps * step
-                raise BracketError(
-                    f"no sign change for target {target:.6g} inside the scan window "
-                    f"[E={energy_of_x(min(x0, x_end)):.6g}, "
-                    f"E={energy_of_x(max(x0, x_end)):.6g}]"
-                )
-            lo, hi, flo = x_prev, x, f_prev
-            for _ in range(300):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if (flo - target) * (fm - target) <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-                if abs(hi - lo) <= tol_x:
-                    break
-            energy = energy_of_x(0.5 * (lo + hi))
+            try:
+                x = solve(target, direction, guess)
+            except _Unsettled:
+                x = scan(target, direction)
+            guess = (x, target)
+            energy = _finite_level(
+                energy_of_x(x), f"quantized level n={n} at E0={energy0!r}, M={m_ang!r}"
+            )
         levels.append((n, energy))
     return _quantized_entries(m_ang, levels, sign * m_ang > 0, f"tol={tol:g}")
 

@@ -124,6 +124,26 @@ class TestSpectrumCommand:
         assert code == 0
         assert json_records(out)[-1]["E_re"] == -1.0 * math.exp(2 * math.pi * 2 / 0.02)
 
+    def test_quantized_level_outside_double_range_exits_2(self, capsys):
+        # n = 4 lies at g ~ 2e-156, where E = -1/(2 g^2) overflows; it
+        # printed "E_re": -Infinity with exit code 0
+        code, out, err = run_cli(
+            capsys, "spectrum", "--system", "coulomb", "--M", "1", "--E0=-1e300", "--n", "0..4",
+        )
+        assert code == 2 and out == ""
+        assert "quantized level n=4" in err and "leaves the double range" in err
+        assert "Traceback" not in err
+
+    def test_scan_window_beyond_double_range_exits_3(self, capsys):
+        # the window's deep end lies at g ~ 5e-165, where g^2 is 0: naming
+        # its energy ended in a ZeroDivisionError traceback
+        code, out, err = run_cli(
+            capsys, "spectrum", "--system", "coulomb", "--M=-0.0014", "--E0=-2.2e8", "--n=-1..0",
+        )
+        assert code == 3 and out == ""
+        assert "scan window [g=" in err and "(E leaves the double range), E=-2.2e+08]" in err
+        assert "Traceback" not in err
+
     def test_collapsed_levels_exit_3(self, capsys):
         # n = -1 and n = +1 used to print the same energy with exit code 0
         code, out, err = run_cli(

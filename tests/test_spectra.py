@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 import warnings
@@ -539,8 +540,11 @@ class TestQuantizedSolver:
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
 
-def _reference_ladder(f_of_x, x0, energy0, energy_of_x, sign, slope, n_range, tol=1e-10):
-    """The ladder loop without a shared scan: every level rescans from x0."""
+def _reference_ladder(f_of_x, x0, energy0, energy_of_x, sign, slope, n_range, m_ang, tol=1e-10):
+    """The ladder loop without a shared scan: every level rescans from x0.
+
+    Levels go through spectra._finite_level, and a window end whose energy
+    leaves the double range is named by g, as the solver does."""
     step = math.log(10.0) / 64
     max_steps = 64 * 160
     tol_x = tol / 2.0
@@ -570,45 +574,70 @@ def _reference_ladder(f_of_x, x0, energy0, energy_of_x, sign, slope, n_range, to
                         lo, flo = mid, fm
                     if abs(hi - lo) <= tol_x:
                         break
-                energies.append(energy_of_x(0.5 * (lo + hi)))
+                energies.append(spectra._finite_level(
+                    energy_of_x(0.5 * (lo + hi)),
+                    f"quantized level n={n} at E0={energy0!r}, M={m_ang!r}",
+                ))
                 break
             x_prev, f_prev = x, fx
         else:
+            def end(x):
+                try:
+                    return f"E={energy_of_x(x):.6g}"
+                except DomainError:
+                    return f"g={math.exp(x):.6g} (E leaves the double range)"
+
             x_end = x0 + direction * max_steps * step
-            lo_e = energy_of_x(min(x0, x_end))
-            hi_e = energy_of_x(max(x0, x_end))
             raise BracketError(
                 f"no sign change for target {target:.6g} inside the scan window "
-                f"[E={lo_e:.6g}, E={hi_e:.6g}]"
+                f"[{end(min(x0, x_end))}, {end(max(x0, x_end))}]"
             )
     return energies
 
 
-def _reference_levels(kind, pp, m_ang, energy0, n_range):
-    """Levels of the reference ladder, set up as each solver sets up its own."""
+def _reference_levels(kind, pp, m_ang, energy0, n_range, q=quantization_f, tol=1e-10):
+    """Levels of the reference ladder, set up as each solver sets up its own,
+    with q in place of quantization_f.  f is memoized: the rescans of one
+    call walk the same grid."""
     if kind == "coulomb":
-        def energy_of_x(x):
-            g = math.exp(x)
-            return -(pp.mass * 1.0 * 1.0) / (2.0 * pp.hbar * pp.hbar * (g * g))
-
         return _reference_ladder(
-            lambda x: quantization_f(math.exp(x), m_ang),
-            math.log(coulomb_scaling(pp, 1.0, energy0).g), energy0, energy_of_x,
-            1.0, -1.0 if m_ang > 0 else 1.0, n_range,
+            functools.cache(lambda x: q(math.exp(x), m_ang)),
+            math.log(coulomb_scaling(pp, 1.0, energy0).g), energy0,
+            lambda x: spectra._energy_from_g(pp, 1.0, math.exp(x)),
+            1.0, -1.0 if m_ang > 0 else 1.0, n_range, m_ang, tol,
         )
     m_c, two_hw = 0.5 * m_ang, 2.0 * pp.hbar * 1.0
     return _reference_ladder(
-        lambda x: quantization_f(math.exp(x), m_c),
+        functools.cache(lambda x: q(math.exp(x), m_c)),
         math.log(energy0 / two_hw), energy0, lambda x: two_hw * math.exp(x),
-        -1.0, -1.0 if m_c > 0 else 1.0, n_range,
+        -1.0, -1.0 if m_c > 0 else 1.0, n_range, m_ang, tol,
     )
 
 
-def _solve(kind, pp, m_ang, energy0, n_range):
+def _ladder_outcome(solve, *args):
+    """Levels as hex strings, or the error class and message."""
+    try:
+        return [e.hex() for e in solve(*args)]
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _reference_outcome(kind, pp, m_ang, energy0, n_range, q=quantization_f, tol=1e-10):
+    """The reference's levels through the solvers' ordering check."""
+    def solve():
+        levels = list(zip(n_range, _reference_levels(kind, pp, m_ang, energy0, n_range, q, tol)))
+        falling = (m_ang > 0) == (kind == "coulomb")
+        entries = spectra._quantized_entries(m_ang, levels, falling, f"tol={tol:g}")
+        return [e.energy.real for e in entries]
+
+    return _ladder_outcome(solve)
+
+
+def _solve(kind, pp, m_ang, energy0, n_range, tol=1e-10):
     if kind == "oscillator":
-        entries = oscillator_quantized_spectrum(pp, 1.0, m_ang, energy0, n_range)
+        entries = oscillator_quantized_spectrum(pp, 1.0, m_ang, energy0, n_range, tol)
     else:
-        entries = solve_quantized_spectrum(pp, 1.0, m_ang, energy0, n_range)
+        entries = solve_quantized_spectrum(pp, 1.0, m_ang, energy0, n_range, tol)
     return [e.energy.real for e in entries]
 
 
@@ -679,6 +708,108 @@ class TestLadderParity:
         x_deep = math.log(coulomb_scaling(PP, 1.0, entries[-1].energy.real).g)
         scan = math.ceil(abs(x_deep - x0) / (math.log(10.0) / 64))
         assert len(calls) <= 1 + scan + 300 * len(n_range)
+
+    def test_wide_windows_match_rescan(self):
+        # |E0| from 1e-300 to 1e300 reaches levels whose energy leaves the
+        # double range, scans that leave it, and scans cut at 160 decades
+        rng = random.Random("ladder-parity-wide")
+        units = (PP, PhysicalParams(mass=2.0, hbar=0.5))
+        cases = [
+            ("coulomb", PP, -0.0014, -2.2e8, range(-1, 1)),  # window end with g^2 = 0
+            ("coulomb", PP, 1.0, -1e300, range(0, 5)),  # n = 4 is -inf
+            ("coulomb", PP, 1.0, -1e300, range(9, 10)),  # g^2 = 0
+        ]
+        for i in range(40):
+            kind = ("coulomb", "oscillator")[i % 2]
+            m_ang = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-3, 3)
+            mag = 10 ** rng.uniform(-300, 300)
+            lo = rng.randint(-4, 0)
+            cases.append((
+                kind, units[i // 2 % 2], m_ang, mag if kind == "oscillator" else -mag,
+                range(lo, lo + rng.randint(1, 5)),
+            ))
+        outcomes = set()
+        for kind, pp, m_ang, energy0, n_range in cases:
+            want = _reference_outcome(kind, pp, m_ang, energy0, n_range)
+            assert _ladder_outcome(_solve, kind, pp, m_ang, energy0, n_range) == want
+            outcomes.add(want.split(":")[0] if isinstance(want, str) else "levels")
+        assert outcomes == {"levels", "BracketError", "ConsistencyError", "DomainError"}
+
+    @pytest.mark.parametrize(
+        "kind, mass, m_ang, energy0, n_range, tol",
+        [
+            ("coulomb", 2.0, -693.391197855415, -6.962443843555782e230, range(-4, 0), 1e-10),
+            ("coulomb", 1.0, 0.0011985651968564627, -7.147441528530582e225, range(-5, -1), 6e-60),
+            ("coulomb", 2.0, -378.87709968532096, -1.609205231187473e-13, range(-5, 0), 8e-267),
+            ("oscillator", 1.0, -417.27370333326036, 9922.98811467283, range(-2, 3), 7e-122),
+        ],
+    )
+    def test_midpoints_beside_the_root_match_rescan(self, kind, mass, m_ang, energy0, n_range, tol):
+        # In each window a bisection midpoint falls on the short end of the
+        # last Illinois bracket, where the root estimate can sit and call
+        # it past, so only f at that end settles it.  It takes tol below
+        # what ln g resolves, or luck at tol = 1e-10 (one window in 2,000
+        # random ones).
+        pp = PhysicalParams(mass=mass, hbar=0.5 if mass == 2.0 else 1.0)
+        want = _reference_outcome(kind, pp, m_ang, energy0, n_range, tol=tol)
+        assert _ladder_outcome(_solve, kind, pp, m_ang, energy0, n_range, tol) == want
+
+    @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
+    def test_synthetic_f_matches_rescan(self, kind, monkeypatch):
+        # f = -M ln g puts the levels pi / |M| apart in ln g.  f raises
+        # beyond ln g = 9, so a level past that point takes the error of
+        # the first grid point there.  f is NaN on a band of ln g that
+        # holds a level, which hides the level from the rescan; or on a
+        # band 5 grid steps from the anchor, which the rescan walks past.
+        def synthetic(nan_bands):
+            def q(g, m_ang):
+                x = math.log(g)
+                if x > 9.0:
+                    raise DomainError(f"synthetic f refuses g={g!r}")
+                if any(a < x < b for a, b in nan_bands):
+                    return math.nan
+                return -m_ang * x
+            return q
+
+        step = math.log(10.0) / 64
+        energy0 = -2.0 if kind == "coulomb" else 2.0
+        outcomes = set()
+        for m_ang in (1.0, -1.0, 0.4, -0.4):
+            m_c = m_ang if kind == "coulomb" else 0.5 * m_ang
+            x0 = math.log(coulomb_scaling(PP, 1.0, energy0).g if kind == "coulomb" else 1.0)
+            level = x0 + math.pi / abs(m_c)
+            for bands in ([], [(level - 0.1, level + 0.1)],
+                          [(x0 + 4.5 * step, x0 + 5.5 * step), (x0 - 5.5 * step, x0 - 4.5 * step)]):
+                q = synthetic(bands)
+                monkeypatch.setattr(spectra, "quantization_f", q)
+                for n_range in (range(-4, 5), range(3, -4, -1), range(-2, 0)):
+                    want = _reference_outcome(kind, PP, m_ang, energy0, n_range, q)
+                    assert _ladder_outcome(_solve, kind, PP, m_ang, energy0, n_range) == want
+                    outcomes.add(want.split(" g=")[0] if isinstance(want, str) else "levels")
+        assert outcomes == {"levels", "DomainError: synthetic f refuses"}
+
+    @pytest.mark.parametrize(
+        "kind, m_ang, energy0",
+        [
+            pytest.param("coulomb", 0.25, -1e6, id="deep"),
+            pytest.param("coulomb", -0.25, -1e6, id="deep-M<0"),
+            pytest.param("coulomb", 1.0, -1e-10, id="shallow"),
+            pytest.param("oscillator", 1.0, 3.0, id="oscillator"),
+        ],
+    )
+    def test_f_evaluations_per_level(self, monkeypatch, kind, m_ang, energy0):
+        # a scan of 64 points per decade and 30-odd bisection steps took
+        # about 100 evaluations per level
+        calls = []
+
+        def counting_f(g, m_c):
+            calls.append(g)
+            return quantization_f(g, m_c)
+
+        monkeypatch.setattr(spectra, "quantization_f", counting_f)
+        n_range = range(-4, 5)
+        _solve(kind, PP, m_ang, energy0, n_range)
+        assert len(calls) <= 15 * (len(n_range) - 1)
 
 
 class TestLadders:
