@@ -7,18 +7,8 @@ from .errors import (
     DomainError,
     FitQualityError,
     InsufficientRootsError,
-    IsotropicPointError,
     MinkqmError,
     PoleError,
-)
-from .geometry import (
-    CartesianPoint,
-    PolarPoint,
-    Region,
-    classify,
-    interval,
-    to_cartesian,
-    to_polar,
 )
 from .model import (
     Coulomb,
@@ -27,9 +17,7 @@ from .model import (
     Oscillator,
     PhysicalParams,
     SystemKind,
-    angular_mode,
     effective_potential,
-    hamiltonian_sign,
     potential,
     radial_coefficient,
 )
@@ -42,13 +30,7 @@ from .oracle import (
     scaled_config,
     shoot_eigenvalues,
 )
-from .specfun import (
-    KummerParams,
-    kummer_asymptotic,
-    kummer_m,
-    kummer_second,
-    ln_gamma,
-)
+from .specfun import KummerParams, kummer_m, ln_gamma
 from .spectra import (
     Branch,
     DualityMap,

@@ -13,10 +13,6 @@ class PoleError(DomainError):
     """Evaluation requested at (or too close to) a pole."""
 
 
-class IsotropicPointError(DomainError):
-    """Point lies on the isotropic cone, where polar charts are undefined."""
-
-
 class ConvergenceError(MinkqmError, ArithmeticError):
     """An iterative computation exceeded its term or iteration cap."""
 

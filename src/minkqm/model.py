@@ -1,5 +1,10 @@
 """Physical parameters, potentials and the radial equation coefficient.
 
+The form s^2 = x1^2 - x2^2 splits the Minkowski plane into four regions
+bounded by the isotropic lines x1 = +-x2.  Everything here lives in regions
+I/II (s^2 > 0, x = (+-r cosh phi, +-r sinh phi)); in regions III/IV both
+the kinetic and the potential term of the Hamiltonian flip sign.
+
 The angular reduction Psi = u(r)/sqrt(r) * exp(i M phi)/sqrt(2 pi) turns
 the stationary problem into u'' + Q(r) u = 0 with
 
@@ -12,16 +17,12 @@ fall-to-center structure near r = 0.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Region
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -118,11 +119,6 @@ def _finite_potential(value: float, m_ang: float, r: float) -> float:
     return value
 
 
-def angular_mode(m_ang: float, phi: float) -> complex:
-    """Angular eigenfunction exp(i M phi)/sqrt(2 pi); unit modulus up to the norm."""
-    return cmath.exp(1j * m_ang * phi) / SQRT_2PI
-
-
 def radial_coefficient(
     kind: SystemKind, pp: PhysicalParams, m_ang: float, E: float, r
 ):
@@ -136,15 +132,3 @@ def radial_coefficient(
     two_m_over_h2 = 2.0 * pp.mass / (pp.hbar * pp.hbar)
     return two_m_over_h2 * (E - potential(kind, pp, r)) + (m_ang * m_ang + 0.25) / (r * r)
 
-
-def hamiltonian_sign(region: Region) -> int:
-    """Overall sign of the Hamiltonian: +1 in regions I/II, -1 in III/IV.
-
-    In the negative-form regions both the kinetic and the potential term
-    flip sign; solvers here run in regions I/II only.
-    """
-    if region in (Region.I, Region.II):
-        return 1
-    if region in (Region.III, Region.IV):
-        return -1
-    raise DomainError("no Hamiltonian sign on the isotropic cone")

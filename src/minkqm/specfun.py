@@ -98,12 +98,15 @@ def _log_sin_pi_upper(z):
     # reflection formula below continues lnGamma off the cut (-inf, 0].
     # sin(pi z) = (1/2) exp(i pi/2) exp(-i pi z) (1 - exp(2 pi i z));
     # |exp(2 pi i z)| < 1 in the upper half plane, so the last log is principal.
-    w = np.exp(np.clongdouble(2j) * _PI * z)
+    # That factor rounds to 0 only at z = iy, |y| below ~1e-20: a pole to longdouble.
+    one_minus_w = 1 - np.exp(np.clongdouble(2j) * _PI * z)
+    if one_minus_w == 0:
+        raise PoleError(f"lnGamma pole: sin(pi z) rounds to 0 at z={complex(z)}")
     return (
         -_LOG_2
         + np.clongdouble(0.5j) * _PI
         - np.clongdouble(1j) * _PI * z
-        + np.log(1 - w)
+        + np.log(one_minus_w)
     )
 
 
@@ -271,46 +274,3 @@ def kummer_m(p: KummerParams, z: float, tol: float = DEFAULT_SERIES_TOL) -> comp
             _kummer_m_ld(p, z, tol), z, "kummer_m", "the series sum", a=p.a, c=p.c
         )
 
-
-def kummer_second(p: KummerParams, z: float, tol: float = DEFAULT_SERIES_TOL) -> complex:
-    """Second-kind solution z^(1-c) F(a-c+1, 2-c, z) for z > 0.
-
-    The complex power uses the principal branch of ln z.  Parameter sets
-    where 2-c hits a non-positive integer are rejected rather than
-    continued through the pole.  Raises DomainError where the value leaves
-    the double range.
-    """
-    if not z > 0:
-        raise DomainError(f"kummer_second requires z > 0, got z={z}")
-    shifted = KummerParams(p.a - p.c + 1, 2 - p.c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = np.exp(np.clongdouble(1 - p.c) * np.log(np.clongdouble(z)))
-        return _finite(
-            power * _kummer_m_ld(shifted, z, tol), z, "kummer_second",
-            "z^(1-c) times the series sum", a=p.a, c=p.c,
-        )
-
-
-def kummer_asymptotic(p: KummerParams, z: float) -> complex:
-    """Leading large-z behavior Gamma(c)/Gamma(a) e^z z^(a-c).
-
-    Only the exponentially growing branch; relative accuracy is O(1/z).
-    Invalid when a is a non-positive integer (the series terminates and
-    the exponential branch is absent).  Raises DomainError where the value
-    leaves the double range.
-    """
-    if not z > 0:
-        raise DomainError(f"kummer_asymptotic requires z > 0, got z={z}")
-    if p.terminating_order() is not None:
-        raise PoleError(
-            f"asymptotic form invalid for terminating series (a={p.a})"
-        )
-    expo = (
-        _ln_gamma_ld(complex(p.c))
-        - _ln_gamma_ld(complex(p.a))
-        + np.clongdouble(z)
-        + np.clongdouble(p.a - p.c) * np.log(np.clongdouble(z))
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = np.exp(expo)
-    return _finite(value, z, "kummer_asymptotic", "e^z z^(a-c)", a=p.a, c=p.c)

@@ -69,6 +69,19 @@ def _finite_level(energy: complex, what: str) -> complex:
     return energy
 
 
+def _normal_level(
+    level: float, ladder: str, n: int, energy0: float, m_ang: float, why: str
+) -> float:
+    """level, or DomainError naming the ladder's level n and why, where
+    |level| lies outside the normal double range: NaN, +-inf, zero (a level
+    that underflowed) or subnormal (one that has lost bits)."""
+    if not sys.float_info.min <= abs(level) <= sys.float_info.max:
+        raise DomainError(
+            f"{ladder} level n={n} at E0={energy0!r}, M={m_ang!r} is {level!r}: {why}"
+        )
+    return level
+
+
 class Branch(str, Enum):
     CLOSED_FORM_U1 = "closed_form_u1"
     QUANTIZED_THIRD = "quantized_third"
@@ -177,13 +190,9 @@ def deep_ladder(energy0: float, m_ang: float, n: int) -> float:
         level = energy0 * math.exp(2.0 * math.pi * n / m_ang)
     except OverflowError:
         level = -math.inf
-    # Written so that NaN fails as well; subnormal levels have lost bits.
-    if not -sys.float_info.max <= level <= -sys.float_info.min:
-        raise DomainError(
-            f"ladder level n={n} at E0={energy0!r}, M={m_ang!r} is {level!r}: "
-            f"E0 exp(2 pi n / M) leaves the normal double range"
-        )
-    return level
+    return _normal_level(
+        level, "ladder", n, energy0, m_ang, "E0 exp(2 pi n / M) leaves the normal double range"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -426,7 +435,9 @@ def quantization_f(g: float, m_ang: float) -> float:
     The Gamma argument is the continuous (analytic) one, not reduced mod
     2 pi, so f is continuous along any pole-free path in g; for M != 0
     there are no poles at all.  Deep regime (g -> 0): f ~ -M ln g.
-    Shallow regime (g -> inf): f ~ -pi g (for M > 0).
+    Shallow regime (g -> inf): f ~ -pi g (for M > 0).  Raises DomainError
+    where f leaves the double range (from g ~ 5.7e307, where pi g does),
+    and PoleError at g = 1/2 for |M| below ~1e-20, a pole to longdouble.
     """
     _require_positive("g", g)
     _require_finite("M", m_ang)
@@ -439,7 +450,12 @@ def quantization_f(g: float, m_ang: float) -> float:
         + np.imag(_ln_gamma_ld(w))
         - np.imag(_ln_gamma_ld(complex(1.0, 2.0 * m_ang)))
     )
-    return float(value)
+    f = float(value)
+    if not math.isfinite(f):
+        raise DomainError(
+            f"quantization function f(g={g!r}, M={m_ang!r}) is {f}: it leaves the double range"
+        )
+    return f
 
 
 def _quantized_entries(
@@ -463,11 +479,6 @@ def _quantized_entries(
         SpectrumEntry(n, m_ang, complex(energy, 0.0), Branch.QUANTIZED_THIRD)
         for n, energy in levels
     ]
-
-
-class _Unsettled(Exception):
-    """A ladder level whose f values the search without a scan does not
-    decide on."""
 
 
 def _ladder(
@@ -505,14 +516,15 @@ def _ladder(
       certify every decision.  An end at or outside the last Illinois
       bracket needs no evaluation.  Where the certificate fails, the
       bisection runs again on f.
-    * A level where f is not finite, or raises off the grid, is solved by
-      the scan itself: a NaN neither stops the scan nor keeps the
-      bisection from moving lo.
+    * f is finite or raises, and away from the Gamma pole at g = 1/2 as
+      m_c -> 0 it raises on half-lines of x only: where e^x underflows to
+      0 or f leaves the double range.  So f is finite inside any grid cell
+      whose ends are.
 
     The levels of one call share their f values.  E_n falls as n rises
     when sign * M > 0 and rises otherwise.  Levels closer together than the
     bisection resolves (shallow anchors, where the spacing shrinks like
-    1/g) raise ConsistencyError, and levels that leave the double range
+    1/g) raise ConsistencyError, and levels outside the normal double range
     DomainError.
     """
     step = math.log(10.0) / _SCAN_POINTS_PER_DECADE
@@ -527,17 +539,12 @@ def _ladder(
     def f(x: float) -> float:
         fx = seen.get(x)
         if fx is None:
-            fx = seen[x] = quantization_f(math.exp(x), m_c)
-        return fx
-
-    def settled_f(x: float) -> float:
-        # Whatever f raises here, the scan finds out what it means.
-        try:
-            fx = f(x)
-        except Exception:
-            raise _Unsettled from None
-        if not math.isfinite(fx):
-            raise _Unsettled
+            g = math.exp(x)
+            if g == 0.0:
+                raise DomainError(
+                    f"the level scan leaves the double range: g = e^{x:.6g} underflows to 0"
+                )
+            fx = seen[x] = quantization_f(g, m_c)
         return fx
 
     def bisect(
@@ -579,19 +586,9 @@ def _ladder(
             f"[{end(min(x0, x_end))}, {end(max(x0, x_end))}]"
         )
 
-    def scan(target: float, direction: float) -> float:
-        x_prev, f_prev = x0, f0
-        for k in range(1, max_steps + 1):
-            x = x0 + direction * k * step
-            fx = f(x)
-            if (f_prev - target) * (fx - target) <= 0.0:
-                return bisect(x_prev, x, past_on_f(target, f_prev))[0]
-            x_prev, f_prev = x, fx
-        raise no_bracket(target, direction)
-
     def solve(target: float, direction: float, guess: tuple[float, float] | None) -> float:
-        """The root scan() returns, found without walking; guess is the
-        previous level's (root, target).  _Unsettled where it cannot tell."""
+        """The root the scan and bisection return, found without walking;
+        guess is the previous level's (root, target)."""
         ahead = f0 - target
         probes: dict[int, float | Exception] = {0: f0}
 
@@ -603,13 +600,9 @@ def _ladder(
             only where the scan would have stopped there)."""
             if k not in probes:
                 try:
-                    fx = f(x_at(k))
+                    probes[k] = f(x_at(k))
                 except Exception as exc:
                     probes[k] = exc
-                else:
-                    if not math.isfinite(fx):
-                        raise _Unsettled
-                    probes[k] = fx
             return probes[k]
 
         def past(fx: float) -> bool:
@@ -664,7 +657,7 @@ def _ladder(
             if abs(x - root) <= narrow or not min(xa, xb) < x < max(xa, xb):
                 break
             root = x
-            fx = settled_f(x)
+            fx = f(x)
             if past(fx):
                 xb, yb = x, fx - target
                 if held < 0:
@@ -690,8 +683,8 @@ def _ladder(
         if isinstance(at(k), Exception):
             raise at(k)
         x, lo, hi = bisect(x_at(k - 1), x_at(k), lambda mid: direction * (mid - root) >= 0.0)
-        if (direction * (lo - xa) <= 0.0 or not past(settled_f(lo))) and (
-            direction * (hi - xb) >= 0.0 or past(settled_f(hi))
+        if (direction * (lo - xa) <= 0.0 or not past(f(lo))) and (
+            direction * (hi - xb) >= 0.0 or past(f(hi))
         ):
             return x
         return bisect(x_at(k - 1), x_at(k), past_on_f(target, at(k - 1)))[0]
@@ -707,15 +700,12 @@ def _ladder(
             energy = energy_of_x(x0)
         else:
             direction = 1.0 if (target - f0) * slope > 0 else -1.0
-            try:
-                x = solve(target, direction, guess)
-            except _Unsettled:
-                x = scan(target, direction)
+            x = solve(target, direction, guess)
             guess = (x, target)
-            energy = _finite_level(
-                energy_of_x(x), f"quantized level n={n} at E0={energy0!r}, M={m_ang!r}"
-            )
-        levels.append((n, energy))
+            energy = energy_of_x(x)
+        levels.append((n, _normal_level(
+            energy, "quantized", n, energy0, m_ang, "it leaves the double range"
+        )))
     return _quantized_entries(m_ang, levels, sign * m_ang > 0, f"tol={tol:g}")
 
 

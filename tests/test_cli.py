@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,35 @@ class TestSpectrumCommand:
         assert code == 2 and out == ""
         assert "quantized level n=4" in err and "leaves the double range" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # g^2 overflows at g ~ 3e161, so E = -1/(2 g^2) is -0.0, which
+            # printed with exit code 0
+            (
+                ("--system", "coulomb", "--E0=-5e-324", "--n", "1..1"),
+                "quantized level n=1 at E0=-5e-324, M=1.0 is -0.0: it leaves the double range",
+            ),
+            # the scan walks to where g = e^x underflows to 0; the message
+            # used to name that g, which the user never passed
+            (
+                ("--system", "oscillator", "--E0=1e-320", "--n=-2..-1"),
+                "the level scan leaves the double range: g = e^-745.148 underflows to 0",
+            ),
+            # f(g0) is -inf, which compared equal to the target of n = 1:
+            # the anchor itself printed as that level with exit code 0
+            (
+                ("--system", "oscillator", "--E0=1.2e308", "--n", "0..1"),
+                "quantization function f(g=6.000000000000135e+307, M=0.5) is -inf: "
+                "it leaves the double range",
+            ),
+        ],
+        ids=["coulomb-level-underflows", "oscillator-scan-underflows", "f-overflows"],
+    )
+    def test_ladder_leaving_double_range_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "spectrum", "--M", "1", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_scan_window_beyond_double_range_exits_3(self, capsys):
         # the window's deep end lies at g ~ 5e-165, where g^2 is 0: naming
@@ -495,6 +525,17 @@ class TestExitCodes:
         assert "planted failure" in err
 
 
+class TestPhaseCommand:
+    def test_gamma_pole_at_tiny_m_exits_2(self, capsys):
+        # at g = 1/2, M = 5e-324 the lnGamma reflection took log(0): numpy
+        # warned, and gamma printed with exit code 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "phase", "--g", "0.5", "--M", "5e-324")
+        assert (code, out) == (2, "")
+        assert err == "error: lnGamma pole: sin(pi z) rounds to 0 at z=5e-324j\n"
+
+
 class TestVerifyCommand:
     def test_duality_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "duality")
@@ -544,6 +585,25 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert '"command": "phase"' in proc.stdout
+
+    def test_public_names(self):
+        import minkqm
+
+        assert sorted(minkqm.__all__) == [
+            "BracketError", "Branch", "ConsistencyError", "ConvergenceError", "Coulomb",
+            "DomainError", "DualityMap", "FitQualityError", "Free", "InsufficientRootsError",
+            "KummerParams", "MinkqmError", "NATURAL_UNITS", "Oscillator", "PhysicalParams",
+            "PoleError", "RadialSolution", "ReflectionPhase", "ScaledCoulomb",
+            "ShootingConfig", "SpectrumEntry", "SystemKind", "coulomb_closed_spectrum",
+            "coulomb_scaling", "coulomb_third", "coulomb_third_asymptotic", "coulomb_u1",
+            "coulomb_u1_asymptotic", "coulomb_u2", "deep_ladder", "duality_forward",
+            "effective_potential", "errors", "gamma_phase", "integrate_radial",
+            "inward_phase", "kummer_m", "ln_gamma", "model", "ode_residual", "oracle",
+            "oscillator_closed_spectrum", "oscillator_quantized_spectrum",
+            "oscillator_wavefunction", "potential", "quantization_f", "radial_coefficient",
+            "scaled_config", "shallow_spectrum", "shoot_eigenvalues",
+            "solve_quantized_spectrum", "specfun", "spectra",
+        ]
 
     def test_console_script(self):
         import shutil

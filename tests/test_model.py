@@ -1,20 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 
 from minkqm.errors import DomainError
-from minkqm.geometry import Region
 from minkqm.model import (
     Coulomb,
     Free,
     NATURAL_UNITS,
     Oscillator,
     PhysicalParams,
-    angular_mode,
     effective_potential,
     euclidean_effective_for,
-    hamiltonian_sign,
     potential,
     radial_coefficient,
 )
@@ -145,42 +140,3 @@ class TestRadialCoefficient:
                 radial_coefficient(kind, pp, 1.3, -0.7, float(ri)) for ri in r
             ]
 
-
-class TestAngularMode:
-    def test_modulus_constant(self):
-        rng = np.random.default_rng(13)
-        for phi in rng.uniform(-50, 50, size=100):
-            assert abs(angular_mode(1.0, float(phi))) == pytest.approx(
-                1.0 / math.sqrt(2 * math.pi), rel=1e-15
-            )
-
-    def test_values(self):
-        assert angular_mode(0.0, 123.0) == pytest.approx(1 / math.sqrt(2 * math.pi))
-        got = angular_mode(1.0, math.pi)
-        assert got.real == pytest.approx(-1 / math.sqrt(2 * math.pi), rel=1e-14)
-        assert got.imag == pytest.approx(0.0, abs=1e-15)
-
-    def test_m_negation_conjugates(self):
-        z = angular_mode(1.7, 0.9)
-        assert angular_mode(-1.7, 0.9) == z.conjugate()
-
-    def test_constant_density_normalization(self):
-        # integral of |Phi|^2 over [-L, L] equals 2L/(2 pi)
-        for big_l in (1.0, 10.0):
-            phi = np.linspace(-big_l, big_l, 20001)
-            dens = np.array([abs(angular_mode(2.5, p)) ** 2 for p in phi])
-            integral = np.trapezoid(dens, phi)
-            assert integral == pytest.approx(2 * big_l / (2 * math.pi), rel=1e-12)
-
-
-class TestHamiltonianSign:
-    @pytest.mark.parametrize(
-        "region, sign",
-        [(Region.I, 1), (Region.II, 1), (Region.III, -1), (Region.IV, -1)],
-    )
-    def test_signs(self, region, sign):
-        assert hamiltonian_sign(region) == sign
-
-    def test_isotropic_rejected(self):
-        with pytest.raises(DomainError):
-            hamiltonian_sign(Region.ISOTROPIC)

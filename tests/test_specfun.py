@@ -15,19 +15,11 @@ from hypothesis import strategies as st
 
 from minkqm import specfun
 from minkqm.errors import ConvergenceError, DomainError, PoleError
-from minkqm.specfun import (
-    KummerParams,
-    _kummer_m_ld,
-    kummer_asymptotic,
-    kummer_m,
-    kummer_second,
-    ln_gamma,
-)
+from minkqm.specfun import KummerParams, _kummer_m_ld, kummer_m, ln_gamma
 
 # 40-digit offline references
 LN_GAMMA_1_2I = complex(-1.8760787864309293, 0.12964631630978831)
 KUMMER_M_EX = complex(5.8129515019609662, -1.4869233347423615)  # F(0.5+i, 1+2i, 3)
-KUMMER_SECOND_EX = complex(-0.26399243137033959, -1.6566352153270257)
 
 
 class TestLnGamma:
@@ -121,24 +113,17 @@ class TestKummerM:
         # NaN fails each guard too, rather than reaching a later error that
         # names the wrong bound or the double range
         p = KummerParams(1, 2)
-        for func, guard in (
-            (kummer_m, "Kummer series requires z >= 0"),
-            (kummer_second, "kummer_second requires z > 0"),
-            (kummer_asymptotic, "kummer_asymptotic requires z > 0"),
-        ):
-            for z in (-1.0, math.nan):
-                with pytest.raises(DomainError, match=guard):
-                    func(p, z)
+        for z in (-1.0, math.nan):
+            with pytest.raises(DomainError, match="Kummer series requires z >= 0"):
+                kummer_m(p, z)
 
     def test_overflowing_polynomial_raises_without_warning(self):
         # the degree-640 polynomial overflows at z = 1e15; its sum ran
         # outside errstate and warned before the DomainError
-        p = KummerParams(-640, 1)
-        for func in (kummer_m, kummer_second):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(DomainError, match="leaves the double range"):
-                    func(p, 1e15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="leaves the double range"):
+                kummer_m(KummerParams(-640, 1), 1e15)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-13, math.nan, math.inf])
     def test_tol_must_be_positive_and_finite(self, tol):
@@ -161,12 +146,10 @@ class TestKummerM:
         # at z = 800 the longdouble values are finite, their doubles are
         # not; at z = 3e4 the longdouble ones overflow too, which must
         # raise without a numpy warning
-        p = KummerParams(complex(-1.5, 1), complex(1, 2))
-        for func in (kummer_m, kummer_second, kummer_asymptotic):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(DomainError, match="double range"):
-                    func(p, z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="double range"):
+                kummer_m(KummerParams(complex(-1.5, 1), complex(1, 2)), z)
 
     def test_term_block_matches_scalar_factors(self):
         # the block's elementwise factors are the scalar expressions' bits,
@@ -270,75 +253,6 @@ class TestKummerM:
                     )
                     acc = acc + term
                 assert kummer_m(p, float(z)) == complex(acc)
-
-
-class TestKummerSecond:
-    def test_exponential_identity(self):
-        # a=1, c=0.5: z^{0.5} F(1.5, 1.5, z) = sqrt(z) e^z; at z=1 -> e
-        got = kummer_second(KummerParams(1.0, 0.5), 1.0)
-        assert got.real == pytest.approx(math.e, rel=1e-13)
-        assert got.imag == 0.0
-
-    def test_reference_value(self):
-        got = kummer_second(KummerParams(complex(-0.5, 0.5), complex(1, 1)), 2.0)
-        assert abs(got - KUMMER_SECOND_EX) < 1e-13 * abs(KUMMER_SECOND_EX)
-
-    def test_definitional_identity(self):
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            p = KummerParams(
-                complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-                complex(rng.uniform(0.3, 0.7), rng.uniform(0.5, 2.0)),
-            )
-            z = rng.uniform(0.2, 6.0)
-            direct = kummer_second(p, z)
-            shifted = kummer_m(KummerParams(p.a - p.c + 1, 2 - p.c), z)
-            expected = complex(z) ** (1 - p.c) * shifted
-            assert abs(direct - expected) < 1e-12 * abs(expected)
-
-    def test_z_zero_rejected(self):
-        with pytest.raises(DomainError):
-            kummer_second(KummerParams(1.0, 0.5), 0.0)
-
-    def test_shifted_pole_rejected(self):
-        # 2 - c non-positive integer: the second solution's series is undefined
-        with pytest.raises(PoleError):
-            kummer_second(KummerParams(1.0, 2.0), 1.0)
-
-
-class TestKummerAsymptotic:
-    def test_exact_for_equal_parameters(self):
-        # F(a, a, z) = e^z and the leading form is exact there
-        p = KummerParams(complex(0.4, 1.1), complex(0.4, 1.1))
-        for z in (30.0, 50.0):
-            ratio = kummer_m(p, z) / kummer_asymptotic(p, z)
-            assert abs(ratio - 1.0) < 1e-12
-
-    def test_monotone_approach(self):
-        p = KummerParams(complex(-1.5, 1.0), complex(1.0, 2.0))
-        devs = [
-            abs(kummer_m(p, z) / kummer_asymptotic(p, z) - 1.0)
-            for z in (30.0, 40.0, 50.0, 60.0)
-        ]
-        assert all(devs[i + 1] < devs[i] for i in range(3))
-
-    def test_terminating_parameters_rejected(self):
-        with pytest.raises(PoleError):
-            kummer_asymptotic(KummerParams(-3.0, complex(1, 2)), 50.0)
-
-    def test_bounded_parameter_sweep_monotone(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            a = complex(rng.uniform(-4, 4), rng.uniform(0.3, 3))
-            c = complex(rng.uniform(0.5, 4), rng.uniform(0.3, 3))
-            if abs(a) > 5 or abs(c) > 5:
-                continue
-            p = KummerParams(a, c)
-            devs = [
-                abs(kummer_m(p, z) / kummer_asymptotic(p, z) - 1.0)
-                for z in (30.0, 40.0, 50.0, 60.0)
-            ]
-            assert all(devs[i + 1] < devs[i] for i in range(3))
 
 
 def _plain_kummer_loop(p, z):

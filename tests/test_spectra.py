@@ -458,6 +458,39 @@ class TestQuantizationF:
         with pytest.raises(PoleError):
             quantization_f(2.5, 0.0)
 
+    def test_finite_or_domain_error(self):
+        # the ladder relies on this: f is a finite number or raises.  ln g
+        # spans the double range, |M| goes down to 1e-320, and a quarter of
+        # the g are half-integers, next to the Gamma poles as M -> 0.  The
+        # first two pairs used to return -inf and +inf, the third warned.
+        rng = random.Random("quantization-f-sweep")
+        cases = [(math.exp(709.6), 56.6), (math.exp(708.72), -0.93), (0.5, 5e-324)]
+        for i in range(4000):
+            if i % 4:
+                g = math.exp(rng.uniform(-744.0, 709.7))
+            else:
+                g = math.floor(10 ** rng.uniform(0, 15)) - 0.5
+            cases.append((g, rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-320, 3)))
+        raised = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g, m_ang in cases:
+                try:
+                    assert math.isfinite(quantization_f(g, m_ang))
+                except DomainError as exc:
+                    raised.append((g, m_ang, str(exc)))
+        assert [r[2] for r in raised[:3]] == [
+            f"quantization function f(g={math.exp(709.6)!r}, M=56.6) is -inf: "
+            "it leaves the double range",
+            f"quantization function f(g={math.exp(708.72)!r}, M=-0.93) is inf: "
+            "it leaves the double range",
+            "lnGamma pole: sin(pi z) rounds to 0 at z=5e-324j",
+        ]
+        # f leaves the double range where pi g does; only at g = 1/2 does
+        # 1 - e^{2 pi i (1/2 - g + iM)} round to 0 for tiny M
+        for g, _, message in raised[3:]:
+            assert g > 5e307 if message.startswith("quantization function") else g == 0.5
+
 
 class TestQuantizedSolver:
     def test_n_zero_returns_anchor(self):
@@ -540,23 +573,36 @@ class TestQuantizedSolver:
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
 
-def _reference_ladder(f_of_x, x0, energy0, energy_of_x, sign, slope, n_range, m_ang, tol=1e-10):
+def _reference_ladder(f_of_g, x0, energy0, energy_of_x, sign, slope, n_range, m_ang, tol=1e-10):
     """The ladder loop without a shared scan: every level rescans from x0.
 
-    Levels go through spectra._finite_level, and a window end whose energy
-    leaves the double range is named by g, as the solver does."""
+    f(x) = f_of_g(e^x) is memoized: the rescans of one call walk the same
+    grid.  As in the solver, f refuses x where e^x underflows to 0, every
+    level goes through spectra._normal_level, and a window end whose energy
+    leaves the double range is named by g."""
+    @functools.cache
+    def f_of_x(x):
+        g = math.exp(x)
+        if g == 0.0:
+            raise DomainError(
+                f"the level scan leaves the double range: g = e^{x:.6g} underflows to 0"
+            )
+        return f_of_g(g)
+
+    def level(n, energy):
+        return spectra._normal_level(
+            energy, "quantized", n, energy0, m_ang, "it leaves the double range"
+        )
+
     step = math.log(10.0) / 64
     max_steps = 64 * 160
     tol_x = tol / 2.0
     f0 = f_of_x(x0)
     energies = []
     for n in n_range:
-        if n == 0:
-            energies.append(energy0)
-            continue
         target = f0 + sign * math.pi * n
-        if f0 == target:
-            energies.append(energy_of_x(x0))
+        if n == 0 or f0 == target:
+            energies.append(level(n, energy0 if n == 0 else energy_of_x(x0)))
             continue
         direction = 1.0 if (target - f0) * slope > 0 else -1.0
         x_prev, f_prev = x0, f0
@@ -574,10 +620,7 @@ def _reference_ladder(f_of_x, x0, energy0, energy_of_x, sign, slope, n_range, m_
                         lo, flo = mid, fm
                     if abs(hi - lo) <= tol_x:
                         break
-                energies.append(spectra._finite_level(
-                    energy_of_x(0.5 * (lo + hi)),
-                    f"quantized level n={n} at E0={energy0!r}, M={m_ang!r}",
-                ))
+                energies.append(level(n, energy_of_x(0.5 * (lo + hi))))
                 break
             x_prev, f_prev = x, fx
         else:
@@ -597,18 +640,17 @@ def _reference_ladder(f_of_x, x0, energy0, energy_of_x, sign, slope, n_range, m_
 
 def _reference_levels(kind, pp, m_ang, energy0, n_range, q=quantization_f, tol=1e-10):
     """Levels of the reference ladder, set up as each solver sets up its own,
-    with q in place of quantization_f.  f is memoized: the rescans of one
-    call walk the same grid."""
+    with q in place of quantization_f."""
     if kind == "coulomb":
         return _reference_ladder(
-            functools.cache(lambda x: q(math.exp(x), m_ang)),
+            lambda g: q(g, m_ang),
             math.log(coulomb_scaling(pp, 1.0, energy0).g), energy0,
             lambda x: spectra._energy_from_g(pp, 1.0, math.exp(x)),
             1.0, -1.0 if m_ang > 0 else 1.0, n_range, m_ang, tol,
         )
     m_c, two_hw = 0.5 * m_ang, 2.0 * pp.hbar * 1.0
     return _reference_ladder(
-        functools.cache(lambda x: q(math.exp(x), m_c)),
+        lambda g: q(g, m_c),
         math.log(energy0 / two_hw), energy0, lambda x: two_hw * math.exp(x),
         -1.0, -1.0 if m_c > 0 else 1.0, n_range, m_ang, tol,
     )
@@ -718,11 +760,22 @@ class TestLadderParity:
             ("coulomb", PP, -0.0014, -2.2e8, range(-1, 1)),  # window end with g^2 = 0
             ("coulomb", PP, 1.0, -1e300, range(0, 5)),  # n = 4 is -inf
             ("coulomb", PP, 1.0, -1e300, range(9, 10)),  # g^2 = 0
+            ("oscillator", PP, 1.0, 1.2e308, range(0, 2)),  # f(g0) is -inf
+            ("coulomb", PP, 1.0, -5e-324, range(1, 2)),  # E = -0.0
+            ("oscillator", PP, 1.0, 1e-320, range(-2, 0)),  # g = 0
         ]
-        for i in range(40):
+        # windows 40 on put |E0| near the top (1e300 to 1.78e308) or the
+        # bottom (1e-323 to 1e-300) of the double range: f, the levels or
+        # the anchor itself leave it
+        for i in range(52):
             kind = ("coulomb", "oscillator")[i % 2]
             m_ang = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-3, 3)
-            mag = 10 ** rng.uniform(-300, 300)
+            if i < 40:
+                mag = 10 ** rng.uniform(-300, 300)
+            elif i % 3:
+                mag = 10 ** rng.uniform(300, 308.25)
+            else:
+                mag = 10 ** rng.uniform(-323, -300)
             lo = rng.randint(-4, 0)
             cases.append((
                 kind, units[i // 2 % 2], m_ang, mag if kind == "oscillator" else -mag,
@@ -758,34 +811,21 @@ class TestLadderParity:
     def test_synthetic_f_matches_rescan(self, kind, monkeypatch):
         # f = -M ln g puts the levels pi / |M| apart in ln g.  f raises
         # beyond ln g = 9, so a level past that point takes the error of
-        # the first grid point there.  f is NaN on a band of ln g that
-        # holds a level, which hides the level from the rescan; or on a
-        # band 5 grid steps from the anchor, which the rescan walks past.
-        def synthetic(nan_bands):
-            def q(g, m_ang):
-                x = math.log(g)
-                if x > 9.0:
-                    raise DomainError(f"synthetic f refuses g={g!r}")
-                if any(a < x < b for a, b in nan_bands):
-                    return math.nan
-                return -m_ang * x
-            return q
+        # the first grid point there.
+        def q(g, m_ang):
+            x = math.log(g)
+            if x > 9.0:
+                raise DomainError(f"synthetic f refuses g={g!r}")
+            return -m_ang * x
 
-        step = math.log(10.0) / 64
+        monkeypatch.setattr(spectra, "quantization_f", q)
         energy0 = -2.0 if kind == "coulomb" else 2.0
         outcomes = set()
         for m_ang in (1.0, -1.0, 0.4, -0.4):
-            m_c = m_ang if kind == "coulomb" else 0.5 * m_ang
-            x0 = math.log(coulomb_scaling(PP, 1.0, energy0).g if kind == "coulomb" else 1.0)
-            level = x0 + math.pi / abs(m_c)
-            for bands in ([], [(level - 0.1, level + 0.1)],
-                          [(x0 + 4.5 * step, x0 + 5.5 * step), (x0 - 5.5 * step, x0 - 4.5 * step)]):
-                q = synthetic(bands)
-                monkeypatch.setattr(spectra, "quantization_f", q)
-                for n_range in (range(-4, 5), range(3, -4, -1), range(-2, 0)):
-                    want = _reference_outcome(kind, PP, m_ang, energy0, n_range, q)
-                    assert _ladder_outcome(_solve, kind, PP, m_ang, energy0, n_range) == want
-                    outcomes.add(want.split(" g=")[0] if isinstance(want, str) else "levels")
+            for n_range in (range(-4, 5), range(3, -4, -1), range(-2, 0)):
+                want = _reference_outcome(kind, PP, m_ang, energy0, n_range, q)
+                assert _ladder_outcome(_solve, kind, PP, m_ang, energy0, n_range) == want
+                outcomes.add(want.split(" g=")[0] if isinstance(want, str) else "levels")
         assert outcomes == {"levels", "DomainError: synthetic f refuses"}
 
     @pytest.mark.parametrize(
