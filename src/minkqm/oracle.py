@@ -122,13 +122,21 @@ def _numerov(
     """Propagate y'' + coef * y = 0 on a uniform grid; O(h^6) local error.
 
     start holds y at the first two grid points in the direction of travel;
-    y takes their dtype, so real starts run in float64 and complex starts
-    in complex128.  Uses the summed form of the recurrence (the running
-    first difference of z = (1 + h^2 coef/12) y is updated each step),
-    which keeps roundoff growth linear in the step count instead of
-    quadratic.  Inward is the outward sweep of the reversed coefficients,
-    reversed: the same operations on the same values.
+    real starts run in float64 and complex starts in complex128.  Uses the
+    summed form of the recurrence (the running first difference of
+    z = (1 + h^2 coef/12) y is updated each step), which keeps roundoff
+    growth linear in the step count instead of quadratic.  Inward is the
+    outward sweep of the reversed coefficients, reversed: the same
+    operations on the same values.
     Returns (values in grid order, accumulated log scale).
+
+    The loop runs on Python floats, which are float64 like numpy's scalars
+    but several times cheaper per operation.  Complex values are (re, im)
+    pairs carried through the operations numpy's complex128 arithmetic
+    performs: a real factor c enters as c + 0i, so a product with it still
+    adds the signed zeros 0 * im and 0 * re, and division by a real w is
+    Smith's algorithm, which multiplies by 1/w and adds im * (0/w).
+    Every value has the bits numpy's complex128 loop gives it.
     """
     if inward:
         y, log_scale = _numerov(coef[::-1], h, start, inward=False)
@@ -136,22 +144,62 @@ def _numerov(
         return np.ascontiguousarray(y[::-1]), log_scale
     n = coef.size
     h2 = h * h
-    w = 1.0 + (h2 / 12.0) * coef  # Numerov weights
-    y = np.zeros(n, dtype=np.result_type(*start))
+    w_arr = 1.0 + (h2 / 12.0) * coef  # Numerov weights
+    w = w_arr.tolist()
+    hc = (h2 * coef).tolist()
     log_scale = 0.0
-    y[0], y[1] = start
-    z_curr = w[1] * y[1]
-    diff = z_curr - w[0] * y[0]
+    if np.result_type(*start).kind != "c":
+        y_prev = float(start[1])
+        y = [float(start[0]), y_prev]
+        z_curr = w[1] * y_prev
+        diff = z_curr - w[0] * y[0]
+        for i in range(2, n):
+            diff = diff - hc[i - 1] * y_prev
+            z_curr = z_curr + diff
+            y_prev = z_curr / w[i]
+            y.append(y_prev)
+            mag = abs(y_prev)
+            if mag > _RENORM_LIMIT:
+                y = [v / mag for v in y]
+                y_prev = y[-1]
+                z_curr /= mag
+                diff /= mag
+                log_scale += math.log(mag)
+        return np.array(y), log_scale
+
+    # Smith's division by w: (re + im * rat) * inv and (im - re * rat) * inv
+    rat = (0.0 / w_arr).tolist()
+    inv = (1.0 / w_arr).tolist()
+    y0, y1 = complex(start[0]), complex(start[1])
+    re, im = [y0.real, y1.real], [y0.imag, y1.imag]
+    p_re, p_im = y1.real, y1.imag
+    z_re, z_im = w[1] * p_re - 0.0 * p_im, w[1] * p_im + 0.0 * p_re
+    d_re = z_re - (w[0] * y0.real - 0.0 * y0.imag)
+    d_im = z_im - (w[0] * y0.imag + 0.0 * y0.real)
     for i in range(2, n):
-        diff = diff - h2 * coef[i - 1] * y[i - 1]
-        z_curr = z_curr + diff
-        y[i] = z_curr / w[i]
-        mag = abs(y[i])
+        c = hc[i - 1]
+        d_re = d_re - (c * p_re - 0.0 * p_im)
+        d_im = d_im - (c * p_im + 0.0 * p_re)
+        z_re = z_re + d_re
+        z_im = z_im + d_im
+        q, s = rat[i], inv[i]
+        p_re = (z_re + z_im * q) * s
+        p_im = (z_im - z_re * q) * s
+        re.append(p_re)
+        im.append(p_im)
+        mag = abs(complex(p_re, p_im))  # hypot, as numpy's abs
         if mag > _RENORM_LIMIT:
-            y /= mag  # rescales the untouched tail too; it is overwritten later
-            z_curr /= mag
-            diff /= mag
+            q, s = 0.0 / mag, 1.0 / mag
+            re, im = (
+                [(a + b * q) * s for a, b in zip(re, im)],
+                [(b - a * q) * s for a, b in zip(re, im)],
+            )
+            p_re, p_im = re[-1], im[-1]
+            z_re, z_im = (z_re + z_im * q) * s, (z_im - z_re * q) * s
+            d_re, d_im = (d_re + d_im * q) * s, (d_im - d_re * q) * s
             log_scale += math.log(mag)
+    y = np.empty(n, dtype=complex)
+    y.real, y.imag = re, im
     return y, log_scale
 
 
@@ -306,6 +354,19 @@ def shoot_eigenvalues(
     the anchor energy; windows at other energies are the same grid
     rescaled by r0(E)/r0(E_0).
 
+    Each level is the one that bisection returns, found without walking
+    it.  Inside the scan segment that brackets the target, Illinois steps
+    on the lifted phase (smooth in x = ln|E|) estimate the crossing r, each
+    new phase lifted against the straight line through the bracket ends.
+    The bisection is then replayed with each midpoint decided by r.  Every
+    midpoint that moved lo lies at or below the final lo, and every one
+    that moved hi at or above the final hi, so with the phase monotone in
+    the segment, the phase short of the target at the final lo and past
+    it at the final hi certify every decision.  An end at or outside the
+    last Illinois bracket needs no sweep.  Where the certificate fails,
+    the bisection runs on the phase.  Phases are cached by x within one
+    call.
+
     Raises InsufficientRootsError when fewer than count crossings lie in
     the window.
     """
@@ -321,11 +382,19 @@ def shoot_eigenvalues(
 
     r0_anchor = bound_state_length(pp, e_hi)
     alpha = kind.alpha if isinstance(kind, Coulomb) else 0.0
+    seen: dict[float, float] = {}
 
     def beta_raw(x: float) -> float:
-        energy = -math.exp(x)
-        factor = bound_state_length(pp, energy) / r0_anchor
-        return inward_phase(kind, pp, m_ang, energy, cfg.rescaled(factor))
+        beta = seen.get(x)
+        if beta is None:
+            energy = -math.exp(x)
+            factor = bound_state_length(pp, energy) / r0_anchor
+            beta = seen[x] = inward_phase(kind, pp, m_ang, energy, cfg.rescaled(factor))
+        return beta
+
+    def lifted_at(x: float, lo: float, b_lo: float, hi: float, b_hi: float) -> float:
+        """The phase at x, lifted against the line through (lo, b_lo), (hi, b_hi)."""
+        return _lift(beta_raw(x), b_lo + (b_hi - b_lo) * (x - lo) / (hi - lo))
 
     def scan_step(x: float) -> float:
         # local level density: dbeta/dln|E| ~ |M|/2 deep, pi g/2 shallow
@@ -333,6 +402,70 @@ def shoot_eigenvalues(
         if alpha > 0.0:
             g_here = pp.mass * alpha / (pp.hbar * math.sqrt(2.0 * pp.mass * math.exp(x)))
         return (math.pi / 6.0) / (abs(m_ang) / 2.0 + math.pi * g_here / 2.0)
+
+    def bisect(
+        lo: float, hi: float, past: Callable[[float, float, float], bool]
+    ) -> tuple[float, float]:
+        """Final (lo, hi) of the bisection of [lo, hi] down to width tol, where
+        past(mid, lo, hi) says whether mid lies at or beyond the crossing."""
+        for _ in range(200):
+            if abs(hi - lo) <= tol:
+                break
+            mid = 0.5 * (lo + hi)
+            if past(mid, lo, hi):
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
+    def past_on_phase(target: float, b_lo: float, b_hi: float):
+        """The bisection's own test: the lifted phase at mid is not on
+        b_lo's side of the target."""
+        def past(mid: float, lo: float, hi: float) -> bool:
+            nonlocal b_lo, b_hi
+            b_mid = lifted_at(mid, lo, b_lo, hi, b_hi)
+            if (b_lo - target) * (b_mid - target) <= 0.0:
+                b_hi = b_mid
+                return True
+            b_lo = b_mid
+            return False
+        return past
+
+    def solve(target: float, lo: float, b_lo: float, hi: float, b_hi: float):
+        """Final (lo, hi) of the bisection of the segment [lo, hi]."""
+        side = b_lo - target
+        if side == 0.0 or hi - lo <= tol:
+            # every midpoint is past the target, or there is none
+            return bisect(lo, hi, past_on_phase(target, b_lo, b_hi))
+        # Illinois on the lifted phase minus the target in [xa, xb]
+        narrow = min(tol, hi - lo) / 1024.0
+        xa, ba, xb, bb = lo, b_lo, hi, b_hi
+        ya, yb = ba - target, bb - target
+        held, root = 0, math.inf
+        for _ in range(100):
+            x = xb - yb * (xb - xa) / (yb - ya)
+            if abs(x - root) <= narrow or not xa < x < xb:
+                break
+            root = x
+            bx = lifted_at(x, xa, ba, xb, bb)
+            if side * (bx - target) <= 0.0:
+                xb, bb, yb = x, bx, bx - target
+                if held < 0:
+                    ya *= 0.5
+                held = -1
+            else:
+                xa, ba, ya = x, bx, bx - target
+                if held > 0:
+                    yb *= 0.5
+                held = 1
+        root = min(xb, max(xa, x))
+
+        end_lo, end_hi = bisect(lo, hi, lambda mid, *_: mid >= root)
+        if (end_lo <= xa or side * (lifted_at(end_lo, xa, ba, xb, bb) - target) > 0.0) and (
+            end_hi >= xb or side * (lifted_at(end_hi, xa, ba, xb, bb) - target) <= 0.0
+        ):
+            return end_lo, end_hi
+        return bisect(lo, hi, past_on_phase(target, b_lo, b_hi))
 
     x_start = math.log(-e_hi)
     x_stop = math.log(-e_lo)
@@ -363,19 +496,7 @@ def shoot_eigenvalues(
             raw = beta_raw(x_new)
             xs.append(x_new)
             lifted.append(_lift(raw, lifted[-1]))
-        # bisect inside the bracketing segment
-        lo, hi = xs[seg], xs[seg + 1]
-        b_lo, b_hi = lifted[seg], lifted[seg + 1]
-        for _ in range(200):
-            if abs(hi - lo) <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            ref = b_lo + (b_hi - b_lo) * (mid - lo) / (hi - lo)
-            b_mid = _lift(beta_raw(mid), ref)
-            if (b_lo - target) * (b_mid - target) <= 0.0:
-                hi, b_hi = mid, b_mid
-            else:
-                lo, b_lo = mid, b_mid
+        lo, hi = solve(target, xs[seg], lifted[seg], xs[seg + 1], lifted[seg + 1])
         found.append(-math.exp(0.5 * (lo + hi)))
         n_next += 1
     return found

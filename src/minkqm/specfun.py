@@ -163,13 +163,15 @@ class KummerParams:
         object.__setattr__(
             self, "_key", struct.pack("<4d", self.a.real, self.a.imag, self.c.real, self.c.imag)
         )
+        # taken once here rather than on every point a series is summed at
+        n = round(-self.a.real)
+        object.__setattr__(
+            self, "_order", n if n >= 0 and abs(self.a + n) <= TERMINATION_TOL else None
+        )
 
     def terminating_order(self) -> int | None:
         """Degree n if the series terminates (a = -n within tolerance), else None."""
-        n = round(-self.a.real)
-        if n >= 0 and abs(self.a + n) <= TERMINATION_TOL:
-            return n
-        return None
+        return self._order
 
 
 @functools.lru_cache(maxsize=_TERM_BLOCKS_CACHED)
@@ -206,7 +208,7 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float):
     s = np.clongdouble(1.0)
     t = np.clongdouble(1.0)
 
-    n_term = p.terminating_order()
+    n_term = p._order
     if n_term is not None:
         # Degree-n polynomial: exactly n+1 terms, no tail heuristics.
         for start in range(0, n_term, _OVERFLOW_CHECK_TERMS):

@@ -885,13 +885,22 @@ def oscillator_quantized_spectrum(
     _require_positive("omega", omega)
     _require_positive("tol", tol)
 
+    m_c = 0.5 * m_osc
+    if m_c == 0.0:
+        raise DomainError(
+            f"quantized spectrum needs M_osc/2 != 0, but M_osc={m_osc!r} halves to 0: "
+            "it underflows"
+        )
     two_hw = 2.0 * pp.hbar * omega
+    g0 = energy0 / two_hw if two_hw > 0.0 else math.inf
+    if not 0.0 < g0 < math.inf:
+        raise DomainError(
+            f"oscillator reference level E0={energy0!r} over 2 hbar omega = {two_hw!r} "
+            f"is {g0!r}: it leaves the double range"
+        )
 
     def energy_of_x(x: float) -> float:
         return two_hw * math.exp(x)
 
     # Rising energy for rising n: the condition reads f(g_n) = f(g_0) - pi n.
-    return _ladder(
-        m_osc, energy0, n_range, 0.5 * m_osc, math.log(energy0 / two_hw), energy_of_x,
-        -1.0, tol,
-    )
+    return _ladder(m_osc, energy0, n_range, m_c, math.log(g0), energy_of_x, -1.0, tol)

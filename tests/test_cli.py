@@ -164,6 +164,30 @@ class TestSpectrumCommand:
         code, out, err = run_cli(capsys, "spectrum", "--M", "1", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # M_osc/2 is 0.0, and the error named M = 0, which the user
+            # never passed
+            (
+                ("--M", "5e-324", "--E0", "3", "--n", "0..2"),
+                "quantized spectrum needs M_osc/2 != 0, but M_osc=5e-324 halves to 0: "
+                "it underflows",
+            ),
+            # E0 / (2 hbar omega) is 0.0, whose logarithm ended in an untyped
+            # ValueError traceback with exit code 1
+            (
+                ("--M", "1", "--E0", "5e-324", "--n", "0..1"),
+                "oscillator reference level E0=5e-324 over 2 hbar omega = 2.0 is 0.0: "
+                "it leaves the double range",
+            ),
+        ],
+        ids=["m-osc-halves-to-0", "anchor-ratio-underflows"],
+    )
+    def test_oscillator_inputs_that_underflow_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "spectrum", "--system", "oscillator", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_scan_window_beyond_double_range_exits_3(self, capsys):
         # the window's deep end lies at g ~ 5e-165, where g^2 is 0: naming
         # its energy ended in a ZeroDivisionError traceback

@@ -259,3 +259,105 @@ class TestShootEigenvalues:
         cfg = scaled_config(PP, -1.0, min_factor=1e-5)
         with pytest.raises(DomainError, match="tol must be positive and finite"):
             shoot_eigenvalues(Coulomb(1.0), PP, 1.0, (-1e9, -1.0), 2, cfg, tol=tol)
+
+
+class TestShootParity:
+    """shoot_eigenvalues against the scan-and-bisection loop it replays."""
+
+    def test_levels_match_reference_bit_for_bit(self):
+        rng = random.Random("shoot-replay")
+        shot = 0
+        for kind in (Coulomb(1.0), Free()):
+            for sign in (1.0, -1.0):
+                for _ in range(2):
+                    m_ang = sign * rng.uniform(0.5, 2.0)
+                    e_hi = -math.exp(rng.uniform(math.log(0.1), math.log(1e3)))
+                    count = rng.randint(1, 3)
+                    e_lo = e_hi * math.exp(2.0 * math.pi * (count + 1) / abs(m_ang))
+                    tol = 10.0 ** rng.uniform(-9.0, -7.0)
+                    cfg = scaled_config(PP, e_hi, min_factor=1e-6, steps=6000)
+                    args = (kind, PP, m_ang, (e_lo, e_hi), count, cfg, tol)
+                    want = [e.hex() for e in _reference_shoot(*args)]
+                    got = [e.hex() for e in shoot_eigenvalues(*args)]
+                    assert got == want, args
+                    shot += len(got)
+        assert shot >= 12
+
+    def test_failed_certificate_falls_back_to_bisection(self, monkeypatch):
+        # The phase climbs to the first target, sits exactly on it for a
+        # short step, then climbs on.  The first Illinois estimate lands on
+        # the step, where the phase reads "past the target", so the
+        # replayed bisection's final lo is not short of it and the level
+        # comes from the bisection itself: the step's start.
+        x_start, slope = 0.0, 0.55
+        beta0 = 0.3
+        step_lo = x_start + math.pi / slope
+        step_hi = step_lo + 0.04
+
+        def phase(kind, pp, m_ang, energy, cfg):
+            x = math.log(-energy)
+            if step_lo <= x <= step_hi:
+                return beta0
+            rise = slope * (x - x_start - (step_hi - step_lo if x > step_hi else 0.0))
+            return (beta0 + rise) % math.pi
+
+        monkeypatch.setattr(oracle, "inward_phase", phase)
+        cfg = scaled_config(PP, -1.0, min_factor=1e-6)
+        args = (Free(), PP, 1.0, (-1e9, -math.exp(x_start)), 2, cfg, 1e-9)
+        got = shoot_eigenvalues(*args)
+        assert [e.hex() for e in got] == [e.hex() for e in _reference_shoot(*args)]
+        assert math.log(-got[0]) == pytest.approx(step_lo, abs=1e-9)
+
+
+def _reference_shoot(kind, pp, m_ang, e_window, count, cfg, tol):
+    """shoot_eigenvalues as a scan and a walked bisection: every midpoint
+    of every level is a phase sweep."""
+    e_lo, e_hi = e_window
+    r0_anchor = bound_state_length(pp, e_hi)
+    alpha = kind.alpha if isinstance(kind, Coulomb) else 0.0
+
+    def beta_raw(x):
+        energy = -math.exp(x)
+        factor = bound_state_length(pp, energy) / r0_anchor
+        return oracle.inward_phase(kind, pp, m_ang, energy, cfg.rescaled(factor))
+
+    def scan_step(x):
+        g_here = 0.0
+        if alpha > 0.0:
+            g_here = pp.mass * alpha / (pp.hbar * math.sqrt(2.0 * pp.mass * math.exp(x)))
+        return (math.pi / 6.0) / (abs(m_ang) / 2.0 + math.pi * g_here / 2.0)
+
+    x_stop = math.log(-e_lo)
+    sgn = math.copysign(1.0, m_ang)
+    xs = [math.log(-e_hi)]
+    lifted = [beta_raw(xs[0])]
+    found = []
+    for n in range(1, count + 1):
+        target = lifted[0] + sgn * math.pi * n
+        while True:
+            seg = next(
+                (j for j in range(len(xs) - 1)
+                 if (lifted[j] - target) * (lifted[j + 1] - target) <= 0.0),
+                None,
+            )
+            if seg is not None:
+                break
+            if xs[-1] >= x_stop:
+                raise InsufficientRootsError(f"only {n - 1} of {count} phase crossings")
+            x_new = min(xs[-1] + scan_step(xs[-1]), x_stop)
+            lifted.append(oracle._lift(beta_raw(x_new), lifted[-1]))
+            xs.append(x_new)
+        lo, hi = xs[seg], xs[seg + 1]
+        b_lo, b_hi = lifted[seg], lifted[seg + 1]
+        for _ in range(200):
+            if abs(hi - lo) <= tol:
+                break
+            mid = 0.5 * (lo + hi)
+            ref = b_lo + (b_hi - b_lo) * (mid - lo) / (hi - lo)
+            b_mid = oracle._lift(beta_raw(mid), ref)
+            if (b_lo - target) * (b_mid - target) <= 0.0:
+                hi, b_hi = mid, b_mid
+            else:
+                lo, b_lo = mid, b_mid
+        found.append(-math.exp(0.5 * (lo + hi)))
+    return found
