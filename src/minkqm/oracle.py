@@ -25,6 +25,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
+from . import _roots
 from .errors import (
     DomainError,
     FitQualityError,
@@ -355,17 +356,11 @@ def shoot_eigenvalues(
     rescaled by r0(E)/r0(E_0).
 
     Each level is the one that bisection returns, found without walking
-    it.  Inside the scan segment that brackets the target, Illinois steps
-    on the lifted phase (smooth in x = ln|E|) estimate the crossing r, each
-    new phase lifted against the straight line through the bracket ends.
-    The bisection is then replayed with each midpoint decided by r.  Every
-    midpoint that moved lo lies at or below the final lo, and every one
-    that moved hi at or above the final hi, so with the phase monotone in
-    the segment, the phase short of the target at the final lo and past
-    it at the final hi certify every decision.  An end at or outside the
-    last Illinois bracket needs no sweep.  Where the certificate fails,
-    the bisection runs on the phase.  Phases are cached by x within one
-    call.
+    it: inside the scan segment that brackets the target, Illinois steps
+    on the lifted phase (smooth in x = ln|E|, each new phase lifted against
+    the line through the bracket ends) estimate the crossing, and the
+    bisection is replayed from it and certified (see _roots).  Phases are
+    cached by x within one call.
 
     Raises InsufficientRootsError when fewer than count crossings lie in
     the window.
@@ -403,69 +398,19 @@ def shoot_eigenvalues(
             g_here = pp.mass * alpha / (pp.hbar * math.sqrt(2.0 * pp.mass * math.exp(x)))
         return (math.pi / 6.0) / (abs(m_ang) / 2.0 + math.pi * g_here / 2.0)
 
-    def bisect(
-        lo: float, hi: float, past: Callable[[float, float, float], bool]
-    ) -> tuple[float, float]:
-        """Final (lo, hi) of the bisection of [lo, hi] down to width tol, where
-        past(mid, lo, hi) says whether mid lies at or beyond the crossing."""
-        for _ in range(200):
-            if abs(hi - lo) <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if past(mid, lo, hi):
-                hi = mid
-            else:
-                lo = mid
-        return lo, hi
-
-    def past_on_phase(target: float, b_lo: float, b_hi: float):
-        """The bisection's own test: the lifted phase at mid is not on
-        b_lo's side of the target."""
-        def past(mid: float, lo: float, hi: float) -> bool:
-            nonlocal b_lo, b_hi
-            b_mid = lifted_at(mid, lo, b_lo, hi, b_hi)
-            if (b_lo - target) * (b_mid - target) <= 0.0:
-                b_hi = b_mid
-                return True
-            b_lo = b_mid
-            return False
-        return past
-
-    def solve(target: float, lo: float, b_lo: float, hi: float, b_hi: float):
-        """Final (lo, hi) of the bisection of the segment [lo, hi]."""
+    def solve(target: float, lo: float, b_lo: float, hi: float, b_hi: float) -> float:
+        """x at the end of the bisection of the segment [lo, hi]; this
+        bisection checks the width before it halves."""
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+        cell = (lo, b_lo, hi, b_hi)
         side = b_lo - target
-        if side == 0.0 or hi - lo <= tol:
-            # every midpoint is past the target, or there is none
-            return bisect(lo, hi, past_on_phase(target, b_lo, b_hi))
-        # Illinois on the lifted phase minus the target in [xa, xb]
+        if side == 0.0:
+            # every midpoint is past the target
+            return _roots.walk(cell, target, lifted_at, tol, 200)
         narrow = min(tol, hi - lo) / 1024.0
-        xa, ba, xb, bb = lo, b_lo, hi, b_hi
-        ya, yb = ba - target, bb - target
-        held, root = 0, math.inf
-        for _ in range(100):
-            x = xb - yb * (xb - xa) / (yb - ya)
-            if abs(x - root) <= narrow or not xa < x < xb:
-                break
-            root = x
-            bx = lifted_at(x, xa, ba, xb, bb)
-            if side * (bx - target) <= 0.0:
-                xb, bb, yb = x, bx, bx - target
-                if held < 0:
-                    ya *= 0.5
-                held = -1
-            else:
-                xa, ba, ya = x, bx, bx - target
-                if held > 0:
-                    yb *= 0.5
-                held = 1
-        root = min(xb, max(xa, x))
-
-        end_lo, end_hi = bisect(lo, hi, lambda mid, *_: mid >= root)
-        if (end_lo <= xa or side * (lifted_at(end_lo, xa, ba, xb, bb) - target) > 0.0) and (
-            end_hi >= xb or side * (lifted_at(end_hi, xa, ba, xb, bb) - target) <= 0.0
-        ):
-            return end_lo, end_hi
-        return bisect(lo, hi, past_on_phase(target, b_lo, b_hi))
+        root, bracket = _roots.illinois(cell, target, side, lifted_at, narrow)
+        return _roots.replay(cell, root, bracket, target, side, lifted_at, tol, 200)
 
     x_start = math.log(-e_hi)
     x_stop = math.log(-e_lo)
@@ -496,8 +441,7 @@ def shoot_eigenvalues(
             raw = beta_raw(x_new)
             xs.append(x_new)
             lifted.append(_lift(raw, lifted[-1]))
-        lo, hi = solve(target, xs[seg], lifted[seg], xs[seg + 1], lifted[seg + 1])
-        found.append(-math.exp(0.5 * (lo + hi)))
+        found.append(-math.exp(solve(target, xs[seg], lifted[seg], xs[seg + 1], lifted[seg + 1])))
         n_next += 1
     return found
 

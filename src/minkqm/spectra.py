@@ -24,6 +24,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from . import _roots
 from .errors import BracketError, ConsistencyError, ConvergenceError, DomainError, PoleError
 from .model import PhysicalParams
 from .specfun import (
@@ -48,6 +49,11 @@ _ENVELOPE = "e^(z/2) z^(-g)"
 # (g, M) pairs whose u1 series parameters _u1_params keeps; the points of
 # one grid share a pair.
 _U1_PARAMS_CACHED = 32
+# u1's series has c = 1 + 2iM, so when it terminates at degree n its terms
+# obey |t_k| <= (n z)^k / (k!)^2, and its sums and products stay below
+# n z e^(2 sqrt(n z)).  Up to this n z (3.2e7 for an 80-bit longdouble)
+# that is inside the longdouble range.
+_U1_POLY_SAFE = (float(np.log(np.finfo(np.longdouble).max)) / 2.0 - 20.0) ** 2
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -143,12 +149,14 @@ def coulomb_scaling(pp: PhysicalParams, alpha: float, energy: float) -> ScaledCo
 
 
 def _energy_from_g(pp: PhysicalParams, alpha: float, g: complex) -> complex:
-    """-m alpha^2 / (2 hbar^2 g^2); real for real g.  DomainError where g^2
-    underflows to 0."""
+    """-m alpha^2 / (2 hbar^2 g^2); real for real g.  DomainError where g^2,
+    or the denominator with it, underflows to 0."""
     s2 = g * g
-    if s2 == 0:
-        raise DomainError(f"the level at g={g!r} leaves the double range: g^2 underflows to 0")
-    return -(pp.mass * alpha * alpha) / (2.0 * pp.hbar * pp.hbar * s2)
+    den = 2.0 * pp.hbar * pp.hbar * s2
+    if den == 0:
+        what = "g^2" if s2 == 0 else "2 hbar^2 g^2"
+        raise DomainError(f"the level at g={g!r} leaves the double range: {what} underflows to 0")
+    return -(pp.mass * alpha * alpha) / den
 
 
 def coulomb_closed_spectrum(
@@ -199,17 +207,29 @@ def deep_ladder(energy0: float, m_ang: float, n: int) -> float:
 # wavefunctions (unnormalized, leading constant 1, argument z = r/r0)
 
 @functools.lru_cache(maxsize=_U1_PARAMS_CACHED)
-def _u1_params(g: float, m_ang: float, m_sign: float) -> KummerParams:
-    """u1's series parameters (1/2 + iM - g, 1 + 2iM).  m_sign, the sign of
-    M, keeps M = +0.0 and -0.0 apart, which float hashing merges."""
-    return KummerParams(complex(0.5 - g, m_ang), complex(1.0, 2.0 * m_ang))
+def _u1_params(g: float, m_ang: float, m_sign: float) -> tuple[KummerParams, float]:
+    """u1's series parameters (1/2 + iM - g, 1 + 2iM), and the z past which
+    the series, where it terminates, may overflow longdouble.  m_sign, the
+    sign of M, keeps M = +0.0 and -0.0 apart, which float hashing merges."""
+    params = KummerParams(complex(0.5 - g, m_ang), complex(1.0, 2.0 * m_ang))
+    order = params.terminating_order()
+    return params, (_U1_POLY_SAFE / order if order else math.inf)
 
 
 def _u1_ld(g: float, m_ang: float, z: float, tol: float):
     _require_finite("g", g)
     _require_finite("M", m_ang)
     # float() also takes a 0-d array, which the cache could not hash.
-    params = _u1_params(float(g), float(m_ang), math.copysign(1.0, m_ang))
+    params, quiet_from = _u1_params(float(g), float(m_ang), math.copysign(1.0, m_ang))
+    if z > quiet_from:
+        # The polynomial may overflow; the caller's _finite reports that,
+        # not a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _u1_sum(params, g, m_ang, z, tol)
+    return _u1_sum(params, g, m_ang, z, tol)
+
+
+def _u1_sum(params: KummerParams, g: float, m_ang: float, z: float, tol: float):
     try:
         series = _kummer_m_ld(params, z, tol)
     except ConvergenceError:
@@ -509,13 +529,7 @@ def _ladder(
       1) probe the grid until a point is past the target, and doubling
       steps back bracket the scan's cell.  Illinois steps in the bracket
       estimate the root r, and the ends of r's cell are checked.
-    * The bisection is replayed with each midpoint decided by r.  Every
-      midpoint that moved lo lies between the cell's lo and the final lo,
-      and every one that moved hi between the final hi and the cell's hi,
-      so f short of the target at the final lo and past it at the final hi
-      certify every decision.  An end at or outside the last Illinois
-      bracket needs no evaluation.  Where the certificate fails, the
-      bisection runs again on f.
+    * The bisection is replayed from r and certified (see _roots).
     * f is finite or raises, and away from the Gamma pole at g = 1/2 as
       m_c -> 0 it raises on half-lines of x only: where e^x underflows to
       0 or f leaves the double range.  So f is finite inside any grid cell
@@ -536,7 +550,7 @@ def _ladder(
     slope = -1.0 if m_c > 0 else 1.0
     seen: dict[float, float] = {}
 
-    def f(x: float) -> float:
+    def f(x: float, *_: float) -> float:
         fx = seen.get(x)
         if fx is None:
             g = math.exp(x)
@@ -546,32 +560,6 @@ def _ladder(
                 )
             fx = seen[x] = quantization_f(g, m_c)
         return fx
-
-    def bisect(
-        lo: float, hi: float, past: Callable[[float], bool]
-    ) -> tuple[float, float, float]:
-        """(root, final lo, final hi) of the bisection of [lo, hi], where
-        past(mid) says whether mid lies beyond the root."""
-        for _ in range(300):
-            mid = 0.5 * (lo + hi)
-            if past(mid):
-                hi = mid
-            else:
-                lo = mid
-            if abs(hi - lo) <= tol_x:
-                break
-        return 0.5 * (lo + hi), lo, hi
-
-    def past_on_f(target: float, flo: float) -> Callable[[float], bool]:
-        """The scan's own test: f(mid) and f(lo) lie on opposite sides."""
-        def past(mid: float) -> bool:
-            nonlocal flo
-            fm = f(mid)
-            if (flo - target) * (fm - target) <= 0.0:
-                return True
-            flo = fm
-            return False
-        return past
 
     def no_bracket(target: float, direction: float) -> BracketError:
         def end(x: float) -> str:
@@ -649,27 +637,7 @@ def _ladder(
         if isinstance(at(b), Exception):
             raise at(b)
 
-        # Illinois on f - target in [x_a, x_b]
-        xa, ya, xb, yb = x_at(a), at(a) - target, x_at(b), at(b) - target
-        held, root = 0, math.inf
-        for _ in range(100):
-            x = xb - yb * (xb - xa) / (yb - ya)
-            if abs(x - root) <= narrow or not min(xa, xb) < x < max(xa, xb):
-                break
-            root = x
-            fx = f(x)
-            if past(fx):
-                xb, yb = x, fx - target
-                if held < 0:
-                    ya *= 0.5
-                held = -1
-            else:
-                xa, ya = x, fx - target
-                if held > 0:
-                    yb *= 0.5
-                held = 1
-        # x clamped to the bracket; a NaN x (infinite y) gives its lower end
-        root = min(max(xa, xb), max(min(xa, xb), x))
+        root, bracket = _roots.illinois((x_at(a), at(a), x_at(b), at(b)), target, ahead, f, narrow)
 
         # bisect (a, b] down to one cell, first at the ends of r's cell
         k = math.ceil(direction * (root - x0) / step)
@@ -682,12 +650,8 @@ def _ladder(
         k = b
         if isinstance(at(k), Exception):
             raise at(k)
-        x, lo, hi = bisect(x_at(k - 1), x_at(k), lambda mid: direction * (mid - root) >= 0.0)
-        if (direction * (lo - xa) <= 0.0 or not past(f(lo))) and (
-            direction * (hi - xb) >= 0.0 or past(f(hi))
-        ):
-            return x
-        return bisect(x_at(k - 1), x_at(k), past_on_f(target, at(k - 1)))[0]
+        cell = (x_at(k - 1), at(k - 1), x_at(k), at(k))
+        return _roots.replay(cell, root, bracket, target, ahead, f, tol_x, 300)
 
     f0 = f(x0)
     levels: list[tuple[int, float]] = []
@@ -743,10 +707,21 @@ def solve_quantized_spectrum(
         levels = [(n, deep_ladder(energy0, m_ang, n)) for n in n_range]
         return _quantized_entries(m_ang, levels, m_ang > 0, "double precision")
 
+    _require_positive("alpha", alpha)
+    # coulomb_scaling's g, named by the inputs where it leaves the double range
+    scale = pp.hbar * math.sqrt(-2.0 * pp.mass * energy0)
+    g0 = pp.mass * alpha / scale if scale > 0.0 else math.inf
+    if not 0.0 < g0 < math.inf:
+        raise DomainError(
+            f"Coulomb reference level E0={energy0!r} at alpha={alpha!r}: its strength "
+            f"g = m alpha / (hbar sqrt(-2 m E0)) comes out {g0!r}, as the scaling leaves "
+            "the double range"
+        )
+
     def energy_of_x(x: float) -> float:
         return _energy_from_g(pp, alpha, math.exp(x))
 
-    x0 = math.log(coulomb_scaling(pp, alpha, energy0).g)
+    x0 = math.log(g0)
     return _ladder(m_ang, energy0, n_range, m_ang, x0, energy_of_x, 1.0, tol)
 
 

@@ -135,6 +135,19 @@ class TestSpectrumCommand:
         assert "quantized level n=4" in err and "leaves the double range" in err
         assert "Traceback" not in err
 
+    def test_level_denominator_underflow_exits_2(self, capsys):
+        # g^2 is the least subnormal, which 2 hbar^2 = 0.5 halves to 0: the
+        # level ended in a ZeroDivisionError traceback with exit code 1
+        code, out, err = run_cli(
+            capsys, "spectrum", "--system", "coulomb", "--mass", "2", "--hbar", "0.5",
+            "--M", "0.03729003265705188", "--E0=-6.730407254452815e+250", "--n=-1..2",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the level at g=1.9896544316236353e-162 leaves the double range: "
+            "2 hbar^2 g^2 underflows to 0\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -157,8 +170,26 @@ class TestSpectrumCommand:
                 "quantization function f(g=6.000000000000135e+307, M=0.5) is -inf: "
                 "it leaves the double range",
             ),
+            # the anchor's g underflows, overflows, or sqrt(-2 m E0) does; the
+            # error named r0 or g, which the user never passed
+            (
+                ("--system", "coulomb", "--E0=-1e308", "--alpha", "5e-324", "--n", "0..1"),
+                "Coulomb reference level E0=-1e+308 at alpha=5e-324: its strength g = m alpha "
+                "/ (hbar sqrt(-2 m E0)) comes out 0.0, as the scaling leaves the double range",
+            ),
+            (
+                ("--system", "coulomb", "--E0=-5e-324", "--alpha", "1e300", "--n", "0..1"),
+                "Coulomb reference level E0=-5e-324 at alpha=1e+300: its strength g = m alpha "
+                "/ (hbar sqrt(-2 m E0)) comes out inf, as the scaling leaves the double range",
+            ),
+            (
+                ("--system", "coulomb", "--E0=-1.5e308", "--n", "0..1"),
+                "Coulomb reference level E0=-1.5e+308 at alpha=1.0: its strength g = m alpha "
+                "/ (hbar sqrt(-2 m E0)) comes out 0.0, as the scaling leaves the double range",
+            ),
         ],
-        ids=["coulomb-level-underflows", "oscillator-scan-underflows", "f-overflows"],
+        ids=["coulomb-level-underflows", "oscillator-scan-underflows", "f-overflows",
+             "anchor-g-underflows", "anchor-g-overflows", "anchor-sqrt-overflows"],
     )
     def test_ladder_leaving_double_range_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "spectrum", "--M", "1", *argv)

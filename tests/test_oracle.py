@@ -283,6 +283,16 @@ class TestShootParity:
                     shot += len(got)
         assert shot >= 12
 
+    def test_tol_wider_than_the_scan_segment_matches_reference(self):
+        # The free particle's scan segments at |M| = 1 are pi/3 wide in
+        # ln|E|, less than tol = 2, so the bisection stops before it halves:
+        # it checks the width first
+        cfg = scaled_config(PP, -1.0, min_factor=1e-6, steps=6000)
+        for m_ang in (1.0, -1.0):
+            args = (Free(), PP, m_ang, (-math.exp(6.0 * math.pi), -1.0), 2, cfg, 2.0)
+            want = [e.hex() for e in _reference_shoot(*args)]
+            assert [e.hex() for e in shoot_eigenvalues(*args)] == want
+
     def test_failed_certificate_falls_back_to_bisection(self, monkeypatch):
         # The phase climbs to the first target, sits exactly on it for a
         # short step, then climbs on.  The first Illinois estimate lands on

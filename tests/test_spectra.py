@@ -161,6 +161,23 @@ class TestWavefunctions:
                 with pytest.raises(DomainError, match="double range"):
                     func(2.0, 1.0, z)
 
+    @pytest.mark.parametrize("z", [1e4, 1e6])
+    def test_terminating_series_forms_raise_instead_of_non_finite(self, z):
+        # At g = 3000.5, M = 0 the series is a degree-3000 polynomial.  At
+        # z = 1e4 its longdouble sum is finite and its double value is not;
+        # at 1e6 its terms overflow longdouble itself, which gave three
+        # numpy warnings before the DomainError.  gamma is given: at M = 0
+        # it is a Gamma pole here
+        for call in (
+            lambda: coulomb_u1(3000.5, 0.0, z),
+            lambda: coulomb_u2(3000.5, 0.0, z),
+            lambda: coulomb_third(3000.5, 0.0, z, 0.5),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="double range"):
+                    call()
+
     def test_term_cap_guard_keeps_every_finite_value(self):
         # Against the bare series: every finite value stays bit for bit, and
         # only where the series ran into its term cap may the error become
@@ -806,6 +823,17 @@ class TestLadderParity:
         pp = PhysicalParams(mass=mass, hbar=0.5 if mass == 2.0 else 1.0)
         want = _reference_outcome(kind, pp, m_ang, energy0, n_range, tol=tol)
         assert _ladder_outcome(_solve, kind, pp, m_ang, energy0, n_range, tol) == want
+
+    @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
+    def test_tol_wider_than_a_grid_cell_matches_rescan(self, kind):
+        # tol/2 = 0.05 in ln g exceeds a grid cell (ln 10 / 64 = 0.036), so
+        # the bisection halves the cell once and stops: it halves before it
+        # checks the width
+        energy0 = 3.0 if kind == "oscillator" else -2.0
+        for m_ang in (1.0, -0.4):
+            want = _reference_outcome(kind, PP, m_ang, energy0, range(-3, 4), tol=0.1)
+            assert isinstance(want, list)
+            assert _ladder_outcome(_solve, kind, PP, m_ang, energy0, range(-3, 4), 0.1) == want
 
     @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
     def test_synthetic_f_matches_rescan(self, kind, monkeypatch):
