@@ -42,6 +42,23 @@ class PhysicalParams:
 NATURAL_UNITS = PhysicalParams(1.0, 1.0)
 
 
+def bound_state_length(pp: PhysicalParams, energy: float) -> float:
+    """Decay length unit r0 = hbar / (2 sqrt(-2 m E)); defined for any E < 0.
+
+    Raises DomainError where -2 m E underflows to 0, which would make r0
+    infinite.
+    """
+    if not energy < 0:
+        raise DomainError(f"length unit needs E < 0, got {energy}")
+    two_m_e = -2.0 * pp.mass * energy
+    if two_m_e == 0.0:
+        raise DomainError(
+            f"length unit r0 = hbar / (2 sqrt(-2 m E)) at E={energy!r}, mass={pp.mass!r} "
+            "leaves the double range: -2 m E underflows to 0"
+        )
+    return pp.hbar / (2.0 * math.sqrt(two_m_e))
+
+
 @dataclass(frozen=True)
 class Free:
     pass

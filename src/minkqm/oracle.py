@@ -31,7 +31,13 @@ from .errors import (
     FitQualityError,
     InsufficientRootsError,
 )
-from .model import Coulomb, PhysicalParams, SystemKind, radial_coefficient
+from .model import (
+    Coulomb,
+    PhysicalParams,
+    SystemKind,
+    bound_state_length,
+    radial_coefficient,
+)
 
 _RENORM_LIMIT = 1e100
 _STABILITY_BOUND = 0.01  # h^2 * max|coefficient| must stay below this
@@ -56,13 +62,6 @@ class ShootingConfig:
 
     def rescaled(self, factor: float) -> "ShootingConfig":
         return ShootingConfig(self.r_min * factor, self.r_max * factor, self.steps)
-
-
-def bound_state_length(pp: PhysicalParams, energy: float) -> float:
-    """Decay length unit r0 = hbar / (2 sqrt(-2 m E)); defined for any E < 0."""
-    if not energy < 0:
-        raise DomainError(f"length unit needs E < 0, got {energy}")
-    return pp.hbar / (2.0 * math.sqrt(-2.0 * pp.mass * energy))
 
 
 def scaled_config(

@@ -43,10 +43,26 @@ _LANCZOS = tuple(
         "0.36899182659531622704e-5",
     )
 )
+_LANCZOS_HEAD = np.clongdouble(_LANCZOS[0])
+_LANCZOS_TAIL = np.array(_LANCZOS[1:], dtype=np.longdouble)
+_LANCZOS_SHIFTS = np.arange(1, len(_LANCZOS), dtype=np.longdouble)
 _HALF_LOG_2PI = np.longdouble("0.91893853320467274178032973640561763986")
 _PI = np.longdouble("3.14159265358979323846264338327950288419")
 _LOG_PI = np.longdouble("1.14472988584940017414342735135305871165")
 _LOG_2 = np.longdouble("0.69314718055994530941723212145817656808")
+# The constant heads of _log_sin_pi_upper's products, each computed once as
+# the expressions there would compute it on every call.
+_2PI_I = np.clongdouble(2j) * _PI
+_LOG_SIN_HEAD = -_LOG_2 + np.clongdouble(0.5j) * _PI
+_PI_I = np.clongdouble(1j) * _PI
+_HALF = np.clongdouble(0.5)
+_ONE = np.clongdouble(1.0)
+# x - _ZERO is np.longdouble(x) for a float x, and x - _CZERO is
+# np.clongdouble(x) for a float or complex x, without a scalar built
+# through the constructor: subtracting +0 keeps every value, signed zeros,
+# NaN and inf included.
+_ZERO = np.longdouble(0)
+_CZERO = np.clongdouble(0)
 
 POLE_TOL = 1e-14
 TERMINATION_TOL = 1e-12
@@ -85,12 +101,14 @@ def _finite(value, z: float, name: str, growth: str, **params) -> complex:
 
 
 def _lanczos_core(z):
-    # z: clongdouble with Re z >= 0.5
-    s = np.clongdouble(_LANCZOS[0])
-    for i in range(1, len(_LANCZOS)):
-        s = s + _LANCZOS[i] / (z - 1 + i)
-    t = z - np.clongdouble(0.5) + _LANCZOS_G
-    return (z - np.clongdouble(0.5)) * np.log(t) - t + _HALF_LOG_2PI + np.log(s)
+    # z: clongdouble with Re z >= 0.5.  The sum runs left to right,
+    # c0 + c1/(z - 1 + 1) + ... + c14/(z - 1 + 14): accumulate adds in
+    # order, where np.sum would pair the terms up.
+    terms = _LANCZOS_TAIL / ((z - 1) + _LANCZOS_SHIFTS)
+    s = np.add.accumulate(np.concatenate(((_LANCZOS_HEAD,), terms)))[-1]
+    z_half = z - _HALF
+    t = z_half + _LANCZOS_G
+    return z_half * np.log(t) - t + _HALF_LOG_2PI + np.log(s)
 
 
 def _log_sin_pi_upper(z):
@@ -99,22 +117,17 @@ def _log_sin_pi_upper(z):
     # sin(pi z) = (1/2) exp(i pi/2) exp(-i pi z) (1 - exp(2 pi i z));
     # |exp(2 pi i z)| < 1 in the upper half plane, so the last log is principal.
     # That factor rounds to 0 only at z = iy, |y| below ~1e-20: a pole to longdouble.
-    one_minus_w = 1 - np.exp(np.clongdouble(2j) * _PI * z)
+    one_minus_w = 1 - np.exp(_2PI_I * z)
     if one_minus_w == 0:
         raise PoleError(f"lnGamma pole: sin(pi z) rounds to 0 at z={complex(z)}")
-    return (
-        -_LOG_2
-        + np.clongdouble(0.5j) * _PI
-        - np.clongdouble(1j) * _PI * z
-        + np.log(one_minus_w)
-    )
+    return _LOG_SIN_HEAD - _PI_I * z + np.log(one_minus_w)
 
 
 def _ln_gamma_ld(z: complex):
     """Principal-branch lnGamma as a clongdouble, analytic off (-inf, 0]."""
     if z.imag < 0:
         return np.conj(_ln_gamma_ld(z.conjugate()))
-    zl = np.clongdouble(z)
+    zl = z - _CZERO
     if z.real >= 0.5:
         return _lanczos_core(zl)
     return _LOG_PI - _log_sin_pi_upper(zl) - _lanczos_core(1 - zl)
@@ -202,11 +215,10 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float):
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError(f"tol must be positive and finite, got {tol}")
     if z == 0.0:
-        return np.clongdouble(1.0)
+        return _ONE
 
-    zl = np.clongdouble(z)
-    s = np.clongdouble(1.0)
-    t = np.clongdouble(1.0)
+    zl = z - _CZERO
+    s = t = _ONE
 
     n_term = p._order
     if n_term is not None:
@@ -238,7 +250,8 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float):
                     if rho < 0.9 and float(abs(t)) * rho / (1.0 - rho) <= tol * float(abs(s)):
                         converged = True
                         break
-            if not np.isfinite(s):
+            # s - s is 0 exactly where both parts of s are finite
+            if not s - s == 0:
                 raise DomainError(
                     f"Kummer series F(a={p.a}, c={p.c}, z={z:.6g}) leaves the "
                     f"double range: its terms are not finite in extended "

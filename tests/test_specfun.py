@@ -89,6 +89,25 @@ class TestLnGamma:
         # continuation branch and magnitude across both half planes
         assert abs(ln_gamma(z) - want) < 1e-13 * max(1.0, abs(want))
 
+    def test_matches_constructor_based_reference(self):
+        # _ln_gamma_ld keeps the bits of the code that built every constant
+        # and promoted z through np.clongdouble, and summed the Lanczos
+        # terms in a loop: in both half planes, on the reflection branch,
+        # at imaginary parts of +-0 and of magnitude down to 1e-300, and at
+        # the points where 1 - e^(2 pi i z) rounds to 0 (PoleError)
+        rng = np.random.default_rng(2024)
+        zs = [complex(x, y) for x, y in rng.uniform(-40.0, 40.0, size=(400, 2))]
+        zs += [complex(x, y) for x, y in rng.uniform(-6.0, 0.5, size=(400, 2))]
+        for x in np.concatenate([rng.uniform(-30.0, 30.0, 300), [0.5, 0.25, 1.0, 2.0]]):
+            tiny = 10.0 ** rng.uniform(-300.0, -1.0)
+            zs += [complex(x, y) for y in (0.0, -0.0, tiny, -tiny)]
+        zs += [complex(0.0, y) for y in (1e-21, -1e-300, 0.3)]
+        outcomes = [(_outcome(specfun._ln_gamma_ld, z), _outcome(_reference_ln_gamma_ld, z))
+                    for z in zs]
+        for z, (got, want) in zip(zs, outcomes):
+            assert got == want, z
+        assert sum(isinstance(got, tuple) and got[0] == "PoleError" for got, _ in outcomes) == 2
+
 
 class TestKummerM:
     def test_z_zero_is_one(self):
@@ -279,3 +298,51 @@ def _same_bits(x, y):
         u == v and np.signbit(u) == np.signbit(v)
         for u, v in ((np.real(x), np.real(y)), (np.imag(x), np.imag(y)))
     )
+
+
+def _reference_lanczos_core(z):
+    s = np.clongdouble(specfun._LANCZOS[0])
+    for i in range(1, len(specfun._LANCZOS)):
+        s = s + specfun._LANCZOS[i] / (z - 1 + i)
+    t = z - np.clongdouble(0.5) + specfun._LANCZOS_G
+    return (z - np.clongdouble(0.5)) * np.log(t) - t + specfun._HALF_LOG_2PI + np.log(s)
+
+
+def _reference_log_sin_pi_upper(z):
+    one_minus_w = 1 - np.exp(np.clongdouble(2j) * specfun._PI * z)
+    if one_minus_w == 0:
+        raise PoleError(f"lnGamma pole: sin(pi z) rounds to 0 at z={complex(z)}")
+    return (
+        -specfun._LOG_2
+        + np.clongdouble(0.5j) * specfun._PI
+        - np.clongdouble(1j) * specfun._PI * z
+        + np.log(one_minus_w)
+    )
+
+
+def _reference_ln_gamma_ld(z):
+    """lnGamma with every constant built, and z promoted, by a numpy
+    scalar constructor on each call, and the Lanczos sum in a loop."""
+    if z.imag < 0:
+        return np.conj(_reference_ln_gamma_ld(z.conjugate()))
+    zl = np.clongdouble(z)
+    if z.real >= 0.5:
+        return _reference_lanczos_core(zl)
+    return specfun._LOG_PI - _reference_log_sin_pi_upper(zl) - _reference_lanczos_core(1 - zl)
+
+
+def _hex_bits(x):
+    """Every bit of a longdouble or clongdouble, signs of zero included, as
+    float.hex strings: each part as a double, and what the double leaves
+    out of it, which a double holds exactly."""
+    return tuple(
+        (float(p).hex(), float(p - float(p)).hex()) for p in (np.real(x), np.imag(x))
+    )
+
+
+def _outcome(call, *args):
+    """_hex_bits of a call's value, or its error class name and message."""
+    try:
+        return _hex_bits(call(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)

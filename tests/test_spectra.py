@@ -10,6 +10,7 @@ import pytest
 from minkqm import spectra
 from minkqm.errors import BracketError, ConsistencyError, ConvergenceError, DomainError, PoleError
 from minkqm.model import NATURAL_UNITS, PhysicalParams
+from minkqm.oracle import bound_state_length, scaled_config
 from minkqm.specfun import DEFAULT_SERIES_TOL, KummerParams, _kummer_m_ld
 from minkqm.spectra import (
     Branch,
@@ -226,6 +227,19 @@ class TestWavefunctions:
         # z = 1e4 runs into the term cap and 3e4 overflows, for every (g, M)
         assert raised.count(1e4) == raised.count(3e4) == 6
 
+    def test_prefactor_matches_constructor_based_reference(self):
+        # u1 keeps the bits of the prefactor that promoted z and built iM
+        # and 1/2 through numpy scalar constructors on every call, at M of
+        # either sign down to +-0, on terminating series (g = n + 1/2 at
+        # M = 0) and not, from small z to the double range's edge
+        rng = random.Random("u1-prefactor")
+        for m_ang in (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0):
+            for i in range(60):
+                g = rng.randint(0, 4) + 0.5 if i % 3 == 0 else rng.uniform(0.05, 8.0)
+                z = math.exp(rng.uniform(math.log(1e-4), math.log(1.2e3)))
+                got = spectra._u1_ld(g, m_ang, z, DEFAULT_SERIES_TOL)
+                assert _hex_bits(got) == _hex_bits(_bare_u1_ld(g, m_ang, z)), (g, m_ang, z)
+
     @staticmethod
     def _check_against_bare_series(g, m_ang, z):
         gamma = gamma_phase(g, m_ang).gamma
@@ -282,7 +296,8 @@ def _outcome(call, *args):
 
 def _bare_u1_ld(g, m_ang, z):
     """u1 in longdouble from the Kummer series alone, with nothing done at
-    its term cap."""
+    its term cap, and its prefactor's constants and z built by numpy scalar
+    constructors."""
     params = KummerParams(complex(0.5 - g, m_ang), complex(1.0, 2.0 * m_ang))
     zl = np.clongdouble(z)
     lnz = np.log(zl)
@@ -428,6 +443,15 @@ def _conjugate_parameter_third_asymptotic(g, m_ang, z, gamma):
         coeff = np.exp(k1) - np.exp(np.clongdouble(-2j) * np.clongdouble(gamma) + k2)
         value = envelope * coeff * spectra._large_z_series(g, m_ang, z)
     return spectra._finite(value, z, "coulomb_third_asymptotic", spectra._ENVELOPE, g=g, M=m_ang)
+
+
+def _hex_bits(x):
+    """Every bit of a clongdouble, signs of zero included, as float.hex
+    strings: each part as a double, and what the double leaves out of it,
+    which a double holds exactly."""
+    return tuple(
+        (float(p).hex(), float(p - float(p)).hex()) for p in (np.real(x), np.imag(x))
+    )
 
 
 def _same_bits(x, y):
@@ -982,6 +1006,22 @@ class TestOscillator:
         }
         assert len(mags) == 1
 
+    def test_matches_constructor_based_reference(self):
+        # the amplitude keeps the bits of the code that built its series
+        # parameters on every call and its prefactor's scalars through
+        # numpy scalar constructors, signs of zero included, with M = +0.0
+        # and -0.0 called in turn
+        rng = random.Random("oscillator-prefactor")
+        for _ in range(100):
+            mass, hbar, omega = (math.exp(rng.uniform(-2.0, 2.0)) for _ in range(3))
+            pp, n = PhysicalParams(mass, hbar), rng.randint(0, 6)
+            rho = math.exp(rng.uniform(math.log(1e-3), math.log(5.0)))
+            phi = rng.uniform(-3.0, 3.0)
+            for m_osc in (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0):
+                got = oscillator_wavefunction(pp, omega, n, m_osc, rho, phi)
+                want = _constructor_oscillator_wavefunction(pp, omega, n, m_osc, rho, phi)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
     def test_quantized_small_ladder(self):
         ent = oscillator_quantized_spectrum(PP, 1.0, 1.0, 2e-4, [-1, 0])
         assert ent[1].energy.real == 2e-4
@@ -1015,6 +1055,20 @@ class TestOscillator:
             assert oscillator_wavefunction(PP, 1.0, 2, 1.0, 1e150, 0.0) == 0.0
             with pytest.raises(DomainError, match=r"rho\^2 / hbar leaves the double range"):
                 oscillator_wavefunction(PP, 1.0, 2, 1.0, 1e200, 0.0)
+
+
+def _constructor_oscillator_wavefunction(pp, omega, n, m_osc, rho, phi):
+    """oscillator_wavefunction with its series parameters and prefactor
+    scalars built on every call."""
+    z = pp.mass * omega * rho * rho / pp.hbar
+    params = KummerParams(complex(-n, 0.0), complex(1.0, m_osc))
+    lnrho = np.log(np.clongdouble(rho))
+    pref = np.exp(
+        np.clongdouble(1j * m_osc) * lnrho
+        - np.clongdouble(z) / 2
+        + np.clongdouble(1j * m_osc * phi)
+    )
+    return complex(pref * _kummer_m_ld(params, z, DEFAULT_SERIES_TOL))
 
 
 class TestThirdSolutionPhaseLaw:
@@ -1116,6 +1170,19 @@ class TestClosedFormResidual:
         pytest.param(
             coulomb_third_asymptotic, (2.0, -1e308, 40.0, 0.5), "2M must be finite",
             id="third-asym",
+        ),
+        # these raised ZeroDivisionError where -2 m E underflows to 0
+        pytest.param(
+            coulomb_scaling, (PhysicalParams(1e-200, 1.0), 1.0, -1e-250), "underflows to 0",
+            id="scaling-underflow",
+        ),
+        pytest.param(
+            bound_state_length, (PhysicalParams(1e-200, 1.0), -1e-250), "underflows to 0",
+            id="length-underflow",
+        ),
+        pytest.param(
+            scaled_config, (PhysicalParams(1e-200, 1.0), -1e-250), "underflows to 0",
+            id="config-underflow",
         ),
     ],
 )
