@@ -24,25 +24,18 @@ import re
 import sys
 from typing import Sequence
 
-import numpy as np
-
-from . import specfun, spectra, verification
 from .errors import DomainError, MinkqmError
 from .model import (
-    Coulomb,
-    Free,
-    Oscillator,
-    PhysicalParams,
-    effective_potential,
-    euclidean_effective_for,
-    potential,
+    Branch, Coulomb, DEFAULT_SOLVER_TOL, Free, Oscillator, PhysicalParams, SpectrumEntry,
+    coulomb_closed_spectrum, duality_forward, effective_potential, euclidean_effective_for,
+    oscillator_closed_spectrum, potential, solve_quantized_spectrum,
 )
 
+# numpy, specfun, spectra and verification load in the commands that use them.
 SCHEMA_VERSION = 1
-_DEFAULT_TOLERANCES = {
-    "series": specfun.DEFAULT_SERIES_TOL,
-    "solver": spectra.DEFAULT_SOLVER_TOL,
-}
+# The tolerances --tol may set.  An unset one takes its solver's default,
+# specfun.DEFAULT_SERIES_TOL or model.DEFAULT_SOLVER_TOL.
+_TOLERANCES = ("series", "solver")
 
 
 class UsageError(Exception):
@@ -75,12 +68,12 @@ def _finite_float(text: str) -> float:
 
 
 def _parse_tolerances(pairs: list[str] | None) -> dict[str, float]:
-    tol = dict(_DEFAULT_TOLERANCES)
+    tol = {}
     for item in pairs or []:
         name, _, value = item.partition("=")
-        if not _ or name not in tol:
+        if not _ or name not in _TOLERANCES:
             raise UsageError(
-                f"bad --tol {item!r}; known names: {', '.join(sorted(tol))}"
+                f"bad --tol {item!r}; known names: {', '.join(_TOLERANCES)}"
             )
         try:
             parsed = _finite_float(value)
@@ -218,8 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
     du.add_argument("--r0-scale", type=_finite_float, required=True)
 
     ve = subs.add_parser("verify", parents=[_common_parser(records=False)], help="run invariant suites")
-    ve.add_argument("suite", choices=verification.SUITES + ("all",))
+    # Set after add_argument, which would list the choices and so import
+    # verification for every command.
+    ve.add_argument("suite").choices = _Suites()
     return parser
+
+
+class _Suites:
+    """verify's suite choices, read from verification only when argparse
+    checks a suite name (``in`` iterates) or prints the choices."""
+
+    def __iter__(self):
+        from . import verification
+        return iter(verification.SUITES + ("all",))
 
 
 # ------------------------------------------------------------ emission
@@ -240,7 +244,8 @@ def _emit(payloads: list[dict], command: str, pp: PhysicalParams, fmt: str) -> s
     return buf.getvalue()
 
 
-def _grid(args) -> np.ndarray:
+def _grid(args):
+    import numpy as np
     lo, hi, n = args.grid_min, args.grid_max, args.grid_points
     if n < 2:
         raise UsageError(f"grid needs at least 2 points, got {n}")
@@ -266,25 +271,26 @@ def _cmd_spectrum(args, pp: PhysicalParams, tol: dict) -> list[dict]:
         if levels.start < 0:
             raise UsageError("closed-form branch needs level indices n >= 0")
         if args.system == "coulomb":
-            closed, coupling = spectra.coulomb_closed_spectrum, args.alpha
+            closed, coupling = coulomb_closed_spectrum, args.alpha
         else:
-            closed, coupling = spectra.oscillator_closed_spectrum, args.omega
+            closed, coupling = oscillator_closed_spectrum, args.omega
         entries = [
-            spectra.SpectrumEntry(
-                n, args.M, closed(pp, coupling, n, args.M), spectra.Branch.CLOSED_FORM_U1
-            )
+            SpectrumEntry(n, args.M, closed(pp, coupling, n, args.M), Branch.CLOSED_FORM_U1)
             for n in levels
         ]
     elif args.E0 is None:
         raise UsageError("quantized spectrum needs a reference level --E0")
-    elif args.system == "oscillator":
-        entries = spectra.oscillator_quantized_spectrum(
-            pp, args.omega, args.M, args.E0, levels, tol=tol["solver"]
-        )
     else:
-        alpha = args.alpha if args.system == "coulomb" else 0.0
-        entries = spectra.solve_quantized_spectrum(
-            pp, alpha, args.M, args.E0, levels, tol=tol["solver"]
+        solve, coupling = solve_quantized_spectrum, 0.0  # the free ladder needs no numpy
+        if args.system != "free":
+            # through spectra's attributes, which perfbench's span tracer wraps
+            from . import spectra
+            solve, coupling = {
+                "coulomb": (spectra.solve_quantized_spectrum, args.alpha),
+                "oscillator": (spectra.oscillator_quantized_spectrum, args.omega),
+            }[args.system]
+        entries = solve(
+            pp, coupling, args.M, args.E0, levels, tol=tol.get("solver", DEFAULT_SOLVER_TOL)
         )
     return [
         {
@@ -300,7 +306,9 @@ def _cmd_spectrum(args, pp: PhysicalParams, tol: dict) -> list[dict]:
 
 
 def _cmd_wavefunction(args, pp: PhysicalParams, tol: dict) -> list[dict]:
+    from . import specfun, spectra
     grid = _grid(args)
+    series_tol = tol.get("series", specfun.DEFAULT_SERIES_TOL)
     records = []
     if args.system == "coulomb":
         if args.g is None:
@@ -315,15 +323,15 @@ def _cmd_wavefunction(args, pp: PhysicalParams, tol: dict) -> list[dict]:
                     raise UsageError(f"bad --gamma: {exc}") from exc
 
             def amplitude(z: float) -> complex:
-                return spectra.coulomb_third(args.g, args.M, z, gamma, tol["series"])
+                return spectra.coulomb_third(args.g, args.M, z, gamma, series_tol)
 
         elif args.branch == "u1":
             def amplitude(z: float) -> complex:
-                return spectra.coulomb_u1(args.g, args.M, z, tol["series"])
+                return spectra.coulomb_u1(args.g, args.M, z, series_tol)
 
         else:
             def amplitude(z: float) -> complex:
-                return spectra.coulomb_u2(args.g, args.M, z, tol["series"])
+                return spectra.coulomb_u2(args.g, args.M, z, series_tol)
 
     else:
         if args.n < 0:
@@ -331,7 +339,7 @@ def _cmd_wavefunction(args, pp: PhysicalParams, tol: dict) -> list[dict]:
 
         def amplitude(rho: float) -> complex:
             return spectra.oscillator_wavefunction(
-                pp, args.omega, args.n, args.M, rho, args.phi, tol["series"]
+                pp, args.omega, args.n, args.M, rho, args.phi, series_tol
             )
 
     for r in grid:
@@ -375,6 +383,7 @@ def _cmd_potential(args, pp: PhysicalParams, tol: dict) -> list[dict]:
 
 
 def _cmd_phase(args, pp: PhysicalParams, tol: dict) -> list[dict]:
+    from . import spectra
     rp = spectra.gamma_phase(args.g, args.M, args.r0)
     r0 = args.r0 if args.r0 is not None else args.g / 2.0
     return [
@@ -390,7 +399,7 @@ def _cmd_phase(args, pp: PhysicalParams, tol: dict) -> list[dict]:
 
 
 def _cmd_duality(args, pp: PhysicalParams, tol: dict) -> list[dict]:
-    d = spectra.duality_forward(pp, args.alpha, args.EC, args.MC, args.r0_scale)
+    d = duality_forward(pp, args.alpha, args.EC, args.MC, args.r0_scale)
     return [
         {
             "r0_scale": d.r0_scale,
@@ -405,6 +414,7 @@ def _cmd_duality(args, pp: PhysicalParams, tol: dict) -> list[dict]:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
+    from . import verification
     results = verification.run_suite(args.suite)
     lines = [r.line() for r in results]
     failures = sum(not r.passed for r in results)

@@ -674,6 +674,103 @@ class TestEntryPoints:
         assert proc.returncode == 0
 
 
+# Calls that load no numpy: the import, the help, the closed-form levels,
+# the free ladder and the duality map.
+NUMPY_FREE_CALLS = {
+    "import": ("-c", "import minkqm"),
+    "help": ("-m", "minkqm", "--help"),
+    "coulomb_closed": (
+        "-m", "minkqm", "spectrum", "--system", "coulomb", "--M", "0.5", "--closed",
+        "--n", "0..3",
+    ),
+    "oscillator_closed": (
+        "-m", "minkqm", "spectrum", "--system", "oscillator", "--M", "2", "--closed",
+        "--n", "0..4",
+    ),
+    "free_ladder": (
+        "-m", "minkqm", "spectrum", "--system", "free", "--M", "1", "--E0", "-1", "--n", "-2..2",
+        "--tol", "solver=1e-8",
+    ),
+    "duality": (
+        "-m", "minkqm", "duality", "--alpha", "1", "--EC", "-2", "--MC", "0.5",
+        "--r0-scale", "1",
+    ),
+}
+
+
+class TestLazyImports:
+    @pytest.mark.parametrize("call", list(NUMPY_FREE_CALLS), ids=str)
+    def test_numpy_stays_unloaded(self, call):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *NUMPY_FREE_CALLS[call]],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # -X importtime writes one "import time: self | cumulative | name"
+        # line per module imported
+        loaded = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines() if line.startswith("import time:")
+        }
+        assert "minkqm" in loaded
+        assert not {"numpy", "minkqm.specfun", "minkqm.spectra"} & loaded
+
+    def test_every_public_name_resolves(self):
+        import minkqm
+
+        for name in minkqm.__all__:
+            value = getattr(minkqm, name)
+            home = minkqm._HOME.get(name)
+            if home is not None:
+                assert value is getattr(getattr(minkqm, home), name)
+        # the names that moved to model are spectra's too
+        for name in minkqm._LAZY["model"]:
+            if hasattr(minkqm.spectra, name):
+                assert getattr(minkqm.spectra, name) is getattr(minkqm.model, name)
+        assert minkqm.spectra.DEFAULT_SOLVER_TOL is minkqm.model.DEFAULT_SOLVER_TOL
+
+    def test_star_import(self):
+        import minkqm
+
+        namespace = {}
+        exec("from minkqm import *", namespace)
+        assert set(minkqm.__all__) <= set(namespace)
+        assert namespace["gamma_phase"] is minkqm.spectra.gamma_phase
+
+    def test_unknown_attribute(self):
+        import minkqm
+
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            minkqm.no_such_name
+
+    def test_defaults_and_suites_have_one_definition(self):
+        import ast
+
+        src = Path(cli.__file__).parent
+        assigned = []
+        for path in src.glob("*.py"):
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(node, ast.Assign):
+                    assigned += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        for name in ("DEFAULT_SERIES_TOL", "DEFAULT_SOLVER_TOL", "SUITES"):
+            assert assigned.count(name) == 1, name
+
+    def test_verify_choices_are_the_suites(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "verify", "--help")
+        assert exc.value.code == 0
+        assert "{" + ",".join(verification.SUITES + ("all",)) + "}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "verify", "bogus")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert all(suite in err for suite in verification.SUITES)
+
+
 class TestGoldenOutput:
     """Byte-for-byte output of the README examples and of `verify all`.
 

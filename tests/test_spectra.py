@@ -9,7 +9,7 @@ import pytest
 
 from minkqm import spectra
 from minkqm.errors import BracketError, ConsistencyError, ConvergenceError, DomainError, PoleError
-from minkqm.model import NATURAL_UNITS, PhysicalParams
+from minkqm.model import NATURAL_UNITS, PhysicalParams, _energy_from_g
 from minkqm.oracle import bound_state_length, scaled_config
 from minkqm.specfun import DEFAULT_SERIES_TOL, KummerParams, _kummer_m_ld
 from minkqm.spectra import (
@@ -226,6 +226,18 @@ class TestWavefunctions:
                 raised.append(z)
         # z = 1e4 runs into the term cap and 3e4 overflows, for every (g, M)
         assert raised.count(1e4) == raised.count(3e4) == 6
+
+    def test_third_keeps_the_sign_of_a_zero_gamma(self):
+        # e^{-2i gamma} is cached per gamma, and +0.0 and -0.0 give it
+        # different zero signs, so they get an entry each.  Each call, in
+        # either order, keeps the two-series bits.
+        spectra._third_phase.cache_clear()
+        for gamma in (0.0, -0.0, 0.0):
+            for m_ang in (0.0, -0.0, 1.0):
+                for z in (1e-3, 3.0):
+                    assert (_outcome(coulomb_third, 2.0, m_ang, z, gamma)
+                            == _outcome(_two_series_third, 2.0, m_ang, z, gamma))
+        assert spectra._third_phase.cache_info().currsize == 2
 
     def test_prefactor_matches_constructor_based_reference(self):
         # u1 keeps the bits of the prefactor that promoted z and built iM
@@ -686,7 +698,7 @@ def _reference_levels(kind, pp, m_ang, energy0, n_range, q=quantization_f, tol=1
         return _reference_ladder(
             lambda g: q(g, m_ang),
             math.log(coulomb_scaling(pp, 1.0, energy0).g), energy0,
-            lambda x: spectra._energy_from_g(pp, 1.0, math.exp(x)),
+            lambda x: _energy_from_g(pp, 1.0, math.exp(x)),
             1.0, -1.0 if m_ang > 0 else 1.0, n_range, m_ang, tol,
         )
     m_c, two_hw = 0.5 * m_ang, 2.0 * pp.hbar * 1.0
@@ -1055,6 +1067,27 @@ class TestOscillator:
             assert oscillator_wavefunction(PP, 1.0, 2, 1.0, 1e150, 0.0) == 0.0
             with pytest.raises(DomainError, match=r"rho\^2 / hbar leaves the double range"):
                 oscillator_wavefunction(PP, 1.0, 2, 1.0, 1e200, 0.0)
+
+
+class TestOscillatorRange:
+    @pytest.mark.parametrize("n", [0, 2, 300])
+    def test_quiet_and_unchanged_near_the_top_of_the_double_range(self, n):
+        # Only z past the polynomial's safe bound (1.07e5 for n = 300), an
+        # inf or NaN z, or an M phi that overflows runs under np.errstate.
+        # No point warns, and wrapping a call in that errstate changes no
+        # bit of its value and no error.
+        rhos = [float(r) for r in np.geomspace(1.0, 1e154, 48)]
+        cases = [(PP, 1.0, rho) for rho in rhos + [1.3e154, 1.4e154, 1e200, math.inf]]
+        cases.append((PhysicalParams(1e-200, 1.0), 1e-200, math.inf))  # z = 0 * inf, NaN
+        for pp, omega, rho in cases:
+            for m_osc, phi in ((0.0, 0.0), (-1.0, 2.0), (1e300, 1.5), (1e300, 1e10)):
+                args = (pp, omega, n, m_osc, rho, phi)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = _outcome(oscillator_wavefunction, *args)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = _outcome(oscillator_wavefunction, *args)
+                assert got == want, args
 
 
 def _constructor_oscillator_wavefunction(pp, omega, n, m_osc, rho, phi):
