@@ -107,11 +107,6 @@ class RadialSolution:
         object.__setattr__(self, "r_grid", r)
         object.__setattr__(self, "u_values", u)
 
-    def decay_ratio(self) -> float:
-        """|u| at the outer edge relative to the global maximum."""
-        mags = np.abs(self.u_values)
-        return float(mags[-1] / mags.max())
-
 
 def _numerov(
     coef: np.ndarray,
@@ -122,21 +117,14 @@ def _numerov(
     """Propagate y'' + coef * y = 0 on a uniform grid; O(h^6) local error.
 
     start holds y at the first two grid points in the direction of travel;
-    real starts run in float64 and complex starts in complex128.  Uses the
-    summed form of the recurrence (the running first difference of
-    z = (1 + h^2 coef/12) y is updated each step), which keeps roundoff
-    growth linear in the step count instead of quadratic.  Inward is the
-    outward sweep of the reversed coefficients, reversed: the same
-    operations on the same values.
-    Returns (values in grid order, accumulated log scale).
-
-    The loop runs on Python floats, which are float64 like numpy's scalars
-    but several times cheaper per operation.  Complex values are (re, im)
-    pairs carried through the operations numpy's complex128 arithmetic
-    performs: a real factor c enters as c + 0i, so a product with it still
-    adds the signed zeros 0 * im and 0 * re, and division by a real w is
-    Smith's algorithm, which multiplies by 1/w and adds im * (0/w).
-    Every value has the bits numpy's complex128 loop gives it.
+    real starts run on Python floats (float64) and complex starts on numpy
+    complex128 scalars, through the same loop.  Uses the summed form of the
+    recurrence (the running first difference of z = (1 + h^2 coef/12) y is
+    updated each step), which keeps roundoff growth linear in the step
+    count instead of quadratic.  Inward is the outward sweep of the
+    reversed coefficients, reversed: the same operations on the same values.
+    Returns (values in grid order, accumulated log scale).  Raises
+    DomainError where the values leave the double range.
     """
     if inward:
         y, log_scale = _numerov(coef[::-1], h, start, inward=False)
@@ -144,13 +132,16 @@ def _numerov(
         return np.ascontiguousarray(y[::-1]), log_scale
     n = coef.size
     h2 = h * h
-    w_arr = 1.0 + (h2 / 12.0) * coef  # Numerov weights
-    w = w_arr.tolist()
+    w = (1.0 + (h2 / 12.0) * coef).tolist()  # Numerov weights
     hc = (h2 * coef).tolist()
+    # not Python complex: its abs raises OverflowError, and its division
+    # divides where numpy's multiplies by a reciprocal
+    scalar = float if np.result_type(*start).kind != "c" else np.complex128
     log_scale = 0.0
-    if np.result_type(*start).kind != "c":
-        y_prev = float(start[1])
-        y = [float(start[0]), y_prev]
+    # an overflow gives an infinite scale, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_prev = scalar(start[1])
+        y = [scalar(start[0]), y_prev]
         z_curr = w[1] * y_prev
         diff = z_curr - w[0] * y[0]
         for i in range(2, n):
@@ -165,42 +156,9 @@ def _numerov(
                 z_curr /= mag
                 diff /= mag
                 log_scale += math.log(mag)
-        return np.array(y), log_scale
-
-    # Smith's division by w: (re + im * rat) * inv and (im - re * rat) * inv
-    rat = (0.0 / w_arr).tolist()
-    inv = (1.0 / w_arr).tolist()
-    y0, y1 = complex(start[0]), complex(start[1])
-    re, im = [y0.real, y1.real], [y0.imag, y1.imag]
-    p_re, p_im = y1.real, y1.imag
-    z_re, z_im = w[1] * p_re - 0.0 * p_im, w[1] * p_im + 0.0 * p_re
-    d_re = z_re - (w[0] * y0.real - 0.0 * y0.imag)
-    d_im = z_im - (w[0] * y0.imag + 0.0 * y0.real)
-    for i in range(2, n):
-        c = hc[i - 1]
-        d_re = d_re - (c * p_re - 0.0 * p_im)
-        d_im = d_im - (c * p_im + 0.0 * p_re)
-        z_re = z_re + d_re
-        z_im = z_im + d_im
-        q, s = rat[i], inv[i]
-        p_re = (z_re + z_im * q) * s
-        p_im = (z_im - z_re * q) * s
-        re.append(p_re)
-        im.append(p_im)
-        mag = abs(complex(p_re, p_im))  # hypot, as numpy's abs
-        if mag > _RENORM_LIMIT:
-            q, s = 0.0 / mag, 1.0 / mag
-            re, im = (
-                [(a + b * q) * s for a, b in zip(re, im)],
-                [(b - a * q) * s for a, b in zip(re, im)],
-            )
-            p_re, p_im = re[-1], im[-1]
-            z_re, z_im = (z_re + z_im * q) * s, (z_im - z_re * q) * s
-            d_re, d_im = (d_re + d_im * q) * s, (d_im - d_re * q) * s
-            log_scale += math.log(mag)
-    y = np.empty(n, dtype=complex)
-    y.real, y.imag = re, im
-    return y, log_scale
+    if not math.isfinite(log_scale):
+        raise DomainError("Numerov sweep left the double range")
+    return np.array(y), log_scale
 
 
 def _check_stability(h: float, coef: np.ndarray):

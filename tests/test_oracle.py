@@ -1,5 +1,8 @@
 import math
 import random
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -40,7 +43,8 @@ class TestIntegrateRadial:
         exact = np.array([coulomb_u1(0.5, 0.0, float(ri / sc.r0)) for ri in r])
         dev = float(np.max(np.abs(sol.u_values - exact)) / np.max(np.abs(exact)))
         assert dev < 1e-6
-        assert sol.decay_ratio() < 1e-4
+        mags = np.abs(sol.u_values)
+        assert mags[-1] / mags.max() < 1e-4
 
     def test_log_spacing_matches_linear(self):
         energy = -2.0
@@ -67,6 +71,33 @@ class TestIntegrateRadial:
         assert sol.log_scale > 0.0
         assert np.all(np.isfinite(sol.u_values.view(float)))
 
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    @pytest.mark.parametrize(
+        "start", [complex(math.inf), complex(math.nan), 1.7e308 + 1e308j], ids=str
+    )
+    def test_complex_start_out_of_range_raises_quietly(self, spacing, start):
+        # |1.7e308 + 1e308j| overflows: Python's complex abs raises
+        # OverflowError there and numpy's returns inf
+        cfg = ShootingConfig(1.0, 2.0, steps=1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                integrate_radial(
+                    Free(), PP, 0.0, -1.0, cfg, "outward", (start, start), spacing,
+                    q_func=lambda rr: -np.ones_like(rr),
+                )
+
+    def test_real_start_near_the_top_of_the_range_rescales(self):
+        cfg = ShootingConfig(1.0, 2.0, steps=1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = integrate_radial(
+                Free(), PP, 0.0, -1.0, cfg, "outward", (1.7e308, 1.7e308),
+                q_func=lambda rr: -np.ones_like(rr),
+            )
+        assert sol.log_scale == pytest.approx(709.7268378952308, rel=1e-15)
+        assert np.all(np.isfinite(sol.u_values.view(float)))
+
     def test_grid_too_coarse_rejected(self):
         cfg = ShootingConfig(0.001, 100.0, steps=1000)
         with pytest.raises(DomainError, match="steps"):
@@ -85,6 +116,23 @@ class TestIntegrateRadial:
                 integrate_radial(
                     Coulomb(1.0), PP, math.nan, -1.0, cfg, "inward", (1.0, 1.0), spacing
                 )
+
+
+def test_import_loads_no_gamma_code():
+    # the oracle is the Gamma-free cross-check of the analytic solvers
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import minkqm.oracle"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # -X importtime writes one "import time: self | cumulative | name" line
+    # per module imported
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+    assert "minkqm.oracle" in loaded
+    assert not {"minkqm.specfun", "minkqm.spectra"} & loaded
 
 
 class TestNumerovKernel:
