@@ -124,7 +124,8 @@ def _numerov(
     count instead of quadratic.  Inward is the outward sweep of the
     reversed coefficients, reversed: the same operations on the same values.
     Returns (values in grid order, accumulated log scale).  Raises
-    DomainError where the values leave the double range.
+    DomainError for a start that is not finite or values that leave the
+    double range.
     """
     if inward:
         y, log_scale = _numerov(coef[::-1], h, start, inward=False)
@@ -138,7 +139,8 @@ def _numerov(
     # divides where numpy's multiplies by a reciprocal
     scalar = float if np.result_type(*start).kind != "c" else np.complex128
     log_scale = 0.0
-    # an overflow gives an infinite scale, reported below
+    # an overflow gives an infinite scale and a start of inf or NaN a NaN
+    # last value, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         y_prev = scalar(start[1])
         y = [scalar(start[0]), y_prev]
@@ -156,8 +158,8 @@ def _numerov(
                 z_curr /= mag
                 diff /= mag
                 log_scale += math.log(mag)
-    if not math.isfinite(log_scale):
-        raise DomainError("Numerov sweep left the double range")
+    if not (math.isfinite(log_scale) and math.isfinite(abs(y[-1]))):
+        raise DomainError("Numerov sweep started or ended outside the double range")
     return np.array(y), log_scale
 
 

@@ -53,8 +53,7 @@ _SCAN_DECADES = 160
 # near z = 2.3e4.
 _ENVELOPE = "e^(z/2) z^(-g)"
 # (g, M) pairs whose u1 series parameters _u1_params keeps, (n, M) pairs for
-# _oscillator_params, gammas for _third_phase and (g, M) pairs for
-# _third_gamma; a grid's points share one.
+# _oscillator_params and gammas for _third_phase; a grid's points share one.
 _U1_PARAMS_CACHED = 32
 # u1's series (c = 1 + 2iM) and the oscillator's (c = 1 + iM) have |(c)_k| >= k!,
 # so where either terminates at degree n its terms obey |t_k| <= (n z)^k / (k!)^2,
@@ -211,19 +210,11 @@ def coulomb_third(
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
     if gamma is None:
-        # float() also takes a 0-d array, which the cache could not hash.
-        gamma = _third_gamma(float(g), float(m_ang))
+        gamma = gamma_phase(g, m_ang).gamma
     _require_finite("gamma", gamma)
     phase = _third_phase(float(gamma), math.copysign(1.0, gamma))
     u1 = _u1_ld(g, m_ang, z, tol)
     return _finite(u1 - phase * np.conj(u1), z, "coulomb_third", _ENVELOPE, g=g, M=m_ang)
-
-
-@functools.lru_cache(maxsize=_U1_PARAMS_CACHED)
-def _third_gamma(g: float, m_ang: float) -> float:
-    """gamma_phase's gamma, once per (g, M).  M = +-0 share an entry: both
-    give gamma = 0.0.  A raise is not cached, so it fires on every call."""
-    return gamma_phase(g, m_ang).gamma
 
 
 @functools.lru_cache(maxsize=_U1_PARAMS_CACHED)

@@ -698,25 +698,35 @@ NUMPY_FREE_CALLS = {
 }
 
 
+def _loaded_modules(*args):
+    """The modules a fresh interpreter run with args imports."""
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # -X importtime writes one "import time: self | cumulative | name" line
+    # per module imported
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+
+
 class TestLazyImports:
     @pytest.mark.parametrize("call", list(NUMPY_FREE_CALLS), ids=str)
     def test_numpy_stays_unloaded(self, call):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", *NUMPY_FREE_CALLS[call]],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        # -X importtime writes one "import time: self | cumulative | name"
-        # line per module imported
-        loaded = {
-            line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines() if line.startswith("import time:")
-        }
+        loaded = _loaded_modules(*NUMPY_FREE_CALLS[call])
         assert "minkqm" in loaded
         assert not {"numpy", "minkqm.specfun", "minkqm.spectra"} & loaded
+
+    def test_oracle_loads_no_gamma_code(self):
+        # the oracle is the Gamma-free cross-check of the analytic solvers
+        loaded = _loaded_modules("-c", "import minkqm.oracle")
+        assert "minkqm.oracle" in loaded
+        assert not {"minkqm.specfun", "minkqm.spectra"} & loaded
 
     def test_every_public_name_resolves(self):
         import minkqm

@@ -239,30 +239,6 @@ class TestWavefunctions:
                             == _outcome(_two_series_third, 2.0, m_ang, z, gamma))
         assert spectra._third_phase.cache_info().currsize == 2
 
-    def test_default_gamma_is_solved_once_per_parameters(self, monkeypatch):
-        # With gamma = None a grid's points share one gamma_phase call, and
-        # each value keeps the bits of the call that passes gamma.  A raise
-        # is not cached: it fires on every call.
-        calls = []
-
-        def counted(g, m_ang):
-            calls.append((g, m_ang))
-            return gamma_phase(g, m_ang)
-
-        spectra._third_gamma.cache_clear()
-        monkeypatch.setattr(spectra, "gamma_phase", counted)
-        gamma = gamma_phase(2.0, 1.0).gamma
-        for z in np.linspace(0.05, 30.0, 100).tolist():
-            assert (_outcome(coulomb_third, 2.0, 1.0, z, None)
-                    == _outcome(coulomb_third, 2.0, 1.0, z, gamma))
-        assert calls == [(2.0, 1.0)]
-        for _ in range(2):
-            with pytest.raises(PoleError):
-                coulomb_third(1.5, 0.0, 3.0)
-        with pytest.raises(DomainError):
-            coulomb_third(-1.0, 1.0, 3.0)
-        assert len(calls) == 4
-
     def test_prefactor_matches_constructor_based_reference(self):
         # u1 keeps the bits of the prefactor that promoted z and built iM
         # and 1/2 through numpy scalar constructors on every call, at M of
