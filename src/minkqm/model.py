@@ -159,7 +159,7 @@ def radial_coefficient(
 # closed-form levels, the free ladder and the duality map: plain arithmetic,
 # so the commands that print only these never load numpy
 
-# Relative energy tolerance of the ladder solvers' bisection.
+# The ladder solvers' tolerance: each level lies within tol/4 of its root in ln g.
 DEFAULT_SOLVER_TOL = 1e-10
 _DUALITY_TOL = 1e-12
 
@@ -317,10 +317,10 @@ def solve_quantized_spectrum(
     toward the shallow end; n = 0 returns the anchor itself.  alpha = 0
     selects the free particle, whose condition is exactly the geometric
     ladder: its levels are ``deep_ladder``'s.  For alpha > 0 ``spectra._ladder``
-    scans ln g and bisects to relative energy tolerance tol.  Levels that
-    come out equal or out of order in n (shallow Coulomb anchors, where
-    the spacing falls below tol, or free levels that round to the same
-    double) raise ConsistencyError.
+    puts each level within tol/4 of its root in ln g (relative energy
+    tolerance tol/2).  Levels that come out equal or out of order in n
+    (shallow Coulomb anchors, where the spacing falls below tol, or free
+    levels that round to the same double) raise ConsistencyError.
     """
     if not (m_ang != 0.0 and math.isfinite(m_ang)):
         raise DomainError(f"quantized spectrum needs a finite M != 0, got {m_ang}")

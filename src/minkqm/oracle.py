@@ -197,7 +197,8 @@ def integrate_radial(
     """Numerov integration of u'' + Q(r) u = 0 over the configured window.
 
     start_values are u at the first two grid points in the direction of
-    travel (the two smallest r for outward, the two largest for inward).
+    travel (the two smallest r for outward, the two largest for inward);
+    real ones sweep on floats and complex ones on complex128 (see _numerov).
     spacing "log" integrates the transformed equation on a grid uniform in
     ln r; q_func, when given, replaces the model coefficient (for
     constant-coefficient validation runs).
@@ -216,15 +217,14 @@ def integrate_radial(
     else:
         raise DomainError(f"spacing must be linear or log, got {spacing!r}")
     _check_stability(h, coef)
-    start = (complex(start_values[0]), complex(start_values[1]))
     if spacing == "linear":
-        u, log_scale = _numerov(coef, h, start, inward)
+        u, log_scale = _numerov(coef, h, start_values, inward)
     else:
         sqrt_r = np.sqrt(r)
         if inward:
-            v_start = (start[0] / sqrt_r[-1], start[1] / sqrt_r[-2])
+            v_start = (start_values[0] / sqrt_r[-1], start_values[1] / sqrt_r[-2])
         else:
-            v_start = (start[0] / sqrt_r[0], start[1] / sqrt_r[1])
+            v_start = (start_values[0] / sqrt_r[0], start_values[1] / sqrt_r[1])
         v, log_scale = _numerov(coef, h, v_start, inward)
         u = v * sqrt_r
 
@@ -309,17 +309,15 @@ def shoot_eigenvalues(
 
     The anchor E_0 is the upper (least negative) endpoint of e_window; the
     scan walks toward the deeper endpoint, unwinding the mod-pi phase
-    continuously, and returns the first `count` crossings refined by
-    bisection to relative energy tolerance tol.  cfg describes the grid at
-    the anchor energy; windows at other energies are the same grid
-    rescaled by r0(E)/r0(E_0).
+    continuously, and returns the first `count` crossings, each within
+    tol/2 of its crossing in x = ln|E| (relative energy tolerance tol/2).
+    cfg describes the grid at the anchor energy; windows at other energies
+    are the same grid rescaled by r0(E)/r0(E_0).
 
-    Each level is the one that bisection returns, found without walking
-    it: inside the scan segment that brackets the target, Illinois steps
-    on the lifted phase (smooth in x = ln|E|, each new phase lifted against
-    the line through the bracket ends) estimate the crossing, and the
-    bisection is replayed from it and certified (see _roots).  Phases are
-    cached by x within one call.
+    A scan segment no wider than tol gives its midpoint.  In a wider one,
+    _roots.refine takes the crossing of the lifted phase (smooth in x, each
+    new phase lifted against the line through the bracket ends), certified
+    to tol/2.  Phases are cached by x within one call.
 
     Raises InsufficientRootsError when fewer than count crossings lie in
     the window.
@@ -358,18 +356,10 @@ def shoot_eigenvalues(
         return (math.pi / 6.0) / (abs(m_ang) / 2.0 + math.pi * g_here / 2.0)
 
     def solve(target: float, lo: float, b_lo: float, hi: float, b_hi: float) -> float:
-        """x at the end of the bisection of the segment [lo, hi]; this
-        bisection checks the width before it halves."""
+        """x within tol/2 of the crossing in the scan segment [lo, hi]."""
         if hi - lo <= tol:
             return 0.5 * (lo + hi)
-        cell = (lo, b_lo, hi, b_hi)
-        side = b_lo - target
-        if side == 0.0:
-            # every midpoint is past the target
-            return _roots.walk(cell, target, lifted_at, tol, 200)
-        narrow = min(tol, hi - lo) / 1024.0
-        root, bracket = _roots.illinois(cell, target, side, lifted_at, narrow)
-        return _roots.replay(cell, root, bracket, target, side, lifted_at, tol, 200)
+        return _roots.refine((lo, b_lo, hi, b_hi), target, lifted_at, tol)
 
     x_start = math.log(-e_hi)
     x_stop = math.log(-e_lo)

@@ -414,36 +414,31 @@ def _ladder(
     otherwise.  x0 = ln g at the anchor level energy0, which n = 0 returns
     as given; energy_of_x maps a root back to its level.
 
-    Each level is the one a scan and a bisection return.  The scan walks
-    the grid x_k = x0 +- k step (_SCAN_POINTS_PER_DECADE steps per decade
-    of e^x, at most _SCAN_DECADES decades either way) to the first point
-    where f reaches the target, or raises (that error is then the
-    level's); the bisection halves that grid cell to tol/2 in x.  Neither
-    is walked, because f is monotone: df/dx = -m_c - g Im psi(1/2 - g +
-    i m_c), and Im psi has the sign of m_c, so |df/dx| >= |m_c|.
+    Each level lies within tol/4 of its root in x.  The root is bracketed
+    on the grid x_k = x0 +- k step (_SCAN_POINTS_PER_DECADE steps per
+    decade of e^x, at most _SCAN_DECADES decades either way) by the first
+    point where f reaches the target; where that point raises, its error
+    is the level's.  The grid is not walked, because f is monotone: df/dx
+    = -m_c - g Im psi(1/2 - g + i m_c), and Im psi has the sign of m_c, so
+    |df/dx| >= |m_c|.
 
     * Secant steps (through the anchor and the level before, or grid point
       1) probe the grid until a point is past the target, and doubling
-      steps back bracket the scan's cell.  Illinois steps in the bracket
-      estimate the root r, and the ends of r's cell are checked.
-    * The bisection is replayed from r and certified (see _roots).
+      steps back bracket the first such point.
+    * _roots.refine takes the root from the bracket, certified to tol/4.
     * f is finite or raises, and away from the Gamma pole at g = 1/2 as
       m_c -> 0 it raises on half-lines of x only: where e^x underflows to
-      0 or f leaves the double range.  So f is finite inside any grid cell
+      0 or f leaves the double range.  So f is finite inside any bracket
       whose ends are.
 
     The levels of one call share their f values.  E_n falls as n rises
-    when sign * M > 0 and rises otherwise.  Levels closer together than the
-    bisection resolves (shallow anchors, where the spacing shrinks like
-    1/g) raise ConsistencyError, and levels outside the normal double range
+    when sign * M > 0 and rises otherwise.  Levels closer together than
+    tol resolves (shallow anchors, where the spacing shrinks like 1/g)
+    raise ConsistencyError, and levels outside the normal double range
     DomainError.
     """
     step = math.log(10.0) / _SCAN_POINTS_PER_DECADE
     max_steps = _SCAN_POINTS_PER_DECADE * _SCAN_DECADES
-    tol_x = tol / 2.0
-    # Illinois stops once a step is this short, so that r is much closer to
-    # the root than most bisection midpoints are.
-    narrow = min(tol_x, step) / 1024.0
     slope = -1.0 if m_c > 0 else 1.0
     seen: dict[float, float] = {}
 
@@ -472,8 +467,8 @@ def _ladder(
         )
 
     def solve(target: float, direction: float, guess: tuple[float, float] | None) -> float:
-        """The root the scan and bisection return, found without walking;
-        guess is the previous level's (root, target)."""
+        """The level's root, certified to tol/4; guess is the previous
+        level's (root, target)."""
         ahead = f0 - target
         probes: dict[int, float | Exception] = {0: f0}
 
@@ -534,21 +529,7 @@ def _ladder(
         if isinstance(at(b), Exception):
             raise at(b)
 
-        root, bracket = _roots.illinois((x_at(a), at(a), x_at(b), at(b)), target, ahead, f, narrow)
-
-        # bisect (a, b] down to one cell, first at the ends of r's cell
-        k = math.ceil(direction * (root - x0) / step)
-        while b - a > 1:
-            mid = k - 1 if a < k - 1 < b else k if a < k < b else (a + b) // 2
-            if stops(mid):
-                b = mid
-            else:
-                a = mid
-        k = b
-        if isinstance(at(k), Exception):
-            raise at(k)
-        cell = (x_at(k - 1), at(k - 1), x_at(k), at(k))
-        return _roots.replay(cell, root, bracket, target, ahead, f, tol_x, 300)
+        return _roots.refine((x_at(a), at(a), x_at(b), at(b)), target, f, tol / 2.0)
 
     f0 = f(x0)
     levels: list[tuple[int, float]] = []
@@ -637,7 +618,8 @@ def oscillator_quantized_spectrum(
     Indices follow the energy: n > 0 climbs (spacing -> 2 hbar omega),
     n < 0 descends toward E = 0+ on the geometric ladder
     E_n = E_0 exp(2 pi n / M_osc), so the descending levels carry
-    n = -1, -2, ... as they condense.
+    n = -1, -2, ... as they condense.  Each level lies within tol/4 of its
+    root in ln g (relative energy tolerance tol/4).
     """
     if not (m_osc != 0.0 and math.isfinite(m_osc)):
         raise DomainError(f"quantized spectrum needs a finite M_osc != 0, got {m_osc}")

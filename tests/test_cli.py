@@ -144,7 +144,7 @@ class TestSpectrumCommand:
         )
         assert (code, out) == (2, "")
         assert err == (
-            "error: the level at g=1.9896544316236353e-162 leaves the double range: "
+            "error: the level at g=1.9896544315986406e-162 leaves the double range: "
             "2 hbar^2 g^2 underflows to 0\n"
         )
 

@@ -98,6 +98,17 @@ class TestIntegrateRadial:
         assert sol.log_scale == pytest.approx(709.7268378952308, rel=1e-15)
         assert np.all(np.isfinite(sol.u_values.view(float)))
 
+    def test_real_start_takes_the_float_sweep(self):
+        cfg = ShootingConfig(1.0, 10.0, steps=2000)
+        r = np.linspace(cfg.r_min, cfg.r_max, cfg.steps)
+        start = (math.exp(-r[-1]), math.exp(-r[-2]))
+        sol = integrate_radial(
+            Free(), PP, 0.0, -1.0, cfg, "inward", start, q_func=lambda rr: -np.ones_like(rr)
+        )
+        want, _ = oracle._numerov(-np.ones_like(r), r[1] - r[0], start, inward=True)
+        assert want.dtype == np.float64
+        assert sol.u_values.tobytes() == want.astype(complex).tobytes()
+
     def test_grid_too_coarse_rejected(self):
         cfg = ShootingConfig(0.001, 100.0, steps=1000)
         with pytest.raises(DomainError, match="steps"):
@@ -162,12 +173,12 @@ class TestNumerovKernel:
                 sol = integrate_radial(
                     Free(), PP, 0.0, -1.0, cfg, direction, start, spacing, q_func
                 )
-                v_start = tuple(complex(u) / scale[e] for u, e in zip(start, ends))
+                v_start = tuple(u / scale[e] for u, e in zip(start, ends))
                 want, want_scale = _two_direction_numerov(
                     coef, h, v_start, direction == "inward"
                 )
                 assert sol.log_scale == want_scale > 0.0
-                assert sol.u_values.tobytes() == (want * scale).tobytes()
+                assert sol.u_values.tobytes() == (want * scale).astype(complex).tobytes()
 
 
 def _two_direction_numerov(coef, h, start, inward):
@@ -292,10 +303,51 @@ class TestShootEigenvalues:
             shoot_eigenvalues(Coulomb(1.0), PP, 1.0, (-1e9, -1.0), 2, cfg, tol=tol)
 
 
-class TestShootParity:
-    """shoot_eigenvalues against the scan-and-bisection loop it replays."""
+def _certified_shots(kind, pp, m_ang, e_window, count, cfg, tol):
+    """The shot levels, each checked to lie within tol/2 of its crossing in
+    ln|E|: the phase at ln|E| -+ tol/2, lifted to the target, falls on
+    either side of the target beta(E_0) + pi n."""
+    r0_anchor = bound_state_length(pp, e_window[1])
 
-    def test_levels_match_reference_bit_for_bit(self):
+    def beta(x):
+        energy = -math.exp(x)
+        factor = bound_state_length(pp, energy) / r0_anchor
+        return oracle.inward_phase(kind, pp, m_ang, energy, cfg.rescaled(factor))
+
+    beta0 = beta(math.log(-e_window[1]))
+    levels = shoot_eigenvalues(kind, pp, m_ang, e_window, count, cfg, tol)
+    for n, energy in enumerate(levels, 1):
+        x, target = math.log(-energy), beta0 + math.copysign(math.pi, m_ang) * n
+        short, past = (oracle._lift(beta(x + d * tol / 2), target) - target for d in (-1, 1))
+        assert short * past <= 0.0, (n, energy)
+    return levels
+
+
+def _shoot_step_phase(monkeypatch, slope, flat, tol=1e-9):
+    """Two free levels at M = 1 from ln|E| = 0, with a phase that climbs at
+    slope from 0.3 to the first target, sits exactly on it for flat in
+    ln|E|, then climbs on; returns their ln|E|, the first target's start
+    and the sweep count."""
+    step_lo = math.pi / slope
+    sweeps = []
+
+    def phase(kind, pp, m_ang, energy, cfg):
+        x = math.log(-energy)
+        sweeps.append(x)
+        if step_lo <= x <= step_lo + flat:
+            return 0.3
+        return (0.3 + slope * (x - (flat if x > step_lo else 0.0))) % math.pi
+
+    monkeypatch.setattr(oracle, "inward_phase", phase)
+    cfg = scaled_config(PP, -1.0, min_factor=1e-6)
+    levels = shoot_eigenvalues(Free(), PP, 1.0, (-1e9, -1.0), 2, cfg, tol)
+    return [math.log(-e) for e in levels], step_lo, len(sweeps)
+
+
+class TestShootParity:
+    """Every shot level lies within tol/2 of its phase crossing in ln|E|."""
+
+    def test_random_windows_are_certified(self):
         rng = random.Random("shoot-replay")
         shot = 0
         for kind in (Coulomb(1.0), Free()):
@@ -307,98 +359,30 @@ class TestShootParity:
                     e_lo = e_hi * math.exp(2.0 * math.pi * (count + 1) / abs(m_ang))
                     tol = 10.0 ** rng.uniform(-9.0, -7.0)
                     cfg = scaled_config(PP, e_hi, min_factor=1e-6, steps=6000)
-                    args = (kind, PP, m_ang, (e_lo, e_hi), count, cfg, tol)
-                    want = [e.hex() for e in _reference_shoot(*args)]
-                    got = [e.hex() for e in shoot_eigenvalues(*args)]
-                    assert got == want, args
-                    shot += len(got)
+                    shot += len(_certified_shots(kind, PP, m_ang, (e_lo, e_hi), count, cfg, tol))
         assert shot >= 12
 
     def test_tol_wider_than_the_scan_segment_matches_reference(self):
         # The free particle's scan segments at |M| = 1 are pi/3 wide in
-        # ln|E|, less than tol = 2, so the bisection stops before it halves:
-        # it checks the width first
+        # ln|E|, less than tol = 2, so each level is its segment's midpoint,
+        # ln|E| = 6.5 pi/3 and 12.5 pi/3, as the scan and bisection gave it
         cfg = scaled_config(PP, -1.0, min_factor=1e-6, steps=6000)
         for m_ang in (1.0, -1.0):
             args = (Free(), PP, m_ang, (-math.exp(6.0 * math.pi), -1.0), 2, cfg, 2.0)
-            want = [e.hex() for e in _reference_shoot(*args)]
-            assert [e.hex() for e in shoot_eigenvalues(*args)] == want
+            assert [e.hex() for e in shoot_eigenvalues(*args)] == [
+                "-0x1.c3fac2cdf7766p+9", "-0x1.d8b7a27d5bc37p+18"
+            ]
 
     def test_failed_certificate_falls_back_to_bisection(self, monkeypatch):
-        # The phase climbs to the first target, sits exactly on it for a
-        # short step, then climbs on.  The first Illinois estimate lands on
-        # the step, where the phase reads "past the target", so the
-        # replayed bisection's final lo is not short of it and the level
-        # comes from the bisection itself: the step's start.
-        x_start, slope = 0.0, 0.55
-        beta0 = 0.3
-        step_lo = x_start + math.pi / slope
-        step_hi = step_lo + 0.04
+        # The Illinois estimate lands on the flat step, where ln|E| - tol/2
+        # is not short of the target, so the level comes from bisecting the
+        # last bracket, in some 30 sweeps: the step's start
+        (x1, x2), step_lo, sweeps = _shoot_step_phase(monkeypatch, 0.55, 0.04)
+        assert abs(x1 - step_lo) <= 1e-9 / 2 and abs(x2 - (step_lo + 0.04 + step_lo)) <= 1e-9 / 2
+        assert sweeps > 30
 
-        def phase(kind, pp, m_ang, energy, cfg):
-            x = math.log(-energy)
-            if step_lo <= x <= step_hi:
-                return beta0
-            rise = slope * (x - x_start - (step_hi - step_lo if x > step_hi else 0.0))
-            return (beta0 + rise) % math.pi
-
-        monkeypatch.setattr(oracle, "inward_phase", phase)
-        cfg = scaled_config(PP, -1.0, min_factor=1e-6)
-        args = (Free(), PP, 1.0, (-1e9, -math.exp(x_start)), 2, cfg, 1e-9)
-        got = shoot_eigenvalues(*args)
-        assert [e.hex() for e in got] == [e.hex() for e in _reference_shoot(*args)]
-        assert math.log(-got[0]) == pytest.approx(step_lo, abs=1e-9)
-
-
-def _reference_shoot(kind, pp, m_ang, e_window, count, cfg, tol):
-    """shoot_eigenvalues as a scan and a walked bisection: every midpoint
-    of every level is a phase sweep."""
-    e_lo, e_hi = e_window
-    r0_anchor = bound_state_length(pp, e_hi)
-    alpha = kind.alpha if isinstance(kind, Coulomb) else 0.0
-
-    def beta_raw(x):
-        energy = -math.exp(x)
-        factor = bound_state_length(pp, energy) / r0_anchor
-        return oracle.inward_phase(kind, pp, m_ang, energy, cfg.rescaled(factor))
-
-    def scan_step(x):
-        g_here = 0.0
-        if alpha > 0.0:
-            g_here = pp.mass * alpha / (pp.hbar * math.sqrt(2.0 * pp.mass * math.exp(x)))
-        return (math.pi / 6.0) / (abs(m_ang) / 2.0 + math.pi * g_here / 2.0)
-
-    x_stop = math.log(-e_lo)
-    sgn = math.copysign(1.0, m_ang)
-    xs = [math.log(-e_hi)]
-    lifted = [beta_raw(xs[0])]
-    found = []
-    for n in range(1, count + 1):
-        target = lifted[0] + sgn * math.pi * n
-        while True:
-            seg = next(
-                (j for j in range(len(xs) - 1)
-                 if (lifted[j] - target) * (lifted[j + 1] - target) <= 0.0),
-                None,
-            )
-            if seg is not None:
-                break
-            if xs[-1] >= x_stop:
-                raise InsufficientRootsError(f"only {n - 1} of {count} phase crossings")
-            x_new = min(xs[-1] + scan_step(xs[-1]), x_stop)
-            lifted.append(oracle._lift(beta_raw(x_new), lifted[-1]))
-            xs.append(x_new)
-        lo, hi = xs[seg], xs[seg + 1]
-        b_lo, b_hi = lifted[seg], lifted[seg + 1]
-        for _ in range(200):
-            if abs(hi - lo) <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            ref = b_lo + (b_hi - b_lo) * (mid - lo) / (hi - lo)
-            b_mid = oracle._lift(beta_raw(mid), ref)
-            if (b_lo - target) * (b_mid - target) <= 0.0:
-                hi, b_hi = mid, b_mid
-            else:
-                lo, b_lo = mid, b_mid
-        found.append(-math.exp(0.5 * (lo + hi)))
-    return found
+    def test_exact_hit_at_a_scan_point_is_the_level(self, monkeypatch):
+        # at slope 1 the phase is the first target exactly at pi, the third
+        # scan point (pi/3 apart at M = 1)
+        (x1, _), step_lo, _ = _shoot_step_phase(monkeypatch, 1.0, 0.0)
+        assert x1 == step_lo == math.pi

@@ -1,5 +1,5 @@
 import cmath
-import functools
+import hashlib
 import math
 import random
 import warnings
@@ -570,11 +570,9 @@ class TestQuantizedSolver:
     def test_bracket_failure_reports_window(self):
         # at M_osc = 0.008 the level below E0 lies about 2 pi / M_osc / ln 10
         # ~ 341 decades down, past the 160 decades the scan may walk
-        with pytest.raises(BracketError, match=r"window \[E=1e-160, E=1\]") as got:
+        with pytest.raises(BracketError) as got:
             oscillator_quantized_spectrum(PP, 1.0, 0.008, 1.0, [-1])
-        with pytest.raises(BracketError) as want:
-            _reference_levels("oscillator", PP, 0.008, 1.0, [-1])
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == "no sign change for target 1.57588 inside the scan window [E=1e-160, E=1]"
 
     def test_m_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -626,114 +624,36 @@ class TestQuantizedSolver:
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
 
-def _reference_ladder(f_of_g, x0, energy0, energy_of_x, sign, slope, n_range, m_ang, tol=1e-10):
-    """The ladder loop without a shared scan: every level rescans from x0.
-
-    f(x) = f_of_g(e^x) is memoized: the rescans of one call walk the same
-    grid.  As in the solver, f refuses x where e^x underflows to 0, every
-    level goes through spectra._normal_level, and a window end whose energy
-    leaves the double range is named by g."""
-    @functools.cache
-    def f_of_x(x):
-        g = math.exp(x)
-        if g == 0.0:
-            raise DomainError(
-                f"the level scan leaves the double range: g = e^{x:.6g} underflows to 0"
-            )
-        return f_of_g(g)
-
-    def level(n, energy):
-        return spectra._normal_level(
-            energy, "quantized", n, energy0, m_ang, "it leaves the double range"
-        )
-
-    step = math.log(10.0) / 64
-    max_steps = 64 * 160
-    tol_x = tol / 2.0
-    f0 = f_of_x(x0)
-    energies = []
-    for n in n_range:
-        target = f0 + sign * math.pi * n
-        if n == 0 or f0 == target:
-            energies.append(level(n, energy0 if n == 0 else energy_of_x(x0)))
-            continue
-        direction = 1.0 if (target - f0) * slope > 0 else -1.0
-        x_prev, f_prev = x0, f0
-        for k in range(1, max_steps + 1):
-            x = x0 + direction * k * step
-            fx = f_of_x(x)
-            if (f_prev - target) * (fx - target) <= 0.0:
-                lo, hi, flo = x_prev, x, f_prev
-                for _ in range(300):
-                    mid = 0.5 * (lo + hi)
-                    fm = f_of_x(mid)
-                    if (flo - target) * (fm - target) <= 0.0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fm
-                    if abs(hi - lo) <= tol_x:
-                        break
-                energies.append(level(n, energy_of_x(0.5 * (lo + hi))))
-                break
-            x_prev, f_prev = x, fx
-        else:
-            def end(x):
-                try:
-                    return f"E={energy_of_x(x):.6g}"
-                except DomainError:
-                    return f"g={math.exp(x):.6g} (E leaves the double range)"
-
-            x_end = x0 + direction * max_steps * step
-            raise BracketError(
-                f"no sign change for target {target:.6g} inside the scan window "
-                f"[{end(min(x0, x_end))}, {end(max(x0, x_end))}]"
-            )
-    return energies
-
-
-def _reference_levels(kind, pp, m_ang, energy0, n_range, q=quantization_f, tol=1e-10):
-    """Levels of the reference ladder, set up as each solver sets up its own,
-    with q in place of quantization_f."""
-    if kind == "coulomb":
-        return _reference_ladder(
-            lambda g: q(g, m_ang),
-            math.log(coulomb_scaling(pp, 1.0, energy0).g), energy0,
-            lambda x: _energy_from_g(pp, 1.0, math.exp(x)),
-            1.0, -1.0 if m_ang > 0 else 1.0, n_range, m_ang, tol,
-        )
-    m_c, two_hw = 0.5 * m_ang, 2.0 * pp.hbar * 1.0
-    return _reference_ladder(
-        lambda g: q(g, m_c),
-        math.log(energy0 / two_hw), energy0, lambda x: two_hw * math.exp(x),
-        -1.0, -1.0 if m_c > 0 else 1.0, n_range, m_ang, tol,
-    )
-
-
-def _ladder_outcome(solve, *args):
-    """Levels as hex strings, or the error class and message."""
-    try:
-        return [e.hex() for e in solve(*args)]
-    except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _reference_outcome(kind, pp, m_ang, energy0, n_range, q=quantization_f, tol=1e-10):
-    """The reference's levels through the solvers' ordering check."""
-    def solve():
-        levels = list(zip(n_range, _reference_levels(kind, pp, m_ang, energy0, n_range, q, tol)))
-        falling = (m_ang > 0) == (kind == "coulomb")
-        entries = spectra._quantized_entries(m_ang, levels, falling, f"tol={tol:g}")
-        return [e.energy.real for e in entries]
-
-    return _ladder_outcome(solve)
-
-
 def _solve(kind, pp, m_ang, energy0, n_range, tol=1e-10):
     if kind == "oscillator":
         entries = oscillator_quantized_spectrum(pp, 1.0, m_ang, energy0, n_range, tol)
     else:
         entries = solve_quantized_spectrum(pp, 1.0, m_ang, energy0, n_range, tol)
     return [e.energy.real for e in entries]
+
+
+def _ln_g(kind, pp, energy):
+    """ln g of a level, recomputed from its energy (alpha = omega = 1)."""
+    if kind == "coulomb":
+        return math.log(coulomb_scaling(pp, 1.0, energy).g)
+    return math.log(energy / (2.0 * pp.hbar))
+
+
+def _certified(kind, pp, m_ang, energy0, n_range, tol=1e-10, q=quantization_f):
+    """The window's levels, each checked to lie within tol/4 of its root in
+    ln g: q at ln g -+ tol/4 falls on either side of the target
+    f(ln g0) +- pi n (q standing in for quantization_f)."""
+    m_c, sign = (m_ang, 1.0) if kind == "coulomb" else (0.5 * m_ang, -1.0)
+
+    def f(x):
+        return q(math.exp(x), m_c)
+
+    f0 = f(_ln_g(kind, pp, energy0))
+    levels = _solve(kind, pp, m_ang, energy0, n_range, tol)
+    for n, energy in zip(n_range, levels):
+        x, target = _ln_g(kind, pp, energy), f0 + sign * math.pi * n
+        assert n == 0 or (f(x - tol / 4) - target) * (f(x + tol / 4) - target) <= 0.0, n
+    return levels
 
 
 def _random_windows(kind):
@@ -749,17 +669,35 @@ def _random_windows(kind):
 
 
 class TestLadderParity:
-    """The shared-scan ladder against the per-level rescan it replaced."""
+    """The shared-scan ladder: its cost, its collapsed levels and what it
+    keeps of the per-level rescan it replaced."""
 
     @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
-    def test_random_windows_match_rescan(self, kind):
-        # anchors reach g ~ 5e8, past g ~ 4e7 where f is rounding noise and
-        # the bracket a scan picks is decided by its last bits
+    def test_random_windows_are_certified(self, kind):
+        # anchors reach g ~ 5e8, past g ~ 4e7 where f's last bits are
+        # rounding noise
         for pp, m_ang, mag, n_range in _random_windows(kind):
-            energy0 = mag if kind == "oscillator" else -mag
-            want = _reference_levels(kind, pp, m_ang, energy0, n_range)
-            got = _solve(kind, pp, m_ang, energy0, n_range)
-            assert [e.hex() for e in got] == [e.hex() for e in want]
+            _certified(kind, pp, m_ang, mag if kind == "oscillator" else -mag, n_range)
+
+    @pytest.mark.parametrize(
+        "kind, m_ang, energy0, n_range",
+        [("coulomb", 1.0, -2.0, range(-3, 4)), ("oscillator", 1.0, 25.0, range(4))],
+    )
+    def test_readme_windows_against_mpmath(self, kind, m_ang, energy0, n_range):
+        # (f(g_n) - f(g_0) -+ pi n) / pi of each printed level, with f less
+        # its g-independent term in 40-digit mpmath
+        mp = pytest.importorskip("mpmath")
+        coulomb = kind == "coulomb"
+        m_c, sign = (m_ang, 1) if coulomb else (m_ang / 2, -1)
+
+        def f(energy):
+            g = 1 / mp.sqrt(-2 * mp.mpf(energy)) if coulomb else mp.mpf(energy) / 2
+            return -m_c * mp.log(g) + mp.loggamma(mp.mpc(0.5 - g, m_c)).imag
+
+        with mp.workdps(40):
+            f0 = f(energy0)
+            for n, energy in zip(n_range, _solve(kind, PP, m_ang, energy0, n_range)):
+                assert abs(f(energy) - f0 - sign * mp.pi * n) / mp.pi <= 1e-10, n
 
     def test_free_levels_are_the_closed_form(self):
         # 136 decades per level at |M| = 0.02: n = +-2 lie 272 decades from
@@ -780,14 +718,12 @@ class TestLadderParity:
         ],
     )
     def test_collapsed_levels_raise(self, energy0, n_range, pair):
-        # the rescan returns equal or out-of-order levels here
-        want = _reference_levels("coulomb", PP, 1.0, energy0, n_range)
-        assert not all(b < a for a, b in zip(want, want[1:]))
+        # the level spacing here is below what tol = 1e-10 resolves
         with pytest.raises(ConsistencyError, match=f"{pair}.* not strictly decreasing"):
             solve_quantized_spectrum(PP, 1.0, 1.0, energy0, n_range)
 
     def test_f_evaluations_do_not_grow_as_n_squared(self, monkeypatch):
-        # one scan out to the deepest level plus at most 300 bisection
+        # one scan out to the deepest level plus at most 300 refinement
         # steps per level; rescanning from the anchor for every level
         # costs about 87 (1 + 2 + ... + 9) = 3,900 evaluations here
         calls = []
@@ -803,6 +739,75 @@ class TestLadderParity:
         x_deep = math.log(coulomb_scaling(PP, 1.0, entries[-1].energy.real).g)
         scan = math.ceil(abs(x_deep - x0) / (math.log(10.0) / 64))
         assert len(calls) <= 1 + scan + 300 * len(n_range)
+
+    @pytest.mark.parametrize(
+        "kind, mass, m_ang, energy0, n_range, tol, want",
+        [
+            ("coulomb", 2.0, -693.391197855415, -6.962443843555782e230, range(-4, 0), 1e-10,
+             ["-0x1.dc2cc5088ae04p+766", "-0x1.d7e126db06edcp+766", "-0x1.d39f73ff773efp+766",
+              "-0x1.cf67958d587b3p+766"]),
+            ("coulomb", 1.0, 0.0011985651968564627, -7.147441528530582e225, range(-5, -1), 6e-60,
+             ["-0x1.93dee4ea6828cp-6", "-0x1.4da7254843d04p-5", "-0x1.46b34e2e40acep-4",
+              "-0x1.c4d8c9fa43280p-3"]),
+            ("coulomb", 2.0, -378.87709968532096, -1.609205231187473e-13, range(-5, 0), 8e-267,
+             ["-0x1.6a5c8d48029b1p-43", "-0x1.6a5c83c1418f2p-43", "-0x1.6a5c7a3a80e80p-43",
+              "-0x1.6a5c70b3c09d5p-43", "-0x1.6a5c672d00b4cp-43"]),
+            ("oscillator", 1.0, -417.27370333326036, 9922.98811467283, range(-2, 3), 7e-122,
+             ["0x1.3637e79825a6ep+13", "0x1.3627e7a06761bp+13", "0x1.3617e7a8aa640p+13",
+              "0x1.3607e7b0eeacap+13", "0x1.35f7e7b9343dfp+13"]),
+        ],
+    )
+    def test_midpoints_beside_the_root_match_rescan(
+        self, kind, mass, m_ang, energy0, n_range, tol, want
+    ):
+        # In each window a rescan's bisection midpoint fell on the short end
+        # of the last Illinois bracket; want holds the rescan's levels.
+        # Where tol lies below what ln g resolves, no estimate can be
+        # certified and the last bracket is bisected down to the same two
+        # neighbouring doubles.  At tol = 1e-10 both levels lie within tol/4
+        # of the root in ln g, so within tol/2 of each other.
+        pp = PhysicalParams(mass=mass, hbar=0.5 if mass == 2.0 else 1.0)
+        got = _solve(kind, pp, m_ang, energy0, n_range, tol)
+        x = _ln_g(kind, pp, got[0])
+        if x + tol / 4 == x:
+            assert [e.hex() for e in got] == want
+        else:
+            assert _certified(kind, pp, m_ang, energy0, n_range, tol) == got
+            for level, rescan in zip(got, want):
+                x, x_rescan = _ln_g(kind, pp, level), _ln_g(kind, pp, float.fromhex(rescan))
+                assert abs(x - x_rescan) <= tol / 2, rescan
+
+    @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
+    def test_tol_wider_than_a_grid_cell_matches_rescan(self, kind):
+        # tol/4 = 0.025 in ln g is most of a grid cell (ln 10 / 64 = 0.036),
+        # so a rescan's bisection halved the cell once and stopped; the
+        # level still lies within tol/4 of its root
+        energy0 = 3.0 if kind == "oscillator" else -2.0
+        for m_ang in (1.0, -0.4):
+            _certified(kind, PP, m_ang, energy0, range(-3, 4), tol=0.1)
+
+    @pytest.mark.parametrize(
+        "kind, m_ang, energy0",
+        [
+            pytest.param("coulomb", 0.25, -1e6, id="deep"),
+            pytest.param("coulomb", -0.25, -1e6, id="deep-M<0"),
+            pytest.param("coulomb", 1.0, -1e-10, id="shallow"),
+            pytest.param("oscillator", 1.0, 3.0, id="oscillator"),
+        ],
+    )
+    def test_f_evaluations_per_level(self, monkeypatch, kind, m_ang, energy0):
+        # a scan of 64 points per decade and 30-odd bisection steps took
+        # about 100 evaluations per level
+        calls = []
+
+        def counting_f(g, m_c):
+            calls.append(g)
+            return quantization_f(g, m_c)
+
+        monkeypatch.setattr(spectra, "quantization_f", counting_f)
+        n_range = range(-4, 5)
+        _solve(kind, PP, m_ang, energy0, n_range)
+        assert len(calls) <= 15 * (len(n_range) - 1)
 
     def test_wide_windows_match_rescan(self):
         # |E0| from 1e-300 to 1e300 reaches levels whose energy leaves the
@@ -834,45 +839,23 @@ class TestLadderParity:
                 kind, units[i // 2 % 2], m_ang, mag if kind == "oscillator" else -mag,
                 range(lo, lo + rng.randint(1, 5)),
             ))
-        outcomes = set()
-        for kind, pp, m_ang, energy0, n_range in cases:
-            want = _reference_outcome(kind, pp, m_ang, energy0, n_range)
-            assert _ladder_outcome(_solve, kind, pp, m_ang, energy0, n_range) == want
-            outcomes.add(want.split(":")[0] if isinstance(want, str) else "levels")
-        assert outcomes == {"levels", "BracketError", "ConsistencyError", "DomainError"}
-
-    @pytest.mark.parametrize(
-        "kind, mass, m_ang, energy0, n_range, tol",
-        [
-            ("coulomb", 2.0, -693.391197855415, -6.962443843555782e230, range(-4, 0), 1e-10),
-            ("coulomb", 1.0, 0.0011985651968564627, -7.147441528530582e225, range(-5, -1), 6e-60),
-            ("coulomb", 2.0, -378.87709968532096, -1.609205231187473e-13, range(-5, 0), 8e-267),
-            ("oscillator", 1.0, -417.27370333326036, 9922.98811467283, range(-2, 3), 7e-122),
-        ],
-    )
-    def test_midpoints_beside_the_root_match_rescan(self, kind, mass, m_ang, energy0, n_range, tol):
-        # In each window a bisection midpoint falls on the short end of the
-        # last Illinois bracket, where the root estimate can sit and call
-        # it past, so only f at that end settles it.  It takes tol below
-        # what ln g resolves, or luck at tol = 1e-10 (one window in 2,000
-        # random ones).
-        pp = PhysicalParams(mass=mass, hbar=0.5 if mass == 2.0 else 1.0)
-        want = _reference_outcome(kind, pp, m_ang, energy0, n_range, tol=tol)
-        assert _ladder_outcome(_solve, kind, pp, m_ang, energy0, n_range, tol) == want
+        outcomes = []
+        for case in cases:
+            try:
+                _certified(*case)
+                outcomes.append("levels")
+            except Exception as exc:
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+        # Each window raises what the per-level rescan raised: the class
+        # per window (l for levels) and the digest of every message.  Three
+        # DomainErrors name the g of a level, which moved by about 1e-11.
+        classes = "BDDDDDlCBClllCCllCClllClllClllllCBDlllCCClCClCDCDClllCDllD"
+        assert "".join(outcome[0] for outcome in outcomes) == classes
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
+        assert digest == "a12079d460bf97f7", outcomes
 
     @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
-    def test_tol_wider_than_a_grid_cell_matches_rescan(self, kind):
-        # tol/2 = 0.05 in ln g exceeds a grid cell (ln 10 / 64 = 0.036), so
-        # the bisection halves the cell once and stops: it halves before it
-        # checks the width
-        energy0 = 3.0 if kind == "oscillator" else -2.0
-        for m_ang in (1.0, -0.4):
-            want = _reference_outcome(kind, PP, m_ang, energy0, range(-3, 4), tol=0.1)
-            assert isinstance(want, list)
-            assert _ladder_outcome(_solve, kind, PP, m_ang, energy0, range(-3, 4), 0.1) == want
-
-    @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
-    def test_synthetic_f_matches_rescan(self, kind, monkeypatch):
+    def test_synthetic_f_levels_and_errors(self, kind, monkeypatch):
         # f = -M ln g puts the levels pi / |M| apart in ln g.  f raises
         # beyond ln g = 9, so a level past that point takes the error of
         # the first grid point there.
@@ -884,36 +867,36 @@ class TestLadderParity:
 
         monkeypatch.setattr(spectra, "quantization_f", q)
         energy0 = -2.0 if kind == "coulomb" else 2.0
+        x0, step, k = _ln_g(kind, PP, energy0), math.log(10.0) / 64, 1
+        while math.log(math.exp(x0 + k * step)) <= 9.0:
+            k += 1
         outcomes = set()
         for m_ang in (1.0, -1.0, 0.4, -0.4):
             for n_range in (range(-4, 5), range(3, -4, -1), range(-2, 0)):
-                want = _reference_outcome(kind, PP, m_ang, energy0, n_range, q)
-                assert _ladder_outcome(_solve, kind, PP, m_ang, energy0, n_range) == want
-                outcomes.add(want.split(" g=")[0] if isinstance(want, str) else "levels")
-        assert outcomes == {"levels", "DomainError: synthetic f refuses"}
+                try:
+                    _certified(kind, PP, m_ang, energy0, n_range, q=q)
+                    outcomes.add("levels")
+                except DomainError as exc:
+                    outcomes.add(str(exc))
+        assert outcomes == {"levels", f"synthetic f refuses g={math.exp(x0 + k * step)!r}"}
 
-    @pytest.mark.parametrize(
-        "kind, m_ang, energy0",
-        [
-            pytest.param("coulomb", 0.25, -1e6, id="deep"),
-            pytest.param("coulomb", -0.25, -1e6, id="deep-M<0"),
-            pytest.param("coulomb", 1.0, -1e-10, id="shallow"),
-            pytest.param("oscillator", 1.0, 3.0, id="oscillator"),
-        ],
-    )
-    def test_f_evaluations_per_level(self, monkeypatch, kind, m_ang, energy0):
-        # a scan of 64 points per decade and 30-odd bisection steps took
-        # about 100 evaluations per level
-        calls = []
+    @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
+    def test_exact_hit_at_a_grid_point_is_the_level(self, kind, monkeypatch):
+        # f = -M ln g with pi / M = 32 grid cells, except that grid point 32
+        # is the n = 1 target exactly: that point is the level
+        coulomb, step = kind == "coulomb", math.log(10.0) / 64
+        m_c, x0 = math.pi / (32 * step), _ln_g(kind, PP, -2.0 if coulomb else 2.0)
+        x_hit = x0 + (-1.0 if coulomb else 1.0) * 32 * step
+        target = -m_c * math.log(math.exp(x0)) + (math.pi if coulomb else -math.pi)
 
-        def counting_f(g, m_c):
-            calls.append(g)
-            return quantization_f(g, m_c)
+        def q(g, m_ang):
+            return target if g == math.exp(x_hit) else -m_ang * math.log(g)
 
-        monkeypatch.setattr(spectra, "quantization_f", counting_f)
-        n_range = range(-4, 5)
-        _solve(kind, PP, m_ang, energy0, n_range)
-        assert len(calls) <= 15 * (len(n_range) - 1)
+        monkeypatch.setattr(spectra, "quantization_f", q)
+        if coulomb:
+            assert _solve(kind, PP, m_c, -2.0, [1]) == [_energy_from_g(PP, 1.0, math.exp(x_hit))]
+        else:
+            assert _solve(kind, PP, 2.0 * m_c, 2.0, [1]) == [2.0 * math.exp(x_hit)]
 
 
 class TestLadders:
