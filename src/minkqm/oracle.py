@@ -131,10 +131,9 @@ def _numerov(
         y, log_scale = _numerov(coef[::-1], h, start, inward=False)
         # contiguous, so that RadialSolution can view it as floats
         return np.ascontiguousarray(y[::-1]), log_scale
-    n = coef.size
     h2 = h * h
     w = (1.0 + (h2 / 12.0) * coef).tolist()  # Numerov weights
-    hc = (h2 * coef).tolist()
+    hc = (h2 * coef[1:-1]).tolist()  # the step to point i takes coef[i - 1]
     # not Python complex: its abs raises OverflowError, and its division
     # divides where numpy's multiplies by a reciprocal
     scalar = float if np.result_type(*start).kind != "c" else np.complex128
@@ -144,16 +143,18 @@ def _numerov(
     with np.errstate(over="ignore", invalid="ignore"):
         y_prev = scalar(start[1])
         y = [scalar(start[0]), y_prev]
+        append = y.append
+        limit = _RENORM_LIMIT
         z_curr = w[1] * y_prev
         diff = z_curr - w[0] * y[0]
-        for i in range(2, n):
-            diff = diff - hc[i - 1] * y_prev
+        for hc_i, w_i in zip(hc, w[2:]):
+            diff = diff - hc_i * y_prev
             z_curr = z_curr + diff
-            y_prev = z_curr / w[i]
-            y.append(y_prev)
+            y_prev = z_curr / w_i
+            append(y_prev)
             mag = abs(y_prev)
-            if mag > _RENORM_LIMIT:
-                y = [v / mag for v in y]
+            if mag > limit:
+                y[:] = [v / mag for v in y]
                 y_prev = y[-1]
                 z_curr /= mag
                 diff /= mag

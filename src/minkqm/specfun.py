@@ -144,13 +144,22 @@ def ln_gamma(z: complex) -> complex:
     ------
     PoleError
         If z is within ``POLE_TOL`` of a non-positive integer.
+    DomainError
+        If z is not finite, or the value leaves the double range (for
+        real z from about 2.6e305).
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"lnGamma needs a finite z, got z={z}")
     if _nearest_nonpositive_integer_distance(z) <= POLE_TOL:
         raise PoleError(f"lnGamma pole at non-positive integer near z={z}")
     if z.imag == 0.0 and z.real > 0.0:
-        return complex(float(np.real(_ln_gamma_ld(z))), 0.0)
-    return complex(_ln_gamma_ld(z))
+        value = complex(float(np.real(_ln_gamma_ld(z))), 0.0)
+    else:
+        value = complex(_ln_gamma_ld(z))
+    if not cmath.isfinite(value):
+        raise DomainError(f"lnGamma at z={z} is {value}: it leaves the double range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -178,9 +187,14 @@ class KummerParams:
         )
         # taken once here rather than on every point a series is summed at
         n = round(-self.a.real)
-        object.__setattr__(
-            self, "_order", n if n >= 0 and abs(self.a + n) <= TERMINATION_TOL else None
-        )
+        order = n if n >= 0 and abs(self.a + n) <= TERMINATION_TOL else None
+        object.__setattr__(self, "_order", order)
+        # A polynomial of at most one block keeps its factor pairs; a longer
+        # one takes its blocks from _term_block as it sums.
+        pairs = None
+        if order is not None and order <= _OVERFLOW_CHECK_TERMS:
+            pairs = (tuple(zip(*_term_block(self._key, 0, order))),)
+        object.__setattr__(self, "_pairs", pairs)
 
     def terminating_order(self) -> int | None:
         """Degree n if the series terminates (a = -n within tolerance), else None."""
@@ -210,11 +224,11 @@ def _term_block(key: bytes, start: int, stop: int):
 
 def _kummer_m_ld(p: KummerParams, z: float, tol: float):
     """Series sum of F(a, c, z) in extended precision (clongdouble)."""
-    if not z >= 0:
-        raise DomainError(f"Kummer series requires z >= 0, got z={z}")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be positive and finite, got {tol}")
-    if z == 0.0:
+    if not (z > 0.0 and 0.0 < tol < math.inf):
+        if not z >= 0:
+            raise DomainError(f"Kummer series requires z >= 0, got z={z}")
+        if not (tol > 0 and math.isfinite(tol)):
+            raise DomainError(f"tol must be positive and finite, got {tol}")
         return _ONE
 
     zl = z - _CZERO
@@ -223,9 +237,12 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float):
     n_term = p._order
     if n_term is not None:
         # Degree-n polynomial: exactly n+1 terms, no tail heuristics.
-        for start in range(0, n_term, _OVERFLOW_CHECK_TERMS):
-            stop = min(start + _OVERFLOW_CHECK_TERMS, n_term)
-            for a_k, d_k in zip(*_term_block(p._key, start, stop)):
+        blocks = p._pairs or (
+            zip(*_term_block(p._key, start, min(start + _OVERFLOW_CHECK_TERMS, n_term)))
+            for start in range(0, n_term, _OVERFLOW_CHECK_TERMS)
+        )
+        for pairs in blocks:
+            for a_k, d_k in pairs:
                 t = t * a_k * zl / d_k
                 s = s + t
         return s

@@ -17,6 +17,7 @@ functions; they live in ``model``, which loads no numpy, and are re-exported her
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import functools
 import math
@@ -120,15 +121,16 @@ def _u1_params(
     """u1's series parameters (1/2 + iM - g, 1 + 2iM), the z past which the
     series, where it terminates, may overflow longdouble, and the
     prefactor's iM as a clongdouble.  m_sign, the sign of M, keeps
-    M = +0.0 and -0.0 apart, which float hashing merges."""
+    M = +0.0 and -0.0 apart, which float hashing merges.  Refuses a
+    non-finite g or M, once per cached pair: an error is not cached."""
+    _require_finite("g", g)
+    _require_finite("M", m_ang)
     params = KummerParams(complex(0.5 - g, m_ang), complex(1.0, 2.0 * m_ang))
     order = params.terminating_order()
     return params, (_U1_POLY_SAFE / order if order else math.inf), np.clongdouble(1j * m_ang)
 
 
 def _u1_ld(g: float, m_ang: float, z: float, tol: float):
-    _require_finite("g", g)
-    _require_finite("M", m_ang)
     # float() also takes a 0-d array, which the cache could not hash.
     params, quiet_from, i_m = _u1_params(float(g), float(m_ang), math.copysign(1.0, m_ang))
     if z > quiet_from:
@@ -167,7 +169,10 @@ def coulomb_u1(
     """
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
-    return _finite(_u1_ld(g, m_ang, z, tol), z, "coulomb_u1", _ENVELOPE, g=g, M=m_ang)
+    value = complex(_u1_ld(g, m_ang, z, tol))
+    if cmath.isfinite(value):
+        return value
+    return _finite(value, z, "coulomb_u1", _ENVELOPE, g=g, M=m_ang)
 
 
 def coulomb_u2(
@@ -177,7 +182,10 @@ def coulomb_u2(
     conjugate for real parameters.  Raises DomainError where u1 would."""
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
-    return _finite(_u1_ld(g, -m_ang, z, tol), z, "coulomb_u2", _ENVELOPE, g=g, M=m_ang)
+    value = complex(_u1_ld(g, -m_ang, z, tol))
+    if cmath.isfinite(value):
+        return value
+    return _finite(value, z, "coulomb_u2", _ENVELOPE, g=g, M=m_ang)
 
 
 def coulomb_third(
@@ -210,17 +218,29 @@ def coulomb_third(
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
     if gamma is None:
-        gamma = gamma_phase(g, m_ang).gamma
-    _require_finite("gamma", gamma)
+        gamma = _default_gamma(float(g), float(m_ang), math.copysign(1.0, m_ang))
     phase = _third_phase(float(gamma), math.copysign(1.0, gamma))
     u1 = _u1_ld(g, m_ang, z, tol)
-    return _finite(u1 - phase * np.conj(u1), z, "coulomb_third", _ENVELOPE, g=g, M=m_ang)
+    value = complex(u1 - phase * np.conj(u1))
+    if cmath.isfinite(value):
+        return value
+    return _finite(value, z, "coulomb_third", _ENVELOPE, g=g, M=m_ang)
+
+
+@functools.lru_cache(maxsize=_U1_PARAMS_CACHED)
+def _default_gamma(g: float, m_ang: float, m_sign: float) -> float:
+    """coulomb_third's default gamma, taken through the module's gamma_phase
+    once per (g, M, sign of M); an error, such as PoleError at an M = 0
+    pole, is not cached and so is raised on every call."""
+    return gamma_phase(g, m_ang).gamma
 
 
 @functools.lru_cache(maxsize=_U1_PARAMS_CACHED)
 def _third_phase(gamma: float, sign: float):
     """e^{-2i gamma} as a clongdouble; sign, the sign of gamma, keeps
-    gamma = +0.0 and -0.0 apart, as in _u1_params."""
+    gamma = +0.0 and -0.0 apart, as in _u1_params.  Refuses a non-finite
+    gamma, once per cached value."""
+    _require_finite("gamma", gamma)
     return np.exp(_MINUS_2J * (gamma - _CZERO))
 
 
@@ -581,13 +601,17 @@ def oscillator_wavefunction(
     Raises DomainError where z leaves the double range (rho ~ 1.3e154 in
     natural units).
     """
-    if not rho > 0:
-        raise DomainError(f"rho must be positive, got {rho}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    _require_positive("omega", omega)
-    _require_finite("M_osc", m_osc)
-    _require_finite("phi", phi)
+    if not (
+        rho > 0 and n >= 0 and 0.0 < omega < math.inf
+        and -math.inf < m_osc < math.inf and -math.inf < phi < math.inf
+    ):
+        if not rho > 0:
+            raise DomainError(f"rho must be positive, got {rho}")
+        if n < 0:
+            raise DomainError(f"n must be >= 0, got {n}")
+        _require_positive("omega", omega)
+        _require_finite("M_osc", m_osc)
+        _require_finite("phi", phi)
     z = pp.mass * omega * rho * rho / pp.hbar
     params, quiet_from, i_m = _oscillator_params(n, float(m_osc), math.copysign(1.0, m_osc))
     m_phi = 1j * m_osc * phi
@@ -597,7 +621,9 @@ def oscillator_wavefunction(
     with _NO_ERRSTATE if safe else np.errstate(over="ignore", invalid="ignore"):
         lnrho = np.log(rho - _CZERO)
         pref = np.exp(i_m * lnrho - (z - _CZERO) / 2 + (m_phi - _CZERO))
-        value = pref * _kummer_m_ld(params, z, tol)
+        value = complex(pref * _kummer_m_ld(params, z, tol))
+    if cmath.isfinite(value):
+        return value
     return _finite(
         value, z, "oscillator_wavefunction", "z = m omega rho^2 / hbar",
         n=n, M=m_osc, rho=rho,

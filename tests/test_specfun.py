@@ -231,6 +231,31 @@ class TestKummerM:
         with pytest.raises(PoleError):
             KummerParams(1.0, -3.0)
 
+    def test_one_block_polynomial_keeps_its_factors(self):
+        # up to one block of terms, the factor pairs live on the parameters:
+        # summing takes nothing from _term_block, and keeps the plain loop's bits
+        for n in (0, 3, 64):
+            p = KummerParams(complex(-n, 0.0), complex(1, 2))
+            before = specfun._term_block.cache_info()
+            got = _kummer_m_ld(p, 7.5, 1e-13)
+            assert specfun._term_block.cache_info() == before
+            assert _same_bits(got, _plain_kummer_loop(p, 7.5))
+
+    @pytest.mark.parametrize("n", [3, 64, 65])
+    def test_guard_order(self, n):
+        # z before tol, with these messages, for polynomials of one block,
+        # a full block and past the block edge; z = +-0 sums nothing
+        p = KummerParams(-n, 1.0)
+        for z in (0.0, -0.0, -1.0, math.nan, math.inf):
+            for tol in (0.0, -1.0, math.nan, math.inf):
+                want = (f"Kummer series requires z >= 0, got z={z}" if not z >= 0
+                        else f"tol must be positive and finite, got {tol}")
+                with pytest.raises(DomainError) as excinfo:
+                    kummer_m(p, z, tol)
+                assert type(excinfo.value) is DomainError and str(excinfo.value) == want
+            if z == 0.0:
+                assert _same_bits(_kummer_m_ld(p, z, 1e-13), np.clongdouble(1.0))
+
     def test_term_cap(self):
         # the tail bound needs more than |z| terms; at z = 1e4 the partial
         # sums stay finite in extended precision up to the cap

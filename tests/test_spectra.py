@@ -11,7 +11,7 @@ from minkqm import spectra
 from minkqm.errors import BracketError, ConsistencyError, ConvergenceError, DomainError, PoleError
 from minkqm.model import NATURAL_UNITS, PhysicalParams, _energy_from_g
 from minkqm.oracle import bound_state_length, scaled_config
-from minkqm.specfun import DEFAULT_SERIES_TOL, KummerParams, _kummer_m_ld
+from minkqm.specfun import DEFAULT_SERIES_TOL, KummerParams, _kummer_m_ld, ln_gamma
 from minkqm.spectra import (
     Branch,
     coulomb_closed_spectrum,
@@ -195,6 +195,48 @@ class TestWavefunctions:
                     outcomes += self._check_against_bare_series(g, m_ang, rng.uniform(z_lo, z_hi))
         assert "finite" in outcomes and "cap" in outcomes
 
+    def test_u1_polynomials_against_mpmath(self):
+        # at M = +-0 and g = n + 1/2 the series is the Laguerre polynomial
+        # L_n(z), u1 = e^(-z/2) sqrt(z) L_n(z)
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random("u1-polynomials")
+        with mp.workdps(40):
+            for n in range(4):
+                for m_ang in (0.0, -0.0):
+                    for _ in range(10):
+                        z = rng.uniform(1.0, 40.0)
+                        exact = mp.exp(-mp.mpf(z) / 2) * mp.sqrt(z) * mp.hyp1f1(-n, 1, z)
+                        got = coulomb_u1(n + 0.5, m_ang, z)
+                        assert float(abs(got - exact) / abs(exact)) <= 1e-15, (n, m_ang, z)
+
+    def test_default_gamma_taken_once_per_parameters(self, monkeypatch):
+        # a grid's points share one gamma_phase evaluation per (g, M, sign
+        # of M), and each value is the explicit-gamma one bit for bit
+        calls = []
+        gamma_phase_of = spectra.gamma_phase
+
+        def counted(*args):
+            calls.append(args)
+            return gamma_phase_of(*args)
+
+        monkeypatch.setattr(spectra, "gamma_phase", counted)
+        spectra._default_gamma.cache_clear()
+        zs = [float(z) for z in np.linspace(0.05, 30.0, 100)]
+        for g, m_ang in ((2.3, 0.7), (2.3, -0.7), (2.3, 0.0), (2.3, -0.0)):
+            del calls[:]
+            got = [coulomb_third(g, m_ang, z) for z in zs]
+            assert calls == [(g, m_ang)]
+            gamma = gamma_phase_of(g, m_ang).gamma
+            assert [_hex_bits(v) for v in got] == [
+                _hex_bits(coulomb_third(g, m_ang, z, gamma)) for z in zs
+            ]
+        # a pole raises, and is evaluated again, on every call
+        del calls[:]
+        for z in zs[:3]:
+            with pytest.raises(PoleError, match="closed-form level n=1"):
+                coulomb_third(1.5, 0.0, z)
+        assert len(calls) == 3
+
     def test_zero_dim_array_parameters(self):
         # g and M as 0-d arrays give the values of the equal floats
         for func in (coulomb_u1, coulomb_u2, coulomb_third):
@@ -315,6 +357,37 @@ def _bare_u1_ld(g, m_ang, z):
     lnz = np.log(zl)
     pref = np.exp(-zl / 2 + np.clongdouble(0.5) * lnz + np.clongdouble(1j * m_ang) * lnz)
     return pref * _kummer_m_ld(params, z, DEFAULT_SERIES_TOL)
+
+
+class TestGuardOrder:
+    """Invalid arguments are refused in a fixed order, z (or rho) before
+    tol, with these messages, whatever the order of the checks inside."""
+
+    ZS = (0.0, -0.0, -1.0, math.nan, math.inf)
+    TOLS = (0.0, -1.0, math.nan, math.inf)
+
+    @pytest.mark.parametrize("m_ang", [0.0, -0.0])
+    def test_u1(self, m_ang):
+        for z in self.ZS:
+            for tol in self.TOLS:
+                want = (f"z must be positive, got {z}" if not z > 0
+                        else f"tol must be positive and finite, got {tol}")
+                self._assert_refused(lambda: coulomb_u1(1.5, m_ang, z, tol), want)
+
+    def test_oscillator_wavefunction(self):
+        for rho in self.ZS:
+            for tol in self.TOLS:
+                want = (f"rho must be positive, got {rho}" if not rho > 0
+                        else f"tol must be positive and finite, got {tol}")
+                self._assert_refused(
+                    lambda: oscillator_wavefunction(PP, 1.0, 2, 1.0, rho, 0.0, tol), want
+                )
+
+    @staticmethod
+    def _assert_refused(call, want):
+        with pytest.raises(DomainError) as excinfo:
+            call()
+        assert type(excinfo.value) is DomainError and str(excinfo.value) == want
 
 
 class TestGammaPhase:
@@ -1187,6 +1260,8 @@ class TestClosedFormResidual:
             coulomb_third_asymptotic, (2.0, -1e308, 40.0, 0.5), "2M must be finite",
             id="third-asym",
         ),
+        # this returned inf+infj
+        pytest.param(ln_gamma, (1e308 + 1e308j,), "double range", id="lngamma-huge"),
         # these raised ZeroDivisionError where -2 m E underflows to 0
         pytest.param(
             coulomb_scaling, (PhysicalParams(1e-200, 1.0), 1.0, -1e-250), "underflows to 0",
@@ -1264,6 +1339,11 @@ def test_huge_m_raises(call, args, match):
         pytest.param(coulomb_third, (math.inf, 1.0, 1.0), {}, id="third-auto-g-inf"),
         pytest.param(coulomb_third, (2.0, 1.0, 1.0, math.inf), {}, id="third-gamma-inf"),
         pytest.param(coulomb_third_asymptotic, (math.nan, 1.0, 40.0, 0.5), {}, id="third-asym-g"),
+        # ln_gamma raised ValueError or OverflowError, or warned and
+        # returned nan+nanj
+        pytest.param(ln_gamma, (math.nan,), {}, id="lngamma-z"),
+        pytest.param(ln_gamma, (-math.inf,), {}, id="lngamma-z-inf"),
+        pytest.param(ln_gamma, (complex(0.0, math.nan),), {}, id="lngamma-z-imag"),
         # these blamed e^(z/2) z^(-g) for leaving the double range
         pytest.param(coulomb_u1_asymptotic, (math.nan, 1.0, 5.0), {}, id="u1-asym-g"),
         pytest.param(coulomb_u1_asymptotic, (2.0, -math.inf, 5.0), {}, id="u1-asym-M-inf"),
