@@ -182,10 +182,7 @@ def coulomb_u2(
     conjugate for real parameters.  Raises DomainError where u1 would."""
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
-    value = complex(_u1_ld(g, -m_ang, z, tol))
-    if cmath.isfinite(value):
-        return value
-    return _finite(value, z, "coulomb_u2", _ENVELOPE, g=g, M=m_ang)
+    return _finite(_u1_ld(g, -m_ang, z, tol), z, "coulomb_u2", _ENVELOPE, g=g, M=m_ang)
 
 
 def coulomb_third(
@@ -218,21 +215,10 @@ def coulomb_third(
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
     if gamma is None:
-        gamma = _default_gamma(float(g), float(m_ang), math.copysign(1.0, m_ang))
+        gamma = gamma_phase(g, m_ang).gamma
     phase = _third_phase(float(gamma), math.copysign(1.0, gamma))
     u1 = _u1_ld(g, m_ang, z, tol)
-    value = complex(u1 - phase * np.conj(u1))
-    if cmath.isfinite(value):
-        return value
-    return _finite(value, z, "coulomb_third", _ENVELOPE, g=g, M=m_ang)
-
-
-@functools.lru_cache(maxsize=_U1_PARAMS_CACHED)
-def _default_gamma(g: float, m_ang: float, m_sign: float) -> float:
-    """coulomb_third's default gamma, taken through the module's gamma_phase
-    once per (g, M, sign of M); an error, such as PoleError at an M = 0
-    pole, is not cached and so is raised on every call."""
-    return gamma_phase(g, m_ang).gamma
+    return _finite(u1 - phase * np.conj(u1), z, "coulomb_third", _ENVELOPE, g=g, M=m_ang)
 
 
 @functools.lru_cache(maxsize=_U1_PARAMS_CACHED)
@@ -601,17 +587,13 @@ def oscillator_wavefunction(
     Raises DomainError where z leaves the double range (rho ~ 1.3e154 in
     natural units).
     """
-    if not (
-        rho > 0 and n >= 0 and 0.0 < omega < math.inf
-        and -math.inf < m_osc < math.inf and -math.inf < phi < math.inf
-    ):
-        if not rho > 0:
-            raise DomainError(f"rho must be positive, got {rho}")
-        if n < 0:
-            raise DomainError(f"n must be >= 0, got {n}")
-        _require_positive("omega", omega)
-        _require_finite("M_osc", m_osc)
-        _require_finite("phi", phi)
+    if not rho > 0:
+        raise DomainError(f"rho must be positive, got {rho}")
+    if n < 0:
+        raise DomainError(f"n must be >= 0, got {n}")
+    _require_positive("omega", omega)
+    _require_finite("M_osc", m_osc)
+    _require_finite("phi", phi)
     z = pp.mass * omega * rho * rho / pp.hbar
     params, quiet_from, i_m = _oscillator_params(n, float(m_osc), math.copysign(1.0, m_osc))
     m_phi = 1j * m_osc * phi
@@ -621,9 +603,7 @@ def oscillator_wavefunction(
     with _NO_ERRSTATE if safe else np.errstate(over="ignore", invalid="ignore"):
         lnrho = np.log(rho - _CZERO)
         pref = np.exp(i_m * lnrho - (z - _CZERO) / 2 + (m_phi - _CZERO))
-        value = complex(pref * _kummer_m_ld(params, z, tol))
-    if cmath.isfinite(value):
-        return value
+        value = pref * _kummer_m_ld(params, z, tol)
     return _finite(
         value, z, "oscillator_wavefunction", "z = m omega rho^2 / hbar",
         n=n, M=m_osc, rho=rho,

@@ -209,34 +209,6 @@ class TestWavefunctions:
                         got = coulomb_u1(n + 0.5, m_ang, z)
                         assert float(abs(got - exact) / abs(exact)) <= 1e-15, (n, m_ang, z)
 
-    def test_default_gamma_taken_once_per_parameters(self, monkeypatch):
-        # a grid's points share one gamma_phase evaluation per (g, M, sign
-        # of M), and each value is the explicit-gamma one bit for bit
-        calls = []
-        gamma_phase_of = spectra.gamma_phase
-
-        def counted(*args):
-            calls.append(args)
-            return gamma_phase_of(*args)
-
-        monkeypatch.setattr(spectra, "gamma_phase", counted)
-        spectra._default_gamma.cache_clear()
-        zs = [float(z) for z in np.linspace(0.05, 30.0, 100)]
-        for g, m_ang in ((2.3, 0.7), (2.3, -0.7), (2.3, 0.0), (2.3, -0.0)):
-            del calls[:]
-            got = [coulomb_third(g, m_ang, z) for z in zs]
-            assert calls == [(g, m_ang)]
-            gamma = gamma_phase_of(g, m_ang).gamma
-            assert [_hex_bits(v) for v in got] == [
-                _hex_bits(coulomb_third(g, m_ang, z, gamma)) for z in zs
-            ]
-        # a pole raises, and is evaluated again, on every call
-        del calls[:]
-        for z in zs[:3]:
-            with pytest.raises(PoleError, match="closed-form level n=1"):
-                coulomb_third(1.5, 0.0, z)
-        assert len(calls) == 3
-
     def test_zero_dim_array_parameters(self):
         # g and M as 0-d arrays give the values of the equal floats
         for func in (coulomb_u1, coulomb_u2, coulomb_third):
@@ -1262,6 +1234,7 @@ class TestClosedFormResidual:
         ),
         # this returned inf+infj
         pytest.param(ln_gamma, (1e308 + 1e308j,), "double range", id="lngamma-huge"),
+        pytest.param(ln_gamma, (1e306,), "double range", id="lngamma-huge-real"),
         # these raised ZeroDivisionError where -2 m E underflows to 0
         pytest.param(
             coulomb_scaling, (PhysicalParams(1e-200, 1.0), 1.0, -1e-250), "underflows to 0",
