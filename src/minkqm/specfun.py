@@ -22,7 +22,10 @@ from .errors import ConvergenceError, DomainError, PoleError
 
 # Godfrey's 15-term Lanczos coefficient set, shift 607/128.  Relative
 # accuracy a few 1e-16 near the real axis, ~3e-14 worst case on |z| <= 50.
-_LANCZOS_G = np.longdouble(607) / np.longdouble(128)
+# The constants that lnGamma combines with a clongdouble z are clongdouble,
+# the values numpy would promote the longdoubles to on every call: the same
+# operations on the same values, without the casts.
+_LANCZOS_G = np.clongdouble(np.longdouble(607) / np.longdouble(128))
 _LANCZOS = tuple(
     np.longdouble(s)
     for s in (
@@ -44,11 +47,11 @@ _LANCZOS = tuple(
     )
 )
 _LANCZOS_HEAD = np.clongdouble(_LANCZOS[0])
-_LANCZOS_TAIL = np.array(_LANCZOS[1:], dtype=np.longdouble)
-_LANCZOS_SHIFTS = np.arange(1, len(_LANCZOS), dtype=np.longdouble)
-_HALF_LOG_2PI = np.longdouble("0.91893853320467274178032973640561763986")
+_LANCZOS_TAIL = np.array(_LANCZOS[1:], dtype=np.clongdouble)
+_LANCZOS_SHIFTS = np.arange(1, len(_LANCZOS), dtype=np.clongdouble)
+_HALF_LOG_2PI = np.clongdouble(np.longdouble("0.91893853320467274178032973640561763986"))
 _PI = np.longdouble("3.14159265358979323846264338327950288419")
-_LOG_PI = np.longdouble("1.14472988584940017414342735135305871165")
+_LOG_PI = np.clongdouble(np.longdouble("1.14472988584940017414342735135305871165"))
 _LOG_2 = np.longdouble("0.69314718055994530941723212145817656808")
 # The constant heads of _log_sin_pi_upper's products, each computed once as
 # the expressions there would compute it on every call.
@@ -103,9 +106,12 @@ def _finite(value, z: float, name: str, growth: str, **params) -> complex:
 def _lanczos_core(z):
     # z: clongdouble with Re z >= 0.5.  The sum runs left to right,
     # c0 + c1/(z - 1 + 1) + ... + c14/(z - 1 + 14): accumulate adds in
-    # order, where np.sum would pair the terms up.
-    terms = _LANCZOS_TAIL / ((z - 1) + _LANCZOS_SHIFTS)
-    s = np.add.accumulate(np.concatenate(((_LANCZOS_HEAD,), terms)))[-1]
+    # order, where np.sum would pair the terms up.  c0 goes onto the first
+    # term, since c0 + t1 is t1 + c0 bit for bit; the array operand leads
+    # each operation, where numpy takes its array path at once.
+    terms = _LANCZOS_TAIL / (_LANCZOS_SHIFTS + (z - _ONE))
+    terms[0] += _LANCZOS_HEAD
+    s = np.add.accumulate(terms)[-1]
     z_half = z - _HALF
     t = z_half + _LANCZOS_G
     return z_half * np.log(t) - t + _HALF_LOG_2PI + np.log(s)
@@ -117,7 +123,7 @@ def _log_sin_pi_upper(z):
     # sin(pi z) = (1/2) exp(i pi/2) exp(-i pi z) (1 - exp(2 pi i z));
     # |exp(2 pi i z)| < 1 in the upper half plane, so the last log is principal.
     # That factor rounds to 0 only at z = iy, |y| below ~1e-20: a pole to longdouble.
-    one_minus_w = 1 - np.exp(_2PI_I * z)
+    one_minus_w = _ONE - np.exp(_2PI_I * z)
     if one_minus_w == 0:
         raise PoleError(f"lnGamma pole: sin(pi z) rounds to 0 at z={complex(z)}")
     return _LOG_SIN_HEAD - _PI_I * z + np.log(one_minus_w)
@@ -130,7 +136,7 @@ def _ln_gamma_ld(z: complex):
     zl = z - _CZERO
     if z.real >= 0.5:
         return _lanczos_core(zl)
-    return _LOG_PI - _log_sin_pi_upper(zl) - _lanczos_core(1 - zl)
+    return _LOG_PI - _log_sin_pi_upper(zl) - _lanczos_core(_ONE - zl)
 
 
 def ln_gamma(z: complex) -> complex:

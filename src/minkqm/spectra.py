@@ -62,6 +62,9 @@ _U1_PARAMS_CACHED = 32
 # (3.2e7 for an 80-bit longdouble) that is inside the longdouble range.
 _U1_POLY_SAFE = (float(np.log(np.finfo(np.longdouble).max)) / 2.0 - 20.0) ** 2
 _MINUS_2J = np.clongdouble(-2j)
+# gamma_phase refuses a gamma_raw whose rounding to double, ulp(gamma_raw)/2,
+# exceeds this: gamma, its reduction mod pi, cannot be better.
+_GAMMA_RESOLUTION = 1e-9
 _NO_ERRSTATE = contextlib.nullcontext()
 
 
@@ -349,8 +352,12 @@ def gamma_phase(g: float, m_ang: float, r0: float | None = None) -> ReflectionPh
     defaulting to the natural-units value r0 = g/2 (hbar = m = alpha = 1).
 
     gamma carries about ulp(gamma_raw)/2 of absolute error, and |gamma_raw|
-    grows like 2|M| ln|M|: against 60-digit mpmath at g = 2 the error is
-    5e-13 at M = 1e4, 1e-10 at 1e5, 1.3e-7 at 1e8 and 0.18 at 1e14.
+    grows like |M| ln|M| (and like pi g at large g): against 60-digit
+    mpmath at g = 2 the error is 5e-13 at M = 1e4 and 1e-10 at 1e5.
+    Where ulp(gamma_raw)/2 exceeds _GAMMA_RESOLUTION = 1e-9 (|gamma_raw|
+    from 2^24, so |M| from about 1.2e6 at g = 2, or g from about 5.3e6)
+    DomainError is raised instead: the double gamma_raw no longer holds
+    gamma to that resolution.
 
     At M = 0 the phase is identically zero except at g - 1/2 equal to a
     non-negative integer, where the Gamma factors sit on poles (these are
@@ -367,6 +374,13 @@ def gamma_phase(g: float, m_ang: float, r0: float | None = None) -> ReflectionPh
         return ReflectionPhase(gamma=0.0, beta=0.0, gamma_raw=0.0)
 
     gamma_raw = float(-np.imag(_gamma_ratio_ld(g, m_ang)))
+    rounding = math.ulp(gamma_raw) / 2.0
+    if rounding > _GAMMA_RESOLUTION:
+        raise DomainError(
+            f"gamma_phase(g={g!r}, M={m_ang!r}) cannot resolve gamma to "
+            f"{_GAMMA_RESOLUTION:g}: gamma_raw = {gamma_raw:.6g} rounds to a double "
+            f"by up to {rounding:.3g}"
+        )
     gamma = math.fmod(gamma_raw, math.pi)
     if gamma < 0.0:
         gamma += math.pi
@@ -461,10 +475,12 @@ def _ladder(
 
     def no_bracket(target: float, direction: float) -> BracketError:
         def end(x: float) -> str:
-            try:
-                return f"E={energy_of_x(x):.6g}"
-            except DomainError:
-                return f"g={math.exp(x):.6g} (E leaves the double range)"
+            # an E that overflows to +-inf without raising is out of range too
+            with contextlib.suppress(DomainError):
+                energy = energy_of_x(x)
+                if math.isfinite(energy):
+                    return f"E={energy:.6g}"
+            return f"g={math.exp(x):.6g} (E leaves the double range)"
 
         x_end = x0 + direction * max_steps * step
         return BracketError(

@@ -229,6 +229,14 @@ class TestSpectrumCommand:
         assert "scan window [g=" in err and "(E leaves the double range), E=-2.2e+08]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("g, m_ang", [("2", "1e14"), ("1e15", "0.5")])
+    def test_unresolved_phase_exits_2(self, capsys, g, m_ang):
+        # both printed a gamma with exit 0: 1.8967 at M = 1e14, where mpmath
+        # gives 2.0774, and rounding noise at g = 1e15
+        code, out, err = run_cli(capsys, "phase", "--g", g, "--M", m_ang)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: gamma_phase(") and "cannot resolve gamma to 1e-09" in err
+
     def test_collapsed_levels_exit_3(self, capsys):
         # n = -1 and n = +1 used to print the same energy with exit code 0
         code, out, err = run_cli(

@@ -102,6 +102,12 @@ class TestLnGamma:
             tiny = 10.0 ** rng.uniform(-300.0, -1.0)
             zs += [complex(x, y) for y in (0.0, -0.0, tiny, -tiny)]
         zs += [complex(0.0, y) for y in (1e-21, -1e-300, 0.3)]
+        # the ladder's arguments: 1/2 - g + iM and 1 + 2iM, over the g and M
+        # of deep and shallow levels
+        gs = 10.0 ** rng.uniform(-6.0, 12.0, 1000)
+        ms = 10.0 ** rng.uniform(-6.0, 8.0, 1000) * rng.choice([-1.0, 1.0], 1000)
+        zs += [complex(0.5 - g, m) for g, m in zip(gs, ms)]
+        zs += [complex(1.0, 2.0 * m) for m in ms]
         outcomes = [(_outcome(specfun._ln_gamma_ld, z), _outcome(_reference_ln_gamma_ld, z))
                     for z in zs]
         for z, (got, want) in zip(zs, outcomes):
@@ -329,8 +335,9 @@ def _reference_lanczos_core(z):
     s = np.clongdouble(specfun._LANCZOS[0])
     for i in range(1, len(specfun._LANCZOS)):
         s = s + specfun._LANCZOS[i] / (z - 1 + i)
-    t = z - np.clongdouble(0.5) + specfun._LANCZOS_G
-    return (z - np.clongdouble(0.5)) * np.log(t) - t + specfun._HALF_LOG_2PI + np.log(s)
+    t = z - np.clongdouble(0.5) + np.longdouble(607) / np.longdouble(128)
+    half_log_2pi = np.longdouble("0.91893853320467274178032973640561763986")
+    return (z - np.clongdouble(0.5)) * np.log(t) - t + half_log_2pi + np.log(s)
 
 
 def _reference_log_sin_pi_upper(z):
@@ -353,7 +360,8 @@ def _reference_ln_gamma_ld(z):
     zl = np.clongdouble(z)
     if z.real >= 0.5:
         return _reference_lanczos_core(zl)
-    return specfun._LOG_PI - _reference_log_sin_pi_upper(zl) - _reference_lanczos_core(1 - zl)
+    log_pi = np.longdouble("1.14472988584940017414342735135305871165")
+    return log_pi - _reference_log_sin_pi_upper(zl) - _reference_lanczos_core(1 - zl)
 
 
 def _hex_bits(x):

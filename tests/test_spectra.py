@@ -396,6 +396,23 @@ class TestGammaPhase:
                 dev = math.fmod(gp + gm, math.pi)
                 assert min(abs(dev), math.pi - abs(dev)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "m_ang, gamma_hex",
+        [(1e5, "0x1.496584b66ab50p+1"), (-1e5, "0x1.22e8c23760720p-1"), (1e6, "0x1.52d480dc42918p+1")],
+    )
+    def test_large_m_below_the_resolution_keeps_its_bits(self, m_ang, gamma_hex):
+        # gamma at g = 2 as it was before the resolution rule
+        assert gamma_phase(2.0, m_ang).gamma.hex() == gamma_hex
+
+    @pytest.mark.parametrize(
+        "g, m_ang", [(2.0, 1e14), (2.0, -1.2e6), (1e15, 0.5), (5.4e6, 0.5)]
+    )
+    def test_unresolved_gamma_raises(self, g, m_ang):
+        # gamma_raw ~ |M| ln|M| or ~ pi g is a double whose half ulp passes
+        # 1e-9: at (2, 1e14) gamma printed 1.8967 where mpmath gives 2.0774
+        with pytest.raises(DomainError, match="cannot resolve gamma to 1e-09"):
+            gamma_phase(g, m_ang)
+
     def test_raw_reduces_to_gamma(self):
         rp = gamma_phase(5.7, 1.3)
         red = math.fmod(rp.gamma_raw, math.pi)
@@ -618,6 +635,16 @@ class TestQuantizedSolver:
         with pytest.raises(BracketError) as got:
             oscillator_quantized_spectrum(PP, 1.0, 0.008, 1.0, [-1])
         assert str(got.value) == "no sign change for target 1.57588 inside the scan window [E=1e-160, E=1]"
+
+    def test_bracket_failure_names_an_overflowing_end_by_g(self):
+        # the window's deep end has a subnormal g^2, so E = -1/(2 g^2)
+        # overflows to -inf without raising; it used to read "E=-inf"
+        with pytest.raises(BracketError) as got:
+            solve_quantized_spectrum(PP, 1.0, 1e-8, -1.0, [0, 1, 2])
+        assert str(got.value) == (
+            "no sign change for target 3.14159 inside the scan window "
+            "[g=7.07107e-161 (E leaves the double range), E=-1]"
+        )
 
     def test_m_zero_rejected(self):
         with pytest.raises(DomainError):
