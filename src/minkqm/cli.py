@@ -28,7 +28,7 @@ from .errors import DomainError, MinkqmError
 from .model import (
     Branch, Coulomb, DEFAULT_SOLVER_TOL, Free, Oscillator, PhysicalParams, SpectrumEntry,
     coulomb_closed_spectrum, duality_forward, effective_potential, euclidean_effective_for,
-    oscillator_closed_spectrum, potential, solve_quantized_spectrum,
+    _require_positive, oscillator_closed_spectrum, potential, solve_quantized_spectrum,
 )
 
 # numpy, specfun, spectra and verification load in the commands that use them.
@@ -282,6 +282,9 @@ def _cmd_spectrum(args, pp: PhysicalParams, tol: dict) -> list[dict]:
         raise UsageError("quantized spectrum needs a reference level --E0")
     else:
         solve, coupling = solve_quantized_spectrum, 0.0  # the free ladder needs no numpy
+        if args.system == "coulomb":
+            # the library takes alpha = 0 as the free ladder, not a Coulomb one
+            _require_positive("alpha", args.alpha)
         if args.system != "free":
             # through spectra's attributes, which perfbench's span tracer wraps
             from . import spectra

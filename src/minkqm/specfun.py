@@ -11,9 +11,7 @@ ulps of a double.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +72,6 @@ DEFAULT_SERIES_CAP = 10_000
 # The Kummer series checks once per this many terms that its partial sum
 # is still finite in longdouble.
 _OVERFLOW_CHECK_TERMS = 64
-# Blocks of series term factors kept by _term_block; a u1 series at z = 80
-# takes three.
-_TERM_BLOCKS_CACHED = 32
 
 
 def _nearest_nonpositive_integer_distance(z: complex) -> float:
@@ -186,46 +181,37 @@ class KummerParams:
             raise DomainError(f"Kummer parameters must be finite, got a={self.a}, c={self.c}")
         if _nearest_nonpositive_integer_distance(self.c) <= TERMINATION_TOL:
             raise PoleError(f"Kummer parameter c={self.c} is a non-positive integer")
-        # The bits of a and c, the cache key of their term factors: complex
-        # hashing and equality would merge +0.0 and -0.0.
-        object.__setattr__(
-            self, "_key", struct.pack("<4d", self.a.real, self.a.imag, self.c.real, self.c.imag)
-        )
         # taken once here rather than on every point a series is summed at
         n = round(-self.a.real)
         order = n if n >= 0 and abs(self.a + n) <= TERMINATION_TOL else None
         object.__setattr__(self, "_order", order)
-        # A polynomial of at most one block keeps its factor pairs; a longer
-        # one takes its blocks from _term_block as it sums.
-        pairs = None
-        if order is not None and order <= _OVERFLOW_CHECK_TERMS:
-            pairs = (tuple(zip(*_term_block(self._key, 0, order))),)
-        object.__setattr__(self, "_pairs", pairs)
+        # The series' term-factor blocks by block index, built on first use:
+        # the points summed with these parameters share them.
+        object.__setattr__(self, "_blocks", {})
 
     def terminating_order(self) -> int | None:
         """Degree n if the series terminates (a = -n within tolerance), else None."""
         return self._order
 
+    def _block(self, i: int):
+        """Build block i of the term factors A[k] = a + k and D[k] =
+        (c + k)(k + 1) as clongdouble pairs, _OVERFLOW_CHECK_TERMS terms cut
+        at the polynomial's degree or at DEFAULT_SERIES_CAP, and keep it in
+        _blocks, where the sums look it up first.  Kept by index, a block
+        built out of order is still the right one.
 
-@functools.lru_cache(maxsize=_TERM_BLOCKS_CACHED)
-def _term_block(key: bytes, start: int, stop: int):
-    """Term factors A[k] = a + k and D[k] = (c + k)(k + 1) as clongdouble, for
-    start <= k < stop: a block of _OVERFLOW_CHECK_TERMS series terms, or
-    what is left of a terminating polynomial.
-
-    key is ``KummerParams._key``, the packed bits of (a, c).  Term k + 1 of
-    the series is t_k * A[k] * z / D[k]: the same operations on the same
-    values as computing the factors in place, since numpy's elementwise
-    complex arithmetic gives the bits of the scalar expressions, so a cached
-    block changes no bit.
-    """
-    a_re, a_im, c_re, c_im = struct.unpack("<4d", key)
-    a = np.clongdouble(complex(a_re, a_im))
-    c = np.clongdouble(complex(c_re, c_im))
-    # Finite a and c keep every factor finite: |c + k| (k + 1) stays below
-    # 1e313, far inside the longdouble range.
-    ks = np.arange(start, stop, dtype=np.clongdouble)
-    return tuple(a + ks), tuple((c + ks) * (ks + 1))
+        Term k + 1 of the series is t_k * A[k] * z / D[k]: the same
+        operations on the same values as computing the factors in place,
+        since numpy's elementwise complex arithmetic gives the bits of the
+        scalar expressions, so a kept block changes no bit.
+        """
+        start = i * _OVERFLOW_CHECK_TERMS
+        end = DEFAULT_SERIES_CAP if self._order is None else self._order
+        # Finite a and c keep every factor finite: |c + k| (k + 1) stays
+        # below 1e313, far inside the longdouble range.
+        ks = np.arange(start, min(start + _OVERFLOW_CHECK_TERMS, end), dtype=np.clongdouble)
+        block = self._blocks[i] = tuple(zip(self.a + ks, (self.c + ks) * (ks + 1)))
+        return block
 
 
 def _kummer_m_ld(p: KummerParams, z: float, tol: float):
@@ -243,12 +229,8 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float):
     n_term = p._order
     if n_term is not None:
         # Degree-n polynomial: exactly n+1 terms, no tail heuristics.
-        blocks = p._pairs or (
-            zip(*_term_block(p._key, start, min(start + _OVERFLOW_CHECK_TERMS, n_term)))
-            for start in range(0, n_term, _OVERFLOW_CHECK_TERMS)
-        )
-        for pairs in blocks:
-            for a_k, d_k in pairs:
+        for i in range(-(-n_term // _OVERFLOW_CHECK_TERMS)):
+            for a_k, d_k in p._blocks.get(i) or p._block(i):
                 t = t * a_k * zl / d_k
                 s = s + t
         return s
@@ -261,8 +243,8 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float):
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, DEFAULT_SERIES_CAP, _OVERFLOW_CHECK_TERMS):
             converged = False
-            factors, denominators = _term_block(p._key, start, start + _OVERFLOW_CHECK_TERMS)
-            for k, a_k, d_k in zip(range(start, DEFAULT_SERIES_CAP), factors, denominators):
+            i = start // _OVERFLOW_CHECK_TERMS
+            for k, (a_k, d_k) in enumerate(p._blocks.get(i) or p._block(i), start):
                 t = t * a_k * zl / d_k
                 s = s + t
                 # Geometric tail bound: for j > k, |t_{j+1}/t_j| <= rho once

@@ -53,8 +53,8 @@ _SCAN_DECADES = 160
 # double range: near z = 1.4e3 for g = 2, and out of the longdouble range
 # near z = 2.3e4.
 _ENVELOPE = "e^(z/2) z^(-g)"
-# (g, M) pairs whose u1 series parameters _u1_params keeps, (n, M) pairs for
-# _oscillator_params and gammas for _third_phase; a grid's points share one.
+# (g, M) pairs whose u1 series parameters _u1_params keeps, and (n, M) pairs
+# for _oscillator_params; a grid's points share one.
 _U1_PARAMS_CACHED = 32
 # u1's series (c = 1 + 2iM) and the oscillator's (c = 1 + iM) have |(c)_k| >= k!,
 # so where either terminates at degree n its terms obey |t_k| <= (n z)^k / (k!)^2,
@@ -219,18 +219,10 @@ def coulomb_third(
         raise DomainError(f"z must be positive, got {z}")
     if gamma is None:
         gamma = gamma_phase(g, m_ang).gamma
-    phase = _third_phase(float(gamma), math.copysign(1.0, gamma))
+    _require_finite("gamma", gamma)
+    phase = np.exp(_MINUS_2J * (gamma - _CZERO))
     u1 = _u1_ld(g, m_ang, z, tol)
     return _finite(u1 - phase * np.conj(u1), z, "coulomb_third", _ENVELOPE, g=g, M=m_ang)
-
-
-@functools.lru_cache(maxsize=_U1_PARAMS_CACHED)
-def _third_phase(gamma: float, sign: float):
-    """e^{-2i gamma} as a clongdouble; sign, the sign of gamma, keeps
-    gamma = +0.0 and -0.0 apart, as in _u1_params.  Refuses a non-finite
-    gamma, once per cached value."""
-    _require_finite("gamma", gamma)
-    return np.exp(_MINUS_2J * (gamma - _CZERO))
 
 
 def _large_z_series(g: float, m_ang: float, z: float):
@@ -451,26 +443,36 @@ def _ladder(
       0 or f leaves the double range.  So f is finite inside any bracket
       whose ends are.
 
-    The levels of one call share their f values.  E_n falls as n rises
-    when sign * M > 0 and rises otherwise.  Levels closer together than
-    tol resolves (shallow anchors, where the spacing shrinks like 1/g)
-    raise ConsistencyError, and levels outside the normal double range
-    DomainError.
+    The levels of one call share f's values and refusals: f runs once per
+    x.  E_n falls as n rises when sign * M > 0 and rises otherwise.
+    Levels closer together than tol resolves (shallow anchors, where the
+    spacing shrinks like 1/g) raise ConsistencyError, and levels outside
+    the normal double range DomainError.
     """
     step = math.log(10.0) / _SCAN_POINTS_PER_DECADE
     max_steps = _SCAN_POINTS_PER_DECADE * _SCAN_DECADES
     slope = -1.0 if m_c > 0 else 1.0
-    seen: dict[float, float] = {}
+    known: dict[float, float | Exception] = {}
+
+    def value(x: float) -> float | Exception:
+        """f at x, or what evaluating it raised; each x is evaluated once."""
+        fx = known.get(x)
+        if fx is None:
+            try:
+                g = math.exp(x)
+                if g == 0.0:
+                    raise DomainError(
+                        f"the level scan leaves the double range: g = e^{x:.6g} underflows to 0"
+                    )
+                fx = known[x] = quantization_f(g, m_c)
+            except Exception as exc:
+                fx = known[x] = exc
+        return fx
 
     def f(x: float, *_: float) -> float:
-        fx = seen.get(x)
-        if fx is None:
-            g = math.exp(x)
-            if g == 0.0:
-                raise DomainError(
-                    f"the level scan leaves the double range: g = e^{x:.6g} underflows to 0"
-                )
-            fx = seen[x] = quantization_f(g, m_c)
+        fx = value(x)
+        if isinstance(fx, Exception):
+            raise fx
         return fx
 
     def no_bracket(target: float, direction: float) -> BracketError:
@@ -492,20 +494,12 @@ def _ladder(
         """The level's root, certified to tol/4; guess is the previous
         level's (root, target)."""
         ahead = f0 - target
-        probes: dict[int, float | Exception] = {0: f0}
 
         def x_at(k: int) -> float:
             return x0 + direction * k * step
 
         def at(k: int) -> float | Exception:
-            """f at grid point k, or what evaluating it raises (re-raised
-            only where the scan would have stopped there)."""
-            if k not in probes:
-                try:
-                    probes[k] = f(x_at(k))
-                except Exception as exc:
-                    probes[k] = exc
-            return probes[k]
+            return value(x0 + direction * k * step)
 
         def past(fx: float) -> bool:
             return ahead * (fx - target) <= 0.0
@@ -516,14 +510,10 @@ def _ladder(
 
         # The scan's point lies in (a, b].  (xp, fp) and (xq, fq) are the
         # secant's points: xq the last one short of the target, xp the one
-        # before or a point past it.
+        # before or a point past it; without a guess, which leaves the
+        # secant no slope, the first pass probes grid point 1.
         a, b = 0, None
         (xp, fp), (xq, fq) = guess or (x0, f0), (x0, f0)
-        if guess is None:
-            if stops(1):
-                b = 1
-            else:
-                a, (xq, fq) = 1, (x_at(1), at(1))
         while b is None:
             if a == max_steps:
                 raise no_bracket(target, direction)

@@ -125,6 +125,17 @@ class TestSpectrumCommand:
         assert code == 0
         assert json_records(out)[-1]["E_re"] == -1.0 * math.exp(2 * math.pi * 2 / 0.02)
 
+    @pytest.mark.parametrize("alpha", ["0", "-0.0", "-1"])
+    def test_quantized_coulomb_refuses_nonpositive_alpha(self, capsys, alpha):
+        # alpha = 0 printed the free particle's ladder labelled "coulomb"
+        # with exit code 0; --closed and potential refused it already
+        code, out, err = run_cli(
+            capsys, "spectrum", "--system", "coulomb", f"--alpha={alpha}", "--M", "1",
+            "--E0", "-2", "--n", "0..3",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: alpha must be positive and finite, got {float(alpha)}\n"
+
     def test_quantized_level_outside_double_range_exits_2(self, capsys):
         # n = 4 lies at g ~ 2e-156, where E = -1/(2 g^2) overflows; it
         # printed "E_re": -Infinity with exit code 0

@@ -178,27 +178,35 @@ class TestKummerM:
 
     def test_term_block_matches_scalar_factors(self):
         # the block's elementwise factors are the scalar expressions' bits,
-        # for zero imaginary parts of either sign and past the double range
+        # for zero imaginary parts of either sign and past the double range.
+        # Each block is the first one built on its instance, so blocks 1, 2
+        # and 156 are built out of order, and still hold their own factors:
+        # two threads filling one instance cannot shift a block.  The last
+        # block stops at the term cap.
         for a, c, start in [
             (complex(-1.5, 1), complex(0.5, 2), 0),
             (complex(-2.5, -0.0), complex(1, -0.0), 64),
+            (complex(-1.5, 1), complex(0.5, 2), 128),
             (complex(0.3, -2.1), complex(0.9, 0.4), 9_984),
             (complex(1e300, 3), complex(1, 1e306), 9_984),
         ]:
             p = KummerParams(a, c)
-            factors, denominators = specfun._term_block(p._key, start, start + 64)
+            block = p._block(start // 64)
+            assert list(p._blocks) == [start // 64]
+            assert len(block) == min(64, 10_000 - start)
             al, cl = np.clongdouble(a), np.clongdouble(c)
             with np.errstate(over="ignore", invalid="ignore"):
-                for k, a_k, d_k in zip(range(start, start + 64), factors, denominators):
+                for k, (a_k, d_k) in zip(range(start, start + 64), block):
                     assert _same_bits(a_k, al + k) and _same_bits(d_k, (cl + k) * (k + 1))
 
     def test_guarded_sum_matches_plain_loop(self):
-        # The blockwise sum with cached term factors keeps the arithmetic and
+        # The blockwise sum with kept term factors keeps the arithmetic and
         # the stopping rule of the plain loop: for Re c < 1 and large |a|,
         # for a terminating polynomial of two blocks, and for a series of
-        # about 50 blocks, more than the cache holds.  Each group of cases
-        # runs cold and then warm.  Parameters whose imaginary parts are
-        # +0.0 and -0.0 share a group, and must not share cached blocks.
+        # about 50 blocks.  Each group of cases runs cold, on fresh
+        # instances, and then warm, on the same instances, where the second
+        # sum builds no new block.  Parameters whose imaginary parts are
+        # +0.0 and -0.0 share a group, and must keep their own blocks.
         groups = [
             [(complex(-1.5, 1), complex(0.5, 2), 30.0)],
             [(complex(0.3, -2.1), complex(0.9, 0.4), 12.0)],
@@ -210,17 +218,16 @@ class TestKummerM:
             for a, z in ((-2.5, 20.0), (-3, 2.0))
         ]
         for group in groups:
-            specfun._term_block.cache_clear()
+            params = [(KummerParams(a, c), z) for a, c, z in group]
             for run in ("cold", "warm"):
-                for a, c, z in group:
-                    p = KummerParams(a, c)
+                for p, z in params:
+                    built = dict(p._blocks)
+                    assert bool(built) == (run == "warm")
                     got = _kummer_m_ld(p, z, 1e-13)
-                    assert _same_bits(got, _plain_kummer_loop(p, z)), (run, a, c, z)
-                if run == "cold":
-                    assert specfun._term_block.cache_info().hits == 0
-            # a series longer than the cache evicts its own first blocks
-            longer_than_cache = group[0][2] == 3e3
-            assert (specfun._term_block.cache_info().hits > 0) != longer_than_cache
+                    assert _same_bits(got, _plain_kummer_loop(p, z)), (run, p, z)
+                    if run == "warm":
+                        assert p._blocks.keys() == built.keys()
+                        assert all(p._blocks[i] is block for i, block in built.items())
 
     @pytest.mark.parametrize(
         "a, c", [(math.nan, 2), (math.inf, 2), (complex(1, -math.inf), 2), (1, math.nan), (1, complex(1, math.inf))]
@@ -238,13 +245,12 @@ class TestKummerM:
             KummerParams(1.0, -3.0)
 
     def test_one_block_polynomial_keeps_its_factors(self):
-        # up to one block of terms, the factor pairs live on the parameters:
-        # summing takes nothing from _term_block, and keeps the plain loop's bits
+        # up to one block of terms, the factor pairs live on the parameters
+        # as one block cut at the degree, and the sum keeps the plain loop's bits
         for n in (0, 3, 64):
             p = KummerParams(complex(-n, 0.0), complex(1, 2))
-            before = specfun._term_block.cache_info()
             got = _kummer_m_ld(p, 7.5, 1e-13)
-            assert specfun._term_block.cache_info() == before
+            assert [len(block) for block in p._blocks.values()] == ([n] if n else [])
             assert _same_bits(got, _plain_kummer_loop(p, 7.5))
 
     @pytest.mark.parametrize("n", [3, 64, 65])

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import hashlib
 import math
 import random
@@ -242,16 +243,13 @@ class TestWavefunctions:
         assert raised.count(1e4) == raised.count(3e4) == 6
 
     def test_third_keeps_the_sign_of_a_zero_gamma(self):
-        # e^{-2i gamma} is cached per gamma, and +0.0 and -0.0 give it
-        # different zero signs, so they get an entry each.  Each call, in
-        # either order, keeps the two-series bits.
-        spectra._third_phase.cache_clear()
+        # +0.0 and -0.0 give e^{-2i gamma} different zero signs.  Each call,
+        # in either order, keeps the two-series bits.
         for gamma in (0.0, -0.0, 0.0):
             for m_ang in (0.0, -0.0, 1.0):
                 for z in (1e-3, 3.0):
                     assert (_outcome(coulomb_third, 2.0, m_ang, z, gamma)
                             == _outcome(_two_series_third, 2.0, m_ang, z, gamma))
-        assert spectra._third_phase.cache_info().currsize == 2
 
     def test_prefactor_matches_constructor_based_reference(self):
         # u1 keeps the bits of the prefactor that promoted z and built iM
@@ -951,6 +949,35 @@ class TestLadderParity:
                 except DomainError as exc:
                     outcomes.add(str(exc))
         assert outcomes == {"levels", f"synthetic f refuses g={math.exp(x0 + k * step)!r}"}
+
+    @pytest.mark.parametrize("steep", [1.0, 10.0])
+    @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
+    def test_no_g_reaches_f_twice(self, kind, steep, monkeypatch):
+        # The levels of one call share f's values and its refusals: with
+        # the synthetic f above, which refuses past ln g = 9, no g reaches
+        # f twice in one call, in the windows that raise as well.  Made
+        # steep times steeper past ln g = 6, f draws secant probes past the
+        # refusal that a later level makes again; 25 levels reach it too.
+        calls = collections.Counter()
+
+        def q(g, m_ang):
+            calls[g] += 1
+            x = math.log(g)
+            if x > 9.0:
+                raise DomainError(f"synthetic f refuses g={g!r}")
+            return -m_ang * (x if x < 6.0 else 6.0 + steep * (x - 6.0))
+
+        monkeypatch.setattr(spectra, "quantization_f", q)
+        energy0, raised = -2.0 if kind == "coulomb" else 2.0, 0
+        for m_ang in (1.0, -1.0, 0.4, -0.4):
+            for n_range in (range(-4, 5), range(3, -4, -1), range(-2, 0), range(12, -13, -1)):
+                calls.clear()
+                try:
+                    _solve(kind, PP, m_ang, energy0, n_range)
+                except DomainError:
+                    raised += 1
+                assert max(calls.values()) == 1, (m_ang, n_range, calls.most_common(3))
+        assert raised > 0
 
     @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
     def test_exact_hit_at_a_grid_point_is_the_level(self, kind, monkeypatch):
