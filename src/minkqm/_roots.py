@@ -2,9 +2,10 @@
 
 Both solvers hold a bracket (lo, hi) in which a monotone value v crosses a
 target: lo short of it, hi past it (the bracket may run either way in x).
-Illinois steps in the bracket estimate the root r, down to a step of
-width/1024.  If the last Illinois bracket is no wider than width, its
-midpoint is returned.  Otherwise r is returned once v at r -+ width/2
+A bracket no wider than width gives its midpoint before any evaluation.
+Otherwise Illinois steps in the bracket estimate the root r, down to a
+step of width/1024.  If the last Illinois bracket is no wider than width,
+its midpoint is returned.  Otherwise r is returned once v at r -+ width/2
 falls on either side of the target, a side outside the last bracket being
 settled by that bracket's end.  Either way the result lies within width/2
 of the root.  Where the certificate fails, the last bracket is bisected on
@@ -27,6 +28,8 @@ Cell = tuple[float, float, float, float]  # (x, v) at the short end, then the pa
 def refine(bracket: Cell, target: float, value: Value, width: float) -> float:
     """x within width/2 of the root in bracket (see the module docstring)."""
     xa, va, xb, vb = bracket
+    if abs(xb - xa) <= width:
+        return 0.5 * (xa + xb)
     side = va - target
     ya, yb = side, vb - target
     narrow = width / 1024.0

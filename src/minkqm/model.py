@@ -348,12 +348,10 @@ def solve_quantized_spectrum(
             "the double range"
         )
 
-    def energy_of_x(x: float) -> float:
-        return _energy_from_g(pp, alpha, math.exp(x))
-
     from . import spectra  # the Gamma code, and numpy with it, only where a ladder needs it
-    x0 = math.log(g0)
-    return spectra._ladder(m_ang, energy0, n_range, m_ang, x0, energy_of_x, 1.0, tol)
+    return spectra._ladder(
+        m_ang, energy0, n_range, m_ang, g0, lambda g: _energy_from_g(pp, alpha, g), 1.0, tol
+    )
 
 
 # --------------------------------------------------------------------------

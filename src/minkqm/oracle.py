@@ -315,10 +315,11 @@ def shoot_eigenvalues(
     cfg describes the grid at the anchor energy; windows at other energies
     are the same grid rescaled by r0(E)/r0(E_0).
 
-    A scan segment no wider than tol gives its midpoint.  In a wider one,
-    _roots.refine takes the crossing of the lifted phase (smooth in x, each
-    new phase lifted against the line through the bracket ends), certified
-    to tol/2.  Phases are cached by x within one call.
+    _roots.refine takes each crossing from its scan segment: the midpoint
+    of a segment no wider than tol, else the crossing of the lifted phase
+    (smooth in x, each new phase lifted against the line through the
+    bracket ends), certified to tol/2.  Phases are cached by x within one
+    call.
 
     Raises InsufficientRootsError when fewer than count crossings lie in
     the window.
@@ -356,12 +357,6 @@ def shoot_eigenvalues(
             g_here = pp.mass * alpha / (pp.hbar * math.sqrt(2.0 * pp.mass * math.exp(x)))
         return (math.pi / 6.0) / (abs(m_ang) / 2.0 + math.pi * g_here / 2.0)
 
-    def solve(target: float, lo: float, b_lo: float, hi: float, b_hi: float) -> float:
-        """x within tol/2 of the crossing in the scan segment [lo, hi]."""
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi)
-        return _roots.refine((lo, b_lo, hi, b_hi), target, lifted_at, tol)
-
     x_start = math.log(-e_hi)
     x_stop = math.log(-e_lo)
     sgn = math.copysign(1.0, m_ang)
@@ -391,7 +386,8 @@ def shoot_eigenvalues(
             raw = beta_raw(x_new)
             xs.append(x_new)
             lifted.append(_lift(raw, lifted[-1]))
-        found.append(-math.exp(solve(target, xs[seg], lifted[seg], xs[seg + 1], lifted[seg + 1])))
+        segment = (xs[seg], lifted[seg], xs[seg + 1], lifted[seg + 1])
+        found.append(-math.exp(_roots.refine(segment, target, lifted_at, tol)))
         n_next += 1
     return found
 

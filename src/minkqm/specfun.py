@@ -72,6 +72,9 @@ DEFAULT_SERIES_CAP = 10_000
 # The Kummer series checks once per this many terms that its partial sum
 # is still finite in longdouble.
 _OVERFLOW_CHECK_TERMS = 64
+# A KummerParams keeps its term-factor blocks below this index (256 terms,
+# more than grids up to z = 80 reach); later blocks are built per sum.
+_KEPT_BLOCKS = 4
 
 
 def _nearest_nonpositive_integer_distance(z: complex) -> float:
@@ -126,12 +129,14 @@ def _log_sin_pi_upper(z):
 
 def _ln_gamma_ld(z: complex):
     """Principal-branch lnGamma as a clongdouble, analytic off (-inf, 0]."""
-    if z.imag < 0:
-        return np.conj(_ln_gamma_ld(z.conjugate()))
-    zl = z - _CZERO
+    # below the real axis, conjugate z on the way in and the value on the way out
+    lower = z.imag < 0
+    zl = (z.conjugate() if lower else z) - _CZERO
     if z.real >= 0.5:
-        return _lanczos_core(zl)
-    return _LOG_PI - _log_sin_pi_upper(zl) - _lanczos_core(_ONE - zl)
+        value = _lanczos_core(zl)
+    else:
+        value = _LOG_PI - _log_sin_pi_upper(zl) - _lanczos_core(_ONE - zl)
+    return np.conj(value) if lower else value
 
 
 def ln_gamma(z: complex) -> complex:
@@ -185,8 +190,8 @@ class KummerParams:
         n = round(-self.a.real)
         order = n if n >= 0 and abs(self.a + n) <= TERMINATION_TOL else None
         object.__setattr__(self, "_order", order)
-        # The series' term-factor blocks by block index, built on first use:
-        # the points summed with these parameters share them.
+        # The series' first _KEPT_BLOCKS term-factor blocks by block index,
+        # built on first use: the points summed with these parameters share them.
         object.__setattr__(self, "_blocks", {})
 
     def terminating_order(self) -> int | None:
@@ -196,9 +201,11 @@ class KummerParams:
     def _block(self, i: int):
         """Build block i of the term factors A[k] = a + k and D[k] =
         (c + k)(k + 1) as clongdouble pairs, _OVERFLOW_CHECK_TERMS terms cut
-        at the polynomial's degree or at DEFAULT_SERIES_CAP, and keep it in
-        _blocks, where the sums look it up first.  Kept by index, a block
-        built out of order is still the right one.
+        at the polynomial's degree or at DEFAULT_SERIES_CAP.  For i below
+        _KEPT_BLOCKS keep it in _blocks, where the sums look it up first;
+        kept by index, a block built out of order is still the right one.
+        Later blocks are built again by each sum that reaches them, so a
+        long sum keeps no more than a short one.
 
         Term k + 1 of the series is t_k * A[k] * z / D[k]: the same
         operations on the same values as computing the factors in place,
@@ -210,7 +217,9 @@ class KummerParams:
         # Finite a and c keep every factor finite: |c + k| (k + 1) stays
         # below 1e313, far inside the longdouble range.
         ks = np.arange(start, min(start + _OVERFLOW_CHECK_TERMS, end), dtype=np.clongdouble)
-        block = self._blocks[i] = tuple(zip(self.a + ks, (self.c + ks) * (ks + 1)))
+        block = tuple(zip(self.a + ks, (self.c + ks) * (ks + 1)))
+        if i < _KEPT_BLOCKS:
+            self._blocks[i] = block
         return block
 
 

@@ -415,16 +415,17 @@ def _ladder(
     energy0: float,
     n_range: Iterable[int],
     m_c: float,
-    x0: float,
-    energy_of_x: Callable[[float], float],
+    g0: float,
+    energy_of_g: Callable[[float], float],
     sign: float,
     tol: float,
 ) -> list[SpectrumEntry]:
     """Ladder entries from f(x_n) = f(x0) + sign pi n, one per n in n_range.
 
-    f(x) = quantization_f(e^x, m_c) falls in x for m_c > 0 and rises
-    otherwise.  x0 = ln g at the anchor level energy0, which n = 0 returns
-    as given; energy_of_x maps a root back to its level.
+    The ladder scans x = ln g from x0 = ln g0, g at the anchor level
+    energy0, which n = 0 returns as given; energy_of_g maps e^x at a root
+    to its level.  f(x) = quantization_f(e^x, m_c) falls in x for m_c > 0
+    and rises otherwise.
 
     Each level lies within tol/4 of its root in x.  The root is bracketed
     on the grid x_k = x0 +- k step (_SCAN_POINTS_PER_DECADE steps per
@@ -443,19 +444,20 @@ def _ladder(
       0 or f leaves the double range.  So f is finite inside any bracket
       whose ends are.
 
-    The levels of one call share f's values and refusals: f runs once per
-    x.  E_n falls as n rises when sign * M > 0 and rises otherwise.
-    Levels closer together than tol resolves (shallow anchors, where the
-    spacing shrinks like 1/g) raise ConsistencyError, and levels outside
-    the normal double range DomainError.
+    The levels of one call share one table of f's values and refusals:
+    quantization_f runs once per x.  E_n falls as n rises when sign * M > 0
+    and rises otherwise.  Levels closer together than tol resolves (shallow
+    anchors, where the spacing shrinks like 1/g) raise ConsistencyError,
+    and levels outside the normal double range DomainError.
     """
+    x0 = math.log(g0)
     step = math.log(10.0) / _SCAN_POINTS_PER_DECADE
     max_steps = _SCAN_POINTS_PER_DECADE * _SCAN_DECADES
     slope = -1.0 if m_c > 0 else 1.0
     known: dict[float, float | Exception] = {}
 
-    def value(x: float) -> float | Exception:
-        """f at x, or what evaluating it raised; each x is evaluated once."""
+    def f(x: float, *_: float) -> float:
+        """f at x, evaluated once per x; a refusal kept at x is raised again."""
         fx = known.get(x)
         if fx is None:
             try:
@@ -467,10 +469,6 @@ def _ladder(
                 fx = known[x] = quantization_f(g, m_c)
             except Exception as exc:
                 fx = known[x] = exc
-        return fx
-
-    def f(x: float, *_: float) -> float:
-        fx = value(x)
         if isinstance(fx, Exception):
             raise fx
         return fx
@@ -479,7 +477,7 @@ def _ladder(
         def end(x: float) -> str:
             # an E that overflows to +-inf without raising is out of range too
             with contextlib.suppress(DomainError):
-                energy = energy_of_x(x)
+                energy = energy_of_g(math.exp(x))
                 if math.isfinite(energy):
                     return f"E={energy:.6g}"
             return f"g={math.exp(x):.6g} (E leaves the double range)"
@@ -498,15 +496,11 @@ def _ladder(
         def x_at(k: int) -> float:
             return x0 + direction * k * step
 
-        def at(k: int) -> float | Exception:
-            return value(x0 + direction * k * step)
-
-        def past(fx: float) -> bool:
-            return ahead * (fx - target) <= 0.0
-
         def stops(k: int) -> bool:
-            fx = at(k)
-            return isinstance(fx, Exception) or past(fx)
+            try:
+                return ahead * (f(x_at(k)) - target) <= 0.0
+            except Exception:
+                return True
 
         # The scan's point lies in (a, b].  (xp, fp) and (xq, fq) are the
         # secant's points: xq the last one short of the target, xp the one
@@ -529,19 +523,18 @@ def _ladder(
                     b, gap = b - gap, 2 * gap
                 a = max(a, b - gap)
             else:
-                if not past(fp):
+                if not ahead * (fp - target) <= 0.0:
                     xp, fp = xq, fq
-                a, (xq, fq) = k, (x_at(k), at(k))
-        while isinstance(at(b), Exception) and b - a > 1:
+                a, xq = k, x_at(k)
+                fq = known[xq]
+        while isinstance(known[x_at(b)], Exception) and b - a > 1:
             mid = (a + b) // 2
             if stops(mid):
                 b = mid
             else:
                 a = mid
-        if isinstance(at(b), Exception):
-            raise at(b)
-
-        return _roots.refine((x_at(a), at(a), x_at(b), at(b)), target, f, tol / 2.0)
+        xa, xb = x_at(a), x_at(b)
+        return _roots.refine((xa, f(xa), xb, f(xb)), target, f, tol / 2.0)
 
     f0 = f(x0)
     levels: list[tuple[int, float]] = []
@@ -551,12 +544,12 @@ def _ladder(
         if n == 0:
             energy = energy0
         elif f0 == target:
-            energy = energy_of_x(x0)
+            energy = energy_of_g(math.exp(x0))
         else:
             direction = 1.0 if (target - f0) * slope > 0 else -1.0
             x = solve(target, direction, guess)
             guess = (x, target)
-            energy = energy_of_x(x)
+            energy = energy_of_g(math.exp(x))
         levels.append((n, _normal_level(
             energy, "quantized", n, energy0, m_ang, "it leaves the double range"
         )))
@@ -653,8 +646,5 @@ def oscillator_quantized_spectrum(
             f"is {g0!r}: it leaves the double range"
         )
 
-    def energy_of_x(x: float) -> float:
-        return two_hw * math.exp(x)
-
     # Rising energy for rising n: the condition reads f(g_n) = f(g_0) - pi n.
-    return _ladder(m_osc, energy0, n_range, m_c, math.log(g0), energy_of_x, -1.0, tol)
+    return _ladder(m_osc, energy0, n_range, m_c, g0, lambda g: two_hw * g, -1.0, tol)

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minkqm import specfun
+from minkqm import specfun, spectra
 from minkqm.errors import ConvergenceError, DomainError, PoleError
-from minkqm.specfun import KummerParams, _kummer_m_ld, kummer_m, ln_gamma
+from minkqm.specfun import _KEPT_BLOCKS, KummerParams, _kummer_m_ld, kummer_m, ln_gamma
 
 # 40-digit offline references
 LN_GAMMA_1_2I = complex(-1.8760787864309293, 0.12964631630978831)
@@ -181,8 +181,9 @@ class TestKummerM:
         # for zero imaginary parts of either sign and past the double range.
         # Each block is the first one built on its instance, so blocks 1, 2
         # and 156 are built out of order, and still hold their own factors:
-        # two threads filling one instance cannot shift a block.  The last
-        # block stops at the term cap.
+        # two threads filling one instance cannot shift a block.  Block 156
+        # is built, not kept, being past _KEPT_BLOCKS.  The last block stops
+        # at the term cap.
         for a, c, start in [
             (complex(-1.5, 1), complex(0.5, 2), 0),
             (complex(-2.5, -0.0), complex(1, -0.0), 64),
@@ -192,7 +193,7 @@ class TestKummerM:
         ]:
             p = KummerParams(a, c)
             block = p._block(start // 64)
-            assert list(p._blocks) == [start // 64]
+            assert list(p._blocks) == ([start // 64] if start // 64 < _KEPT_BLOCKS else [])
             assert len(block) == min(64, 10_000 - start)
             al, cl = np.clongdouble(a), np.clongdouble(c)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -252,6 +253,21 @@ class TestKummerM:
             got = _kummer_m_ld(p, 7.5, 1e-13)
             assert [len(block) for block in p._blocks.values()] == ([n] if n else [])
             assert _same_bits(got, _plain_kummer_loop(p, 7.5))
+
+    def test_long_sums_keep_at_most_the_first_blocks(self):
+        # A degree-2,000 u1 polynomial (32 blocks) and a series at z = 500
+        # (about 12 blocks) keep only their first _KEPT_BLOCKS blocks; a
+        # second sum, which builds the later blocks again, keeps the bits.
+        spectra.coulomb_u1(2000.5, 0.0, 1.0)
+        u1_params = spectra._u1_params(2000.5, 0.0, 1.0)[0]
+        for p, z in [(u1_params, 1.0), (KummerParams(complex(0.3, 0.2), complex(1.1, 0.4)), 500.0)]:
+            first = _kummer_m_ld(p, z, 1e-13)
+            assert sorted(p._blocks) == list(range(_KEPT_BLOCKS))
+            kept = dict(p._blocks)
+            again = _kummer_m_ld(p, z, 1e-13)
+            assert _same_bits(again, first) and _same_bits(first, _plain_kummer_loop(p, z))
+            assert all(p._blocks[i] is block for i, block in kept.items())
+            assert p._blocks.keys() == kept.keys()
 
     @pytest.mark.parametrize("n", [3, 64, 65])
     def test_guard_order(self, n):

@@ -748,6 +748,10 @@ class TestLadderParity:
         # rounding noise
         for pp, m_ang, mag, n_range in _random_windows(kind):
             _certified(kind, pp, m_ang, mag if kind == "oscillator" else -mag, n_range)
+        # at tol = 0.1 a bracket of one grid step (ln 10 / 64) is narrower
+        # than tol/2, and refine returns its midpoint
+        pp, m_ang, mag, n_range = _random_windows(kind)[0]
+        _certified(kind, pp, m_ang, mag if kind == "oscillator" else -mag, n_range, tol=0.1)
 
     @pytest.mark.parametrize(
         "kind, m_ang, energy0, n_range",
