@@ -11,9 +11,8 @@ settled by that bracket's end.  Either way the result lies within width/2
 of the root.  Where the certificate fails, the last bracket is bisected on
 v to width.
 
-value(x, xa, va, xb, vb) is v at x; it gets the current bracket too, so
-that a phase known mod pi can be lifted against the line through it.
-x is past where (v(lo) - target) * (v(x) - target) <= 0.
+value(x) is v at x; x is past the root where (v(lo) - target) *
+(v(x) - target) <= 0.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-Value = Callable[[float, float, float, float, float], float]
 Cell = tuple[float, float, float, float]  # (x, v) at the short end, then the past end
 
 
-def refine(bracket: Cell, target: float, value: Value, width: float) -> float:
+def refine(bracket: Cell, target: float, value: Callable[[float], float], width: float) -> float:
     """x within width/2 of the root in bracket (see the module docstring)."""
     xa, va, xb, vb = bracket
     if abs(xb - xa) <= width:
@@ -39,14 +37,14 @@ def refine(bracket: Cell, target: float, value: Value, width: float) -> float:
         if abs(x - root) <= narrow or not min(xa, xb) < x < max(xa, xb):
             break
         root = x
-        vx = value(x, xa, va, xb, vb)
-        if side * (vx - target) <= 0.0:
-            xb, vb, yb = x, vx, vx - target
+        y = value(x) - target
+        if side * y <= 0.0:
+            xb, yb = x, y
             if held < 0:
                 ya *= 0.5
             held = -1
         else:
-            xa, va, ya = x, vx, vx - target
+            xa, ya = x, y
             if held > 0:
                 yb *= 0.5
             held = 1
@@ -54,11 +52,10 @@ def refine(bracket: Cell, target: float, value: Value, width: float) -> float:
         return 0.5 * (xa + xb)
     # the estimate, clamped to the last bracket; a NaN one gives its lower end
     root = min(max(xa, xb), max(min(xa, xb), x))
-    last = (xa, va, xb, vb)
     toward_b = math.copysign(0.5 * width, xb - xa)
     short, past = root - toward_b, root + toward_b
-    if (toward_b * (short - xa) <= 0.0 or side * (value(short, *last) - target) > 0.0) and (
-        toward_b * (past - xb) >= 0.0 or side * (value(past, *last) - target) <= 0.0
+    if (toward_b * (short - xa) <= 0.0 or side * (value(short) - target) > 0.0) and (
+        toward_b * (past - xb) >= 0.0 or side * (value(past) - target) <= 0.0
     ):
         return root
     # walk the bisection of the last bracket; it ends where the midpoint
@@ -67,9 +64,8 @@ def refine(bracket: Cell, target: float, value: Value, width: float) -> float:
         mid = 0.5 * (xa + xb)
         if mid in (xa, xb):
             break
-        v_mid = value(mid, xa, va, xb, vb)
-        if side * (v_mid - target) <= 0.0:
-            xb, vb = mid, v_mid
+        if side * (value(mid) - target) <= 0.0:
+            xb = mid
         else:
-            xa, va = mid, v_mid
+            xa = mid
     return 0.5 * (xa + xb)

@@ -20,7 +20,6 @@ fall-to-center structure near r = 0.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -114,30 +113,38 @@ def effective_potential(
     """U_eff(r) = -(hbar^2/2m) (M^2 + 1/4)/r^2 + U(r).
 
     Strictly negative at every r > 0 for the free particle.  Raises
-    DomainError where the value leaves the double range.
+    DomainError where r^2 underflows or the value leaves the double range.
     """
-    if r <= 0:
-        raise DomainError(f"effective potential needs r > 0, got {r}")
-    centrifugal = -(pp.hbar**2 / (2.0 * pp.mass)) * (m_ang * m_ang + 0.25) / (r * r)
-    return _finite_potential(centrifugal + potential(kind, pp, r), m_ang, r)
+    return _effective(kind, pp, m_ang, r, m_ang * m_ang + 0.25)
 
 
 def euclidean_effective_for(
     kind: SystemKind, pp: PhysicalParams, m_ang: float, r: float
 ) -> float:
     """Sign-flipped (Euclidean) effective potential for any of the three kinds."""
+    return _effective(kind, pp, m_ang, r, 0.25 - m_ang * m_ang)
+
+
+def _effective(
+    kind: SystemKind, pp: PhysicalParams, m_ang: float, r: float, angular: float
+) -> float:
+    """-(hbar^2/2m) angular/r^2 + U(r), or DomainError where r^2 underflows
+    or M^2 / r^2 or U(r) leaves the double range."""
     if r <= 0:
         raise DomainError(f"effective potential needs r > 0, got {r}")
-    centrifugal = -(pp.hbar**2 / (2.0 * pp.mass)) * (0.25 - m_ang * m_ang) / (r * r)
-    return _finite_potential(centrifugal + potential(kind, pp, r), m_ang, r)
-
-
-def _finite_potential(value: float, m_ang: float, r: float) -> float:
-    """value, or DomainError where M^2 / r^2 or U(r) leaves the double range."""
+    centrifugal = -(pp.hbar**2 / (2.0 * pp.mass)) * angular / _nonzero(r * r, f"r^2 at r={r!r}")
+    value = centrifugal + potential(kind, pp, r)
     if not math.isfinite(value):
         raise DomainError(
             f"effective potential at M={m_ang}, r={r} is {value}: it leaves the double range"
         )
+    return value
+
+
+def _nonzero(value: float, what: str) -> float:
+    """value, or DomainError where what, a product, underflows to 0."""
+    if value == 0.0:
+        raise DomainError(f"{what} underflows to 0: it leaves the double range")
     return value
 
 
@@ -147,11 +154,13 @@ def radial_coefficient(
     """Coefficient Q(r) of u'' + Q u = 0; equals (2m/hbar^2)(E - U_eff).
 
     r is a float or an array of radii (the oracle passes whole grids).
+    Raises DomainError where hbar^2 or the smallest r^2 underflows to 0.
     """
-    r_min = r if isinstance(r, float) else r.min()
+    r_min = r if isinstance(r, float) else float(r.min())
     if r_min <= 0:
         raise DomainError(f"radial coefficient needs r > 0, got {r_min}")
-    two_m_over_h2 = 2.0 * pp.mass / (pp.hbar * pp.hbar)
+    two_m_over_h2 = 2.0 * pp.mass / _nonzero(pp.hbar * pp.hbar, f"hbar^2 at hbar={pp.hbar!r}")
+    _nonzero(r_min * r_min, f"r^2 at r={r_min!r}")
     return two_m_over_h2 * (E - potential(kind, pp, r)) + (m_ang * m_ang + 0.25) / (r * r)
 
 
@@ -176,23 +185,17 @@ def _require_finite(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite, got {value}")
 
 
-def _finite_level(energy: complex, what: str) -> complex:
-    """energy, or DomainError saying that what leaves the double range."""
-    if not cmath.isfinite(energy):
-        raise DomainError(f"{what} is {energy}: it leaves the double range")
-    return energy
-
-
 def _normal_level(
-    level: float, ladder: str, n: int, energy0: float, m_ang: float, why: str
-) -> float:
-    """level, or DomainError naming the ladder's level n and why, where
-    |level| lies outside the normal double range: NaN, +-inf, zero (a level
-    that underflowed) or subnormal (one that has lost bits)."""
-    if not sys.float_info.min <= abs(level) <= sys.float_info.max:
-        raise DomainError(
-            f"{ladder} level n={n} at E0={energy0!r}, M={m_ang!r} is {level!r}: {why}"
-        )
+    level: complex, what: str, why: str = "it leaves the double range"
+) -> complex:
+    """level, or DomainError saying that what is level and why, where a part
+    of it is NaN or +-inf or the larger part lies outside the normal double
+    range: zero (a level that underflowed) or subnormal (one that has lost
+    bits)."""
+    re, im = abs(level.real), abs(level.imag)
+    big = sys.float_info.max
+    if not (re <= big and im <= big and max(re, im) >= sys.float_info.min):
+        raise DomainError(f"{what} is {level!r}: {why}")
     return level
 
 
@@ -227,25 +230,29 @@ def coulomb_closed_spectrum(
 
     Real (and equal to the Euclidean-plane ladder) exactly when M = 0;
     complex decay states otherwise.  M -> -M conjugates the energy.
-    Raises DomainError where it leaves the double range (|M| from about
-    1.34e154, where (n + 1/2 + iM)^2 overflows).
+    Raises DomainError where it leaves the normal double range (|M| from
+    about 1.34e154, where (n + 1/2 + iM)^2 overflows, or an alpha^2 that
+    underflows).
     """
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")
     _require_positive("alpha", alpha)
     _require_finite("M", m_ang)
-    return _finite_level(
+    return _normal_level(
         _energy_from_g(pp, alpha, complex(n + 0.5, m_ang)),
         f"closed-form level n={n} at alpha={alpha}, M={m_ang}",
     )
 
 
 def shallow_spectrum(pp: PhysicalParams, alpha: float, g0: float, n: int) -> float:
-    """Rydberg-like level -m alpha^2/(2 hbar^2 (n+g0)^2) of the shallow regime."""
+    """Rydberg-like level -m alpha^2/(2 hbar^2 (n+g0)^2) of the shallow regime;
+    DomainError where it leaves the normal double range."""
     _require_positive("alpha", alpha)
     s = n + g0
     _require_positive("n + g0", s)
-    return _energy_from_g(pp, alpha, s)
+    return _normal_level(
+        _energy_from_g(pp, alpha, s), f"shallow level n={n} at alpha={alpha!r}, g0={g0!r}"
+    )
 
 
 def deep_ladder(energy0: float, m_ang: float, n: int) -> float:
@@ -260,7 +267,8 @@ def deep_ladder(energy0: float, m_ang: float, n: int) -> float:
     except OverflowError:
         level = -math.inf
     return _normal_level(
-        level, "ladder", n, energy0, m_ang, "E0 exp(2 pi n / M) leaves the normal double range"
+        level, f"ladder level n={n} at E0={energy0!r}, M={m_ang!r}",
+        "E0 exp(2 pi n / M) leaves the normal double range",
     )
 
 
@@ -268,13 +276,13 @@ def oscillator_closed_spectrum(
     pp: PhysicalParams, omega: float, n: int, m_osc: float
 ) -> complex:
     """Closed-form oscillator level hbar omega (2n + 1 + i M_osc); DomainError
-    where it leaves the double range."""
+    where it leaves the normal double range."""
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")
     _require_positive("omega", omega)
     _require_finite("M_osc", m_osc)
     hw = pp.hbar * omega
-    return _finite_level(
+    return _normal_level(
         complex(hw * (2 * n + 1), hw * m_osc),
         f"closed-form level n={n} at omega={omega}, M_osc={m_osc}",
     )
@@ -391,7 +399,10 @@ def duality_forward(
     _require_positive("r0_scale", r0_scale)
     _require_positive("alpha", alpha)
     _require_finite("M_osc = 2 M_coulomb", 2.0 * m_coulomb)
-    omega = math.sqrt(-8.0 * e_coulomb / (pp.mass * r0_scale * r0_scale))
+    m_r0_squared = _nonzero(
+        pp.mass * r0_scale * r0_scale, f"m r0^2 at mass={pp.mass!r}, r0_scale={r0_scale!r}"
+    )
+    omega = math.sqrt(-8.0 * e_coulomb / m_r0_squared)
     e_osc = 4.0 * alpha / r0_scale
     e_osc_alt = 2.0 * alpha * omega * math.sqrt(pp.mass) / math.sqrt(-2.0 * e_coulomb)
     if abs(e_osc - e_osc_alt) > _DUALITY_TOL * abs(e_osc):

@@ -315,11 +315,16 @@ def shoot_eigenvalues(
     cfg describes the grid at the anchor energy; windows at other energies
     are the same grid rescaled by r0(E)/r0(E_0).
 
-    _roots.refine takes each crossing from its scan segment: the midpoint
-    of a segment no wider than tol, else the crossing of the lifted phase
-    (smooth in x, each new phase lifted against the line through the
-    bracket ends), certified to tol/2.  Phases are cached by x within one
-    call.
+    The scan keeps only its last segment, each new phase lifted against
+    the one before, so the segment's ends lie at most pi/2 apart.  The
+    phase is monotone in x, so the first segment that brackets a target is
+    the last one scanned; _roots.refine takes the crossing from it,
+    certified to tol/2, lifting each probe against the line through the
+    segment's ends.  _lift(raw, ref) depends on ref only through the
+    multiple of pi it picks, and at any x in the segment that line and the
+    line through any sub-bracket's ends both lie within pi/2 of the lifted
+    phase, so both pick the same multiple.  Every probe runs its own
+    sweep: no energy is swept twice in one call, so nothing is cached.
 
     Raises InsufficientRootsError when fewer than count crossings lie in
     the window.
@@ -336,19 +341,15 @@ def shoot_eigenvalues(
 
     r0_anchor = bound_state_length(pp, e_hi)
     alpha = kind.alpha if isinstance(kind, Coulomb) else 0.0
-    seen: dict[float, float] = {}
 
     def beta_raw(x: float) -> float:
-        beta = seen.get(x)
-        if beta is None:
-            energy = -math.exp(x)
-            factor = bound_state_length(pp, energy) / r0_anchor
-            beta = seen[x] = inward_phase(kind, pp, m_ang, energy, cfg.rescaled(factor))
-        return beta
+        energy = -math.exp(x)
+        factor = bound_state_length(pp, energy) / r0_anchor
+        return inward_phase(kind, pp, m_ang, energy, cfg.rescaled(factor))
 
-    def lifted_at(x: float, lo: float, b_lo: float, hi: float, b_hi: float) -> float:
-        """The phase at x, lifted against the line through (lo, b_lo), (hi, b_hi)."""
-        return _lift(beta_raw(x), b_lo + (b_hi - b_lo) * (x - lo) / (hi - lo))
+    def lifted(x: float) -> float:
+        """The phase at x, lifted against the line through the segment's ends."""
+        return _lift(beta_raw(x), la + (lb - la) * (x - xa) / (xb - xa))
 
     def scan_step(x: float) -> float:
         # local level density: dbeta/dln|E| ~ |M|/2 deep, pi g/2 shallow
@@ -361,34 +362,22 @@ def shoot_eigenvalues(
     x_stop = math.log(-e_lo)
     sgn = math.copysign(1.0, m_ang)
 
-    xs = [x_start]
-    lifted = [beta_raw(x_start)]
+    xa = xb = x_start
+    first = la = lb = beta_raw(x_start)
     found: list[float] = []
-    n_next = 1
-    while n_next <= count:
-        target = lifted[0] + sgn * math.pi * n_next
-        # extend the scan until the target is bracketed or the window ends
-        while True:
-            seg = None
-            for j in range(len(xs) - 1):
-                if (lifted[j] - target) * (lifted[j + 1] - target) <= 0.0:
-                    seg = j
-                    break
-            if seg is not None:
-                break
-            x_prev = xs[-1]
-            if x_prev >= x_stop:
+    for n in range(1, count + 1):
+        target = first + sgn * math.pi * n
+        # extend the scan until its last segment brackets the target
+        while (la - target) * (lb - target) > 0.0:
+            if xb >= x_stop:
                 raise InsufficientRootsError(
-                    f"only {n_next - 1} of {count} phase crossings inside "
+                    f"only {n - 1} of {count} phase crossings inside "
                     f"E in [{e_lo:.6g}, {e_hi:.6g}]"
                 )
-            x_new = min(x_prev + scan_step(x_prev), x_stop)
-            raw = beta_raw(x_new)
-            xs.append(x_new)
-            lifted.append(_lift(raw, lifted[-1]))
-        segment = (xs[seg], lifted[seg], xs[seg + 1], lifted[seg + 1])
-        found.append(-math.exp(_roots.refine(segment, target, lifted_at, tol)))
-        n_next += 1
+            xa, la = xb, lb
+            xb = min(xa + scan_step(xa), x_stop)
+            lb = _lift(beta_raw(xb), la)
+        found.append(-math.exp(_roots.refine((xa, la, xb, lb), target, lifted, tol)))
     return found
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import _roots
 from .errors import BracketError, ConvergenceError, DomainError, PoleError
 from .model import (  # the numpy-free spectra, re-exported here
-    DEFAULT_SOLVER_TOL, Branch, DualityMap, PhysicalParams, SpectrumEntry,
+    DEFAULT_SOLVER_TOL, Branch, DualityMap, PhysicalParams, SpectrumEntry, _nonzero,
     _normal_level, _quantized_entries, _require_finite, _require_positive, bound_state_length,
     coulomb_closed_spectrum, deep_ladder, duality_forward, oscillator_closed_spectrum,
     shallow_spectrum, solve_quantized_spectrum,
@@ -104,14 +104,15 @@ class ReflectionPhase:
 
 def coulomb_scaling(pp: PhysicalParams, alpha: float, energy: float) -> ScaledCoulomb:
     """Length unit r0 = hbar/(2 sqrt(-2mE)) (``model.bound_state_length``)
-    and strength g = m alpha/(hbar sqrt(-2mE))."""
+    and strength g = m alpha/(hbar sqrt(-2mE)); DomainError where either
+    denominator underflows to 0."""
     _require_positive("alpha", alpha)
     r0 = bound_state_length(pp, energy)
-    return ScaledCoulomb(
-        r0=r0,
-        g=pp.mass * alpha / (pp.hbar * math.sqrt(-2.0 * pp.mass * energy)),
-        energy=energy,
+    scale = _nonzero(
+        pp.hbar * math.sqrt(-2.0 * pp.mass * energy),
+        f"hbar sqrt(-2 m E) at hbar={pp.hbar!r}, mass={pp.mass!r}, E={energy!r}",
     )
+    return ScaledCoulomb(r0=r0, g=pp.mass * alpha / scale, energy=energy)
 
 
 # --------------------------------------------------------------------------
@@ -456,7 +457,7 @@ def _ladder(
     slope = -1.0 if m_c > 0 else 1.0
     known: dict[float, float | Exception] = {}
 
-    def f(x: float, *_: float) -> float:
+    def f(x: float) -> float:
         """f at x, evaluated once per x; a refusal kept at x is raised again."""
         fx = known.get(x)
         if fx is None:
@@ -551,7 +552,7 @@ def _ladder(
             guess = (x, target)
             energy = energy_of_g(math.exp(x))
         levels.append((n, _normal_level(
-            energy, "quantized", n, energy0, m_ang, "it leaves the double range"
+            energy, f"quantized level n={n} at E0={energy0!r}, M={m_ang!r}"
         )))
     return _quantized_entries(m_ang, levels, sign * m_ang > 0, f"tol={tol:g}")
 

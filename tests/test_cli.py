@@ -230,6 +230,29 @@ class TestSpectrumCommand:
         code, out, err = run_cli(capsys, "spectrum", "--system", "oscillator", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # alpha^2 underflows: each level printed "E_re": -0.0 with exit 0
+            (
+                ("--system", "coulomb", "--closed", "--M", "-1", "--alpha", "1e-170"),
+                "closed-form level n=0 at alpha=1e-170, M=-1.0 is (-0-0j): "
+                "it leaves the double range",
+            ),
+            # hbar omega underflows: each level printed 0.0 with exit 0
+            (
+                ("--system", "oscillator", "--closed", "--M", "0", "--omega", "5e-324",
+                 "--hbar", "0.1"),
+                "closed-form level n=0 at omega=5e-324, M_osc=0.0 is 0j: "
+                "it leaves the double range",
+            ),
+        ],
+        ids=["coulomb-alpha-squared", "oscillator-hbar-omega"],
+    )
+    def test_closed_level_leaving_normal_range_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "spectrum", *argv, "--n", "0..1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_scan_window_beyond_double_range_exits_3(self, capsys):
         # the window's deep end lies at g ~ 5e-165, where g^2 is 0: naming
         # its energy ended in a ZeroDivisionError traceback
@@ -390,6 +413,17 @@ class TestPotentialCommand:
         i_min = int(np.argmin(eucl))
         assert 0 < i_min < len(r) - 1
         assert r[i_min] == pytest.approx((1.0 - 0.25) ** 0.25, abs=2e-3)
+
+    def test_r_squared_underflow_exits_2(self, capsys):
+        # r^2 underflows to 0 at r = 1e-300: a ZeroDivisionError traceback
+        # with exit code 1
+        code, out, err = run_cli(
+            capsys, "potential", "--system", "free", "--M", "2",
+            "--grid-min", "1e-300", "--grid-max", "1", "--grid-points", "2",
+        )
+        assert (code, out, err) == (
+            2, "", "error: r^2 at r=1e-300 underflows to 0: it leaves the double range\n"
+        )
 
 
 class TestOutputContract:
@@ -646,6 +680,18 @@ class TestDualityCommand:
         assert rec["omega"] == pytest.approx(4.0, rel=1e-15)
         assert rec["E_osc"] == pytest.approx(4.0, rel=1e-15)
         assert rec["M_osc"] == 1.0
+
+    def test_r0_squared_underflow_exits_2(self, capsys):
+        # m r0^2 underflows to 0: a ZeroDivisionError traceback with exit code 1
+        code, out, err = run_cli(
+            capsys, "duality", "--alpha", "1", "--EC", "-1", "--MC", "0.5",
+            "--r0-scale", "1e-200",
+        )
+        assert (code, out, err) == (
+            2, "",
+            "error: m r0^2 at mass=1.0, r0_scale=1e-200 underflows to 0: "
+            "it leaves the double range\n",
+        )
 
 
 class TestEntryPoints:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,16 @@ class TestEffectivePotential:
             with pytest.raises(DomainError, match="double range"):
                 func(Free(), NATURAL_UNITS, m_ang, 1.0)
 
+    def test_r_squared_underflow_raises(self):
+        # r^2 underflows to 0; both forms raised ZeroDivisionError
+        for func in (effective_potential, euclidean_effective_for):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(
+                    DomainError, match=r"r\^2 at r=1e-300 underflows to 0: it leaves the double range"
+                ):
+                    func(Free(), NATURAL_UNITS, 2.0, 1e-300)
+
 
 class TestRadialCoefficient:
     def test_hand_values(self):
@@ -140,3 +152,19 @@ class TestRadialCoefficient:
                 radial_coefficient(kind, pp, 1.3, -0.7, float(ri)) for ri in r
             ]
 
+    @pytest.mark.parametrize(
+        "pp, r, match",
+        [
+            # these raised ZeroDivisionError
+            (NATURAL_UNITS, 1e-300, r"r\^2 at r=1e-300 underflows to 0"),
+            (PhysicalParams(1.0, 1e-200), 1.0, r"hbar\^2 at hbar=1e-200 underflows to 0"),
+            # this warned "divide by zero" and returned an inf
+            (NATURAL_UNITS, np.array([1e-170, 1.0]), r"r\^2 at r=1e-170 underflows to 0"),
+        ],
+        ids=["scalar-r", "hbar", "array-r"],
+    )
+    def test_squares_that_underflow_raise(self, pp, r, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=match + ": it leaves the double range"):
+                radial_coefficient(Free(), pp, 2.0, -1.0, r)

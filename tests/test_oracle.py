@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import warnings
@@ -113,6 +114,16 @@ class TestIntegrateRadial:
         cfg = ShootingConfig(0.001, 100.0, steps=1000)
         with pytest.raises(DomainError, match="steps"):
             integrate_radial(Free(), PP, 5.0, -50.0, cfg, "outward", (1.0, 1.0))
+
+    def test_r_squared_underflow_rejected_quietly(self):
+        # r_min^2 underflows to 0: numpy warned "divide by zero" before the
+        # stability check refused the infinite coefficient
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"r\^2 at r=1e-170 underflows to 0"):
+                integrate_radial(
+                    Free(), PP, 2.0, -1.0, ShootingConfig(1e-170, 1.0, 1000), "outward", (0.0, 1e-3)
+                )
 
     def test_bad_direction_rejected(self):
         cfg = ShootingConfig(1.0, 2.0, steps=1000)
@@ -360,6 +371,32 @@ class TestShootParity:
                     tol = 10.0 ** rng.uniform(-9.0, -7.0)
                     cfg = scaled_config(PP, e_hi, min_factor=1e-6, steps=6000)
                     shot += len(_certified_shots(kind, PP, m_ang, (e_lo, e_hi), count, cfg, tol))
+        assert shot >= 12
+
+    def test_no_energy_is_swept_twice_in_one_call(self, monkeypatch):
+        # shoot_eigenvalues keeps no phases: each probe of the scan and of
+        # refine must be a new energy, at fine and coarse tol alike
+        swept = collections.Counter()
+        sweep = oracle.inward_phase
+
+        def counted(kind, pp, m_ang, energy, cfg):
+            swept[energy] += 1
+            return sweep(kind, pp, m_ang, energy, cfg)
+
+        monkeypatch.setattr(oracle, "inward_phase", counted)
+        rng = random.Random("shoot-sweeps")
+        shot = 0
+        for kind in (Coulomb(1.0), Free()):
+            for sign in (1.0, -1.0):
+                for tol in (10.0 ** rng.uniform(-9.0, -7.0), 10.0 ** rng.uniform(-3.0, -1.0)):
+                    m_ang = sign * rng.uniform(0.5, 2.0)
+                    e_hi = -math.exp(rng.uniform(math.log(0.1), math.log(1e3)))
+                    count = rng.randint(1, 3)
+                    e_lo = e_hi * math.exp(2.0 * math.pi * (count + 1) / abs(m_ang))
+                    cfg = scaled_config(PP, e_hi, min_factor=1e-6, steps=6000)
+                    swept.clear()
+                    shot += len(shoot_eigenvalues(kind, PP, m_ang, (e_lo, e_hi), count, cfg, tol))
+                    assert swept and max(swept.values()) == 1, (kind, m_ang, tol)
         assert shot >= 12
 
     def test_tol_wider_than_the_scan_segment_matches_reference(self):

@@ -1314,6 +1314,46 @@ def test_huge_m_raises(call, args, match):
 
 
 @pytest.mark.parametrize(
+    "call, args, match",
+    [
+        # each of these returned a level of 0.0, -0.0, -inf or a subnormal
+        pytest.param(
+            coulomb_closed_spectrum, (PP, 1e-170, 0, -1.0),
+            r"closed-form level n=0 at alpha=1e-170, M=-1.0 is \(-0-0j\): it leaves",
+            id="closed-alpha-squared-underflows",
+        ),
+        pytest.param(
+            oscillator_closed_spectrum, (PhysicalParams(1.0, 0.1), 5e-324, 1, 0.0),
+            r"closed-form level n=1 at omega=5e-324, M_osc=0.0 is 0j: it leaves",
+            id="osc-closed-hbar-omega-underflows",
+        ),
+        pytest.param(
+            shallow_spectrum, (PP, 1e200, 0.5, 0),
+            "shallow level n=0 at alpha=1e[+]200, g0=0.5 is -inf: it leaves the double range",
+            id="shallow-overflows",
+        ),
+        pytest.param(
+            shallow_spectrum, (PhysicalParams(1e-300, 1.0), 1e-10, 0.5, 0),
+            "shallow level n=0 at alpha=1e-10, g0=0.5 is -2e-320: it leaves the double range",
+            id="shallow-subnormal",
+        ),
+        # this raised ZeroDivisionError where hbar sqrt(-2 m E) underflows to 0
+        pytest.param(
+            coulomb_scaling, (PhysicalParams(1.0, 1e-300), 1.0, -1e-50),
+            r"hbar sqrt\(-2 m E\) at hbar=1e-300, mass=1.0, E=-1e-50 underflows to 0: "
+            "it leaves the double range",
+            id="scaling-denominator-underflows",
+        ),
+    ],
+)
+def test_values_outside_the_normal_range_raise(call, args, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            call(*args)
+
+
+@pytest.mark.parametrize(
     "call, args, kwargs",
     [
         pytest.param(coulomb_closed_spectrum, (PP, math.nan, 0, 1.0), {}, id="closed-alpha"),
