@@ -113,7 +113,8 @@ def effective_potential(
     """U_eff(r) = -(hbar^2/2m) (M^2 + 1/4)/r^2 + U(r).
 
     Strictly negative at every r > 0 for the free particle.  Raises
-    DomainError where r^2 underflows or the value leaves the double range.
+    DomainError where hbar^2/2m or r^2 underflows or the value leaves the
+    double range.
     """
     return _effective(kind, pp, m_ang, r, m_ang * m_ang + 0.25)
 
@@ -128,11 +129,14 @@ def euclidean_effective_for(
 def _effective(
     kind: SystemKind, pp: PhysicalParams, m_ang: float, r: float, angular: float
 ) -> float:
-    """-(hbar^2/2m) angular/r^2 + U(r), or DomainError where r^2 underflows
-    or M^2 / r^2 or U(r) leaves the double range."""
+    """-(hbar^2/2m) angular/r^2 + U(r), or DomainError where hbar^2/2m or
+    r^2 underflows or M^2 / r^2 or U(r) leaves the double range."""
     if r <= 0:
         raise DomainError(f"effective potential needs r > 0, got {r}")
-    centrifugal = -(pp.hbar**2 / (2.0 * pp.mass)) * angular / _nonzero(r * r, f"r^2 at r={r!r}")
+    h2_over_2m = _nonzero(
+        pp.hbar**2 / (2.0 * pp.mass), f"hbar^2/(2m) at hbar={pp.hbar!r}, mass={pp.mass!r}"
+    )
+    centrifugal = -h2_over_2m * angular / _nonzero(r * r, f"r^2 at r={r!r}")
     value = centrifugal + potential(kind, pp, r)
     if not math.isfinite(value):
         raise DomainError(
@@ -392,6 +396,7 @@ def duality_forward(
     omega = sqrt(-8 E_C / (m r0^2)), E_osc = 4 alpha / r0, M_osc = 2 M_C.
     The equivalent relation E_osc = 2 alpha omega sqrt(m) / sqrt(-2 E_C)
     (positive branch) is verified to 1e-12 relative as a consistency check.
+    Raises DomainError where m r0^2 underflows to 0 or omega overflows.
     """
     if not -math.inf < e_coulomb < 0:
         raise DomainError(f"duality needs a finite E_coulomb < 0, got {e_coulomb}")
@@ -403,6 +408,11 @@ def duality_forward(
         pp.mass * r0_scale * r0_scale, f"m r0^2 at mass={pp.mass!r}, r0_scale={r0_scale!r}"
     )
     omega = math.sqrt(-8.0 * e_coulomb / m_r0_squared)
+    if omega == math.inf:
+        raise DomainError(
+            f"oscillator frequency omega = sqrt(-8 E_C / (m r0^2)) at E_C={e_coulomb!r}, "
+            f"mass={pp.mass!r}, r0_scale={r0_scale!r} leaves the double range"
+        )
     e_osc = 4.0 * alpha / r0_scale
     e_osc_alt = 2.0 * alpha * omega * math.sqrt(pp.mass) / math.sqrt(-2.0 * e_coulomb)
     if abs(e_osc - e_osc_alt) > _DUALITY_TOL * abs(e_osc):

@@ -11,6 +11,7 @@ ulps of a double.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,7 +129,20 @@ def _log_sin_pi_upper(z):
 
 
 def _ln_gamma_ld(z: complex):
-    """Principal-branch lnGamma as a clongdouble, analytic off (-inf, 0]."""
+    """Principal-branch lnGamma as a clongdouble, analytic off (-inf, 0].
+
+    The last two values are kept, the least recently used one evicted
+    first.  A ladder's f alternates between a new 1/2 - g + iM and the
+    same 1 + 2iM, so the latter is evaluated once per ladder call.  The key
+    carries the signs of both parts of z, since complex equality merges +0
+    and -0.  An error is raised again on every call, never kept.
+    """
+    return _ln_gamma_kept(z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+
+
+@functools.lru_cache(maxsize=2)
+def _ln_gamma_kept(z: complex, re_sign: float, im_sign: float):
+    # re_sign and im_sign are part of the key only.
     # below the real axis, conjugate z on the way in and the value on the way out
     lower = z.imag < 0
     zl = (z.conjugate() if lower else z) - _CZERO
@@ -144,7 +158,9 @@ def ln_gamma(z: complex) -> complex:
 
     Continuous off the cut (-inf, 0]; real z < 0 is treated as the limit
     from the upper half plane.  Satisfies ln_gamma(conj(z)) ==
-    conj(ln_gamma(z)) bitwise.
+    conj(ln_gamma(z)) bitwise.  The last two values are kept, keyed on z
+    and the signs of its parts, so a repeated z costs a lookup and gets
+    the same bits; an error is raised on every call.
 
     Raises
     ------

@@ -391,6 +391,10 @@ def quantization_f(g: float, m_ang: float) -> float:
     Shallow regime (g -> inf): f ~ -pi g (for M > 0).  Raises DomainError
     where f leaves the double range (from g ~ 5.7e307, where pi g does),
     and PoleError at g = 1/2 for |M| below ~1e-20, a pole to longdouble.
+
+    Each call makes two lnGamma calls.  lnGamma keeps its last two values,
+    so along a ladder, where g changes and M does not, lnGamma(1 + 2iM) is
+    evaluated on the first call only.
     """
     _require_positive("g", g)
     _require_finite("M", m_ang)

@@ -425,6 +425,19 @@ class TestPotentialCommand:
             2, "", "error: r^2 at r=1e-300 underflows to 0: it leaves the double range\n"
         )
 
+    def test_hbar_squared_over_2m_underflow_exits_2(self, capsys):
+        # hbar^2/(2m) underflows to 0, so the centrifugal term vanished and
+        # the free particle's strictly negative U_eff printed 0.0, exit 0
+        code, out, err = run_cli(
+            capsys, "potential", "--system", "free", "--M", "0", "--hbar", "1e-200",
+            "--grid-min", "1", "--grid-max", "2", "--grid-points", "2",
+        )
+        assert (code, out, err) == (
+            2, "",
+            "error: hbar^2/(2m) at hbar=1e-200, mass=1.0 underflows to 0: "
+            "it leaves the double range\n",
+        )
+
 
 class TestOutputContract:
     def test_deterministic_bytes(self, capsys):
@@ -691,6 +704,19 @@ class TestDualityCommand:
             2, "",
             "error: m r0^2 at mass=1.0, r0_scale=1e-200 underflows to 0: "
             "it leaves the double range\n",
+        )
+
+    def test_omega_overflow_exits_2(self, capsys):
+        # omega = sqrt(-8 E_C / (m r0^2)) overflows to inf: exit 3 with
+        # "duality energy relation violated: 4e+160 vs inf"
+        code, out, err = run_cli(
+            capsys, "duality", "--alpha", "1", "--EC", "-1", "--MC", "0.5",
+            "--r0-scale", "1e-160",
+        )
+        assert (code, out, err) == (
+            2, "",
+            "error: oscillator frequency omega = sqrt(-8 E_C / (m r0^2)) at E_C=-1.0, "
+            "mass=1.0, r0_scale=1e-160 leaves the double range\n",
         )
 
 

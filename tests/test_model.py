@@ -100,6 +100,17 @@ class TestEffectivePotential:
                 ):
                     func(Free(), NATURAL_UNITS, 2.0, 1e-300)
 
+    def test_hbar_squared_over_2m_underflow_raises(self):
+        # hbar^2/(2m) underflows to 0: the free particle's U_eff, promised
+        # strictly negative, was 0.0
+        pp = PhysicalParams(mass=1.0, hbar=1e-200)
+        for func in (effective_potential, euclidean_effective_for):
+            with pytest.raises(
+                DomainError,
+                match=r"hbar\^2/\(2m\) at hbar=1e-200, mass=1.0 underflows to 0",
+            ):
+                func(Free(), pp, 0.0, 1.0)
+
 
 class TestRadialCoefficient:
     def test_hand_values(self):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from minkqm import specfun, spectra
 from minkqm.errors import ConvergenceError, DomainError, PoleError
+from minkqm.model import NATURAL_UNITS
 from minkqm.specfun import _KEPT_BLOCKS, KummerParams, _kummer_m_ld, kummer_m, ln_gamma
 
 # 40-digit offline references
@@ -113,6 +114,84 @@ class TestLnGamma:
         for z, (got, want) in zip(zs, outcomes):
             assert got == want, z
         assert sum(isinstance(got, tuple) and got[0] == "PoleError" for got, _ in outcomes) == 2
+
+
+class TestLnGammaMemo:
+    """lnGamma keeps its last two values; a kept value is the value."""
+
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        specfun._ln_gamma_kept.cache_clear()
+        yield
+        specfun._ln_gamma_kept.cache_clear()
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (complex(2.5, 0.0), complex(2.5, -0.0)),  # imaginary +-0
+            (complex(-2.5, 0.0), complex(-2.5, -0.0)),  # on the cut, reflected
+            (complex(0.0, 0.3), complex(-0.0, 0.3)),  # real +-0, reflected
+            (complex(0.0, -0.3), complex(-0.0, -0.3)),  # real +-0, lower half
+            (complex(-1.5, 1.0), complex(1.0, 2.0)),  # the ladder's two, g = 2, M = 1
+            (complex(-6.3, 0.7), complex(-6.3, -0.7)),  # reflection, both half planes
+        ],
+    )
+    def test_hits_keep_the_cold_bits(self, a, b):
+        # Signed zeros, where complex equality merges +0 and -0, get an
+        # entry each: the second of a pair is evaluated, never read from
+        # the first.  A kept value is read back with the bits a cold
+        # evaluation gives, in either order, and on a third call.
+        cold = []
+        for z in (a, b):
+            specfun._ln_gamma_kept.cache_clear()
+            cold.append(_hex_bits(specfun._ln_gamma_ld(z)))
+        for first, second in ((0, 1), (1, 0)):
+            specfun._ln_gamma_kept.cache_clear()
+            for i in (first, second, first, second):
+                assert _hex_bits(specfun._ln_gamma_ld((a, b)[i])) == cold[i], ((a, b)[first], i)
+            info = specfun._ln_gamma_kept.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+
+    def test_pole_is_raised_every_call_and_never_kept(self):
+        # 1 - e^(2 pi i z) rounds to 0 at z = 1e-21 i
+        z = complex(0.0, 1e-21)
+        for calls in (1, 2, 3):
+            with pytest.raises(PoleError, match="sin\\(pi z\\) rounds to 0"):
+                specfun._ln_gamma_ld(z)
+            info = specfun._ln_gamma_kept.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (calls, 0, 0)
+
+    def test_ladder_evaluates_the_constant_once_per_call(self, monkeypatch):
+        # f(g) alternates lnGamma(1/2 - g + iM), new on each call, with
+        # lnGamma(1 + 2iM), the same in one ladder.  Every evaluation runs
+        # the Lanczos sum once, and 1 + 2iM reaches it as itself (never
+        # through the reflection), so its calls there count its evaluations.
+        core = specfun._lanczos_core
+        seen = []
+        monkeypatch.setattr(
+            specfun, "_lanczos_core", lambda z: seen.append(complex(z)) or core(z)
+        )
+        qf = spectra.quantization_f
+        f_calls = []
+        monkeypatch.setattr(spectra, "quantization_f", lambda g, m: f_calls.append(g) or qf(g, m))
+        ladders = [
+            (complex(1.0, 2.0), lambda: spectra.solve_quantized_spectrum(
+                NATURAL_UNITS, 1.0, 1.0, -2.0, range(-2, 4))),
+            (complex(1.0, 3.0), lambda: spectra.oscillator_quantized_spectrum(
+                NATURAL_UNITS, 1.0, 3.0, 25.0, range(-2, 3))),
+        ]
+        for constant, ladder in ladders:
+            del seen[:], f_calls[:]
+            misses = specfun._ln_gamma_kept.cache_info().misses
+            ladder()
+            assert len(f_calls) > 20
+            assert seen.count(constant) == 1
+            # one evaluation per f for its new argument, unless the last f's
+            # was the same (deep in a ladder, two probes of g can round to
+            # one 1/2 - g), plus one for the constant
+            ws = [complex(0.5 - g, constant.imag / 2.0) for g in f_calls]
+            assert len(seen) == 1 + sum(w != v for w, v in zip(ws, [None, *ws]))
+            assert specfun._ln_gamma_kept.cache_info().misses - misses == len(seen)
 
 
 class TestKummerM:

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from minkqm import spectra
+from minkqm import specfun, spectra
 from minkqm.errors import BracketError, ConsistencyError, ConvergenceError, DomainError, PoleError
 from minkqm.model import NATURAL_UNITS, PhysicalParams, _energy_from_g
 from minkqm.oracle import bound_state_length, scaled_config
@@ -1067,6 +1067,14 @@ class TestDuality:
         with pytest.raises(DomainError):
             duality_forward(PP, 1.0, 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("e_c, r0", [(-1.0, 1e-160), (-1e308, 1.0)])
+    def test_omega_overflow_raises(self, e_c, r0):
+        # omega overflowed to inf and failed the energy relation instead:
+        # ConsistencyError "duality energy relation violated: 4e+160 vs inf"
+        with pytest.raises(DomainError, match=r"omega = sqrt\(-8 E_C / \(m r0\^2\)\) at "
+                           r".* leaves the double range"):
+            duality_forward(PP, 1.0, e_c, 0.5, r0)
+
 
 class TestOscillator:
     def test_closed_values(self):
@@ -1215,6 +1223,21 @@ class TestThirdSolutionPhaseLaw:
         assert tail / max_u < 1e-6
         tail_bad = abs(coulomb_third_asymptotic(g, m_ang, 60.0, rp.gamma + 0.1))
         assert tail_bad / tail > 1e3
+
+    def test_default_gamma_costs_two_lngamma_per_grid(self, monkeypatch):
+        # gamma = None solves gamma_phase on every point, from the same two
+        # lnGamma arguments, which lnGamma's memo then holds: the grid gets
+        # the bits of gamma passed, for two evaluations in all
+        g, m_ang = 2.0, 1.0
+        zs = [float(z) for z in np.geomspace(0.5, 30.0, 40)]
+        gamma = gamma_phase(g, m_ang).gamma
+        want = [_hex_bits(coulomb_third(g, m_ang, z, gamma)) for z in zs]
+        core = specfun._lanczos_core
+        evaluations = []
+        monkeypatch.setattr(specfun, "_lanczos_core", lambda z: evaluations.append(z) or core(z))
+        specfun._ln_gamma_kept.cache_clear()
+        assert [_hex_bits(coulomb_third(g, m_ang, z)) for z in zs] == want
+        assert len(evaluations) == 2
 
     def test_series_third_solution_stays_small_at_moderate_z(self):
         # series evaluation is still well conditioned at z ~ 35
