@@ -23,10 +23,10 @@ from .errors import (
 _LAZY = {
     "model": (
         "Branch", "Coulomb", "DualityMap", "Free", "NATURAL_UNITS", "Oscillator",
-        "PhysicalParams", "SpectrumEntry", "SystemKind", "coulomb_closed_spectrum",
-        "deep_ladder", "duality_forward", "effective_potential",
-        "oscillator_closed_spectrum", "potential", "radial_coefficient",
-        "shallow_spectrum", "solve_quantized_spectrum",
+        "PhysicalParams", "ScaledCoulomb", "SpectrumEntry", "SystemKind",
+        "coulomb_closed_spectrum", "coulomb_scaling", "deep_ladder", "duality_forward",
+        "effective_potential", "oscillator_closed_spectrum", "potential",
+        "radial_coefficient", "shallow_spectrum", "solve_quantized_spectrum",
     ),
     "oracle": (
         "RadialSolution", "ShootingConfig", "inward_phase", "integrate_radial",
@@ -34,10 +34,9 @@ _LAZY = {
     ),
     "specfun": ("KummerParams", "kummer_m", "ln_gamma"),
     "spectra": (
-        "ReflectionPhase", "ScaledCoulomb", "coulomb_scaling", "coulomb_third",
-        "coulomb_third_asymptotic", "coulomb_u1", "coulomb_u1_asymptotic", "coulomb_u2",
-        "gamma_phase", "oscillator_quantized_spectrum", "oscillator_wavefunction",
-        "quantization_f",
+        "ReflectionPhase", "coulomb_third", "coulomb_third_asymptotic", "coulomb_u1",
+        "coulomb_u1_asymptotic", "coulomb_u2", "gamma_phase", "oscillator_quantized_spectrum",
+        "oscillator_wavefunction", "quantization_f",
     ),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}

@@ -64,6 +64,39 @@ def bound_state_length(pp: PhysicalParams, energy: float) -> float:
 
 
 @dataclass(frozen=True)
+class ScaledCoulomb:
+    """Bound-state scaling of the Coulomb problem at energy E < 0.
+
+    r0 is the length unit, g the dimensionless strength (the effective
+    principal quantum number: E = -m alpha^2 / (2 hbar^2 g^2)), and the
+    radial variable of the wavefunctions is always z = r/r0.
+    """
+
+    r0: float
+    g: float
+    energy: float
+
+    def __post_init__(self):
+        _require_positive("r0", self.r0)
+        _require_positive("g", self.g)
+        if not self.energy < 0:
+            raise DomainError(f"scaling defined for E < 0, got {self.energy}")
+
+
+def coulomb_scaling(pp: PhysicalParams, alpha: float, energy: float) -> ScaledCoulomb:
+    """Length unit r0 = hbar/(2 sqrt(-2mE)) (``bound_state_length``) and
+    strength g = m alpha/(hbar sqrt(-2mE)); DomainError where either
+    denominator underflows to 0."""
+    _require_positive("alpha", alpha)
+    r0 = bound_state_length(pp, energy)
+    scale = _nonzero(
+        pp.hbar * math.sqrt(-2.0 * pp.mass * energy),
+        f"hbar sqrt(-2 m E) at hbar={pp.hbar!r}, mass={pp.mass!r}, E={energy!r}",
+    )
+    return ScaledCoulomb(r0=r0, g=pp.mass * alpha / scale, energy=energy)
+
+
+@dataclass(frozen=True)
 class Free:
     pass
 
@@ -114,7 +147,8 @@ def effective_potential(
 
     Strictly negative at every r > 0 for the free particle.  Raises
     DomainError where hbar^2/2m or r^2 underflows or the value leaves the
-    double range.
+    double range, as a free value does where r^2 overflows to inf and
+    the value would round to 0.
     """
     return _effective(kind, pp, m_ang, r, m_ang * m_ang + 0.25)
 
@@ -130,17 +164,24 @@ def _effective(
     kind: SystemKind, pp: PhysicalParams, m_ang: float, r: float, angular: float
 ) -> float:
     """-(hbar^2/2m) angular/r^2 + U(r), or DomainError where hbar^2/2m or
-    r^2 underflows or M^2 / r^2 or U(r) leaves the double range."""
+    r^2 underflows, M^2 / r^2 or U(r) leaves the double range, or a nonzero
+    angular term leaves a value of 0 (r^2 overflows, or the term underflows)."""
     if r <= 0:
         raise DomainError(f"effective potential needs r > 0, got {r}")
     h2_over_2m = _nonzero(
         pp.hbar**2 / (2.0 * pp.mass), f"hbar^2/(2m) at hbar={pp.hbar!r}, mass={pp.mass!r}"
     )
-    centrifugal = -h2_over_2m * angular / _nonzero(r * r, f"r^2 at r={r!r}")
+    r2 = _nonzero(r * r, f"r^2 at r={r!r}")
+    centrifugal = -h2_over_2m * angular / r2
     value = centrifugal + potential(kind, pp, r)
     if not math.isfinite(value):
         raise DomainError(
             f"effective potential at M={m_ang}, r={r} is {value}: it leaves the double range"
+        )
+    if value == 0.0 and centrifugal == 0.0 and angular != 0.0:
+        raise DomainError(
+            f"effective potential at M={m_ang}, r={r} comes out 0: its term "
+            f"(hbar^2/2m) {angular!r}/r^2 at r^2={r2!r} leaves the double range"
         )
     return value
 
@@ -395,8 +436,10 @@ def duality_forward(
 
     omega = sqrt(-8 E_C / (m r0^2)), E_osc = 4 alpha / r0, M_osc = 2 M_C.
     The equivalent relation E_osc = 2 alpha omega sqrt(m) / sqrt(-2 E_C)
-    (positive branch) is verified to 1e-12 relative as a consistency check.
-    Raises DomainError where m r0^2 underflows to 0 or omega overflows.
+    (positive branch) is verified to 1e-12 relative as a consistency check,
+    through its ratio to 4 alpha / r0, which stays near 1 where 2 alpha
+    omega overflows.  Raises DomainError where m r0^2 underflows to 0 or
+    omega or E_osc leaves the double range.
     """
     if not -math.inf < e_coulomb < 0:
         raise DomainError(f"duality needs a finite E_coulomb < 0, got {e_coulomb}")
@@ -408,16 +451,23 @@ def duality_forward(
         pp.mass * r0_scale * r0_scale, f"m r0^2 at mass={pp.mass!r}, r0_scale={r0_scale!r}"
     )
     omega = math.sqrt(-8.0 * e_coulomb / m_r0_squared)
-    if omega == math.inf:
+    if not 0.0 < omega < math.inf:
         raise DomainError(
             f"oscillator frequency omega = sqrt(-8 E_C / (m r0^2)) at E_C={e_coulomb!r}, "
             f"mass={pp.mass!r}, r0_scale={r0_scale!r} leaves the double range"
         )
     e_osc = 4.0 * alpha / r0_scale
-    e_osc_alt = 2.0 * alpha * omega * math.sqrt(pp.mass) / math.sqrt(-2.0 * e_coulomb)
-    if abs(e_osc - e_osc_alt) > _DUALITY_TOL * abs(e_osc):
+    if not 0.0 < e_osc < math.inf:
+        raise DomainError(
+            f"oscillator level E_osc = 4 alpha / r0 at alpha={alpha!r}, "
+            f"r0_scale={r0_scale!r} leaves the double range"
+        )
+    # the relation's sides over 4 alpha / r0: where m r0^2 is nonzero and finite,
+    # omega / sqrt(-2 E_C) and sqrt(m) r0 lie in [1e-162, 1e162], so nothing overflows
+    ratio = omega / math.sqrt(-2.0 * e_coulomb) * (math.sqrt(pp.mass) * r0_scale) / 2.0
+    if abs(ratio - 1.0) > _DUALITY_TOL:
         raise ConsistencyError(
-            f"duality energy relation violated: {e_osc} vs {e_osc_alt}"
+            f"duality energy relation violated: {e_osc} vs {e_osc * ratio}"
         )
     return DualityMap(
         r0_scale=r0_scale,

@@ -36,6 +36,7 @@ from .model import (
     PhysicalParams,
     SystemKind,
     bound_state_length,
+    coulomb_scaling,
     radial_coefficient,
 )
 
@@ -340,7 +341,6 @@ def shoot_eigenvalues(
         raise DomainError(f"tol must be positive and finite, got {tol}")
 
     r0_anchor = bound_state_length(pp, e_hi)
-    alpha = kind.alpha if isinstance(kind, Coulomb) else 0.0
 
     def beta_raw(x: float) -> float:
         energy = -math.exp(x)
@@ -354,8 +354,8 @@ def shoot_eigenvalues(
     def scan_step(x: float) -> float:
         # local level density: dbeta/dln|E| ~ |M|/2 deep, pi g/2 shallow
         g_here = 0.0
-        if alpha > 0.0:
-            g_here = pp.mass * alpha / (pp.hbar * math.sqrt(2.0 * pp.mass * math.exp(x)))
+        if isinstance(kind, Coulomb):
+            g_here = coulomb_scaling(pp, kind.alpha, -math.exp(x)).g
         return (math.pi / 6.0) / (abs(m_ang) / 2.0 + math.pi * g_here / 2.0)
 
     x_start = math.log(-e_hi)

@@ -11,8 +11,9 @@ Two distinct spectral branches live here and are never mixed:
 A reference level is required because the attractive inverse-square tail
 fixes only level *spacings*, never an absolute anchor.
 
-The closed-form levels, the free ladder and the duality map need no special
-functions; they live in ``model``, which loads no numpy, and are re-exported here.
+The closed-form levels, the free ladder, the duality map and the Coulomb
+scaling need no special functions; they live in ``model``, which loads no
+numpy, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ import numpy as np
 
 from . import _roots
 from .errors import BracketError, ConvergenceError, DomainError, PoleError
-from .model import (  # the numpy-free spectra, re-exported here
-    DEFAULT_SOLVER_TOL, Branch, DualityMap, PhysicalParams, SpectrumEntry, _nonzero,
-    _normal_level, _quantized_entries, _require_finite, _require_positive, bound_state_length,
-    coulomb_closed_spectrum, deep_ladder, duality_forward, oscillator_closed_spectrum,
-    shallow_spectrum, solve_quantized_spectrum,
+from .model import (  # the numpy-free spectra and the Coulomb scaling, re-exported here
+    DEFAULT_SOLVER_TOL, Branch, DualityMap, PhysicalParams, ScaledCoulomb, SpectrumEntry,
+    _normal_level, _quantized_entries, _require_finite, _require_positive,
+    coulomb_closed_spectrum, coulomb_scaling, deep_ladder, duality_forward,
+    oscillator_closed_spectrum, shallow_spectrum, solve_quantized_spectrum,
 )
 from .specfun import (
     KummerParams,
@@ -69,50 +70,18 @@ _NO_ERRSTATE = contextlib.nullcontext()
 
 
 @dataclass(frozen=True)
-class ScaledCoulomb:
-    """Bound-state scaling of the Coulomb problem at energy E < 0.
-
-    r0 is the length unit, g the dimensionless strength (the effective
-    principal quantum number: E = -m alpha^2 / (2 hbar^2 g^2)), and the
-    radial variable below is always z = r/r0.
-    """
-
-    r0: float
-    g: float
-    energy: float
-
-    def __post_init__(self):
-        _require_positive("r0", self.r0)
-        _require_positive("g", self.g)
-        if not self.energy < 0:
-            raise DomainError(f"scaling defined for E < 0, got {self.energy}")
-
-
-@dataclass(frozen=True)
 class ReflectionPhase:
     """Near-origin reflection phase of u ~ sqrt(r) sin(M ln r + gamma).
 
     gamma is reduced to [0, pi); gamma_raw is the unreduced companion used
     when a continuous phase is needed; beta = gamma - M ln r0 carries the
-    energy dependence.
+    energy dependence, and r0 is the length unit it used.
     """
 
     gamma: float
     beta: float
     gamma_raw: float
-
-
-def coulomb_scaling(pp: PhysicalParams, alpha: float, energy: float) -> ScaledCoulomb:
-    """Length unit r0 = hbar/(2 sqrt(-2mE)) (``model.bound_state_length``)
-    and strength g = m alpha/(hbar sqrt(-2mE)); DomainError where either
-    denominator underflows to 0."""
-    _require_positive("alpha", alpha)
-    r0 = bound_state_length(pp, energy)
-    scale = _nonzero(
-        pp.hbar * math.sqrt(-2.0 * pp.mass * energy),
-        f"hbar sqrt(-2 m E) at hbar={pp.hbar!r}, mass={pp.mass!r}, E={energy!r}",
-    )
-    return ScaledCoulomb(r0=r0, g=pp.mass * alpha / scale, energy=energy)
+    r0: float
 
 
 # --------------------------------------------------------------------------
@@ -322,11 +291,12 @@ def coulomb_third_asymptotic(
 # --------------------------------------------------------------------------
 # reflection phase and quantization condition
 
-def _refuse_m0_pole(g: float, what: str) -> None:
-    """PoleError where g - 1/2 is a non-negative integer (to 1e-12): at M = 0
-    the Gamma factors sit on poles there, the closed-form levels."""
-    k = round(g - 0.5)
-    if k >= 0 and abs(g - 0.5 - k) <= 1e-12:
+def _refuse_m0_pole(g: float, m_ang: float, what: str) -> None:
+    """PoleError where u1's series terminates at M = +-0, that is where g - 1/2
+    is a non-negative integer to specfun.TERMINATION_TOL: the Gamma factors
+    sit on poles there, the closed-form levels."""
+    k = _u1_params(g, m_ang, math.copysign(1.0, m_ang))[0].terminating_order()
+    if k is not None:
         raise PoleError(
             f"{what} undefined at M=0, g={g}: Gamma pole (closed-form level n={k})"
         )
@@ -342,7 +312,8 @@ def gamma_phase(g: float, m_ang: float, r0: float | None = None) -> ReflectionPh
     modulus, and gamma_raw = -Im ln[Gamma(1+2iM) / Gamma(1/2+iM-g)] takes
     two lnGamma evaluations.  gamma is reduced to [0, pi); the unreduced
     value is kept alongside.  beta = gamma - M ln r0 uses the supplied r0,
-    defaulting to the natural-units value r0 = g/2 (hbar = m = alpha = 1).
+    defaulting to the natural-units value r0 = g/2 (hbar = m = alpha = 1);
+    the record keeps the r0 it used.
 
     gamma carries about ulp(gamma_raw)/2 of absolute error, and |gamma_raw|
     grows like |M| ln|M| (and like pi g at large g): against 60-digit
@@ -363,8 +334,8 @@ def gamma_phase(g: float, m_ang: float, r0: float | None = None) -> ReflectionPh
     _require_positive("r0", r0)
 
     if m_ang == 0.0:
-        _refuse_m0_pole(g, "gamma")
-        return ReflectionPhase(gamma=0.0, beta=0.0, gamma_raw=0.0)
+        _refuse_m0_pole(g, m_ang, "gamma")
+        return ReflectionPhase(gamma=0.0, beta=0.0, gamma_raw=0.0, r0=r0)
 
     gamma_raw = float(-np.imag(_gamma_ratio_ld(g, m_ang)))
     rounding = math.ulp(gamma_raw) / 2.0
@@ -378,7 +349,7 @@ def gamma_phase(g: float, m_ang: float, r0: float | None = None) -> ReflectionPh
     if gamma < 0.0:
         gamma += math.pi
     return ReflectionPhase(
-        gamma=gamma, beta=gamma - m_ang * math.log(r0), gamma_raw=gamma_raw
+        gamma=gamma, beta=gamma - m_ang * math.log(r0), gamma_raw=gamma_raw, r0=r0
     )
 
 
@@ -401,7 +372,7 @@ def quantization_f(g: float, m_ang: float) -> float:
     _require_finite("2M", 2.0 * m_ang)
     w = complex(0.5 - g, m_ang)
     if m_ang == 0.0:
-        _refuse_m0_pole(g, "quantization function")
+        _refuse_m0_pole(g, m_ang, "quantization function")
     value = (
         (-m_ang - _ZERO) * np.log(g - _ZERO)
         + _ln_gamma_ld(w).imag

@@ -374,6 +374,52 @@ class TestWavefunctionCommand:
         assert code == 2
 
 
+class TestGammaOption:
+    ARGS = ("wavefunction", "--system", "coulomb", "--branch", "third", "--g", "2", "--M", "1",
+            "--grid-min", "0.5", "--grid-max", "3", "--grid-points", "4")
+
+    @pytest.mark.parametrize("gamma", [None, "auto", "0.3"])
+    def test_gamma_values(self, capsys, gamma):
+        from minkqm import spectra
+
+        extra = () if gamma is None else ("--gamma", gamma)
+        code, out, _ = run_cli(capsys, *self.ARGS, *extra)
+        assert code == 0
+        want = 0.3 if gamma == "0.3" else spectra.gamma_phase(2.0, 1.0).gamma
+        for rec in json_records(out):
+            u = spectra.coulomb_third(2.0, 1.0, rec["r"], want)
+            assert (rec["u_re"], rec["u_im"]) == (u.real, u.imag)
+
+    def test_bad_gamma_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, *self.ARGS, "--gamma", "x")
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "argument --gamma: expected a finite number, got 'x'" in captured.err
+
+
+class TestLibraryRefusals:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("spectrum", "--system", "coulomb", "--M", "0.5", "--closed", "--n", "-1..1"),
+             "level index must be >= 0, got -1"),
+            (("spectrum", "--system", "oscillator", "--M", "2", "--closed", "--n", "-2..0"),
+             "level index must be >= 0, got -2"),
+            (("wavefunction", "--system", "oscillator", "--n", "-1", "--M", "0"),
+             "n must be >= 0, got -1"),
+            (("potential", "--system", "free", "--M", "0", "--grid-min", "0", "--grid-max", "1"),
+             "effective potential needs r > 0, got 0.0"),
+        ],
+        ids=["coulomb-closed-n", "oscillator-closed-n", "oscillator-wavefunction-n",
+             "potential-grid-min"],
+    )
+    def test_exits_2_with_the_library_message(self, capsys, argv, message):
+        # the CLI refuses these inputs through the library's DomainError alone
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestPotentialCommand:
     def test_free_effective_strictly_negative_inverse_square(self, capsys):
         code, out, _ = run_cli(
@@ -423,6 +469,19 @@ class TestPotentialCommand:
         )
         assert (code, out, err) == (
             2, "", "error: r^2 at r=1e-300 underflows to 0: it leaves the double range\n"
+        )
+
+    def test_r_squared_overflow_exits_2(self, capsys):
+        # r^2 overflows to inf at r = 1e160, so the free particle's strictly
+        # negative U_eff printed 0.0 with exit 0
+        code, out, err = run_cli(
+            capsys, "potential", "--system", "free", "--M", "0",
+            "--grid-min", "1e150", "--grid-max", "1e160", "--grid-points", "2",
+        )
+        assert (code, out, err) == (
+            2, "",
+            "error: effective potential at M=0.0, r=1e+160 comes out 0: its term "
+            "(hbar^2/2m) 0.25/r^2 at r^2=inf leaves the double range\n",
         )
 
     def test_hbar_squared_over_2m_underflow_exits_2(self, capsys):
@@ -647,6 +706,18 @@ class TestExitCodes:
 
 
 class TestPhaseCommand:
+    @pytest.mark.parametrize("r0", [None, "0.7"])
+    def test_record_r0_is_the_phase_r0(self, capsys, r0):
+        from minkqm import spectra
+
+        extra = () if r0 is None else ("--r0", r0)
+        code, out, _ = run_cli(capsys, "phase", "--g", "2", "--M", "1", *extra)
+        assert code == 0
+        rp = spectra.gamma_phase(2.0, 1.0, None if r0 is None else float(r0))
+        rec = json_records(out)[0]
+        assert rec["r0"] == rp.r0 == (1.0 if r0 is None else 0.7)
+        assert (rec["gamma"], rec["beta"], rec["gamma_raw"]) == (rp.gamma, rp.beta, rp.gamma_raw)
+
     def test_gamma_pole_at_tiny_m_exits_2(self, capsys):
         # at g = 1/2, M = 5e-324 the lnGamma reflection took log(0): numpy
         # warned, and gamma printed with exit code 0
@@ -719,6 +790,30 @@ class TestDualityCommand:
             "mass=1.0, r0_scale=1e-160 leaves the double range\n",
         )
 
+    def test_e_osc_overflow_exits_2(self, capsys):
+        # E_osc = 4 alpha / r0 overflowed: "E_osc": Infinity with exit 0
+        code, out, err = run_cli(
+            capsys, "duality", "--alpha", "1e300", "--EC", "-1", "--MC", "0.5",
+            "--r0-scale", "1e-10",
+        )
+        assert (code, out, err) == (
+            2, "",
+            "error: oscillator level E_osc = 4 alpha / r0 at alpha=1e+300, "
+            "r0_scale=1e-10 leaves the double range\n",
+        )
+
+    def test_relation_where_2_alpha_omega_overflows(self, capsys):
+        # the energy relation's 2 alpha omega overflowed: exit 3 with
+        # "duality energy relation violated: 4e+300 vs inf"
+        code, out, _ = run_cli(
+            capsys, "duality", "--alpha", "1e300", "--EC", "-1e20", "--MC", "0.5",
+            "--r0-scale", "1",
+        )
+        assert code == 0
+        rec = json_records(out)[0]
+        assert all(math.isfinite(v) for v in rec.values() if isinstance(v, float))
+        assert (rec["omega"], rec["E_osc"], rec["M_osc"]) == (math.sqrt(8e20), 4e300, 1.0)
+
 
 class TestEntryPoints:
     def test_module_invocation(self):
@@ -766,7 +861,7 @@ class TestEntryPoints:
 
 
 # Calls that load no numpy: the import, the help, the closed-form levels,
-# the free ladder and the duality map.
+# the free ladder, the duality map and the Coulomb scaling.
 NUMPY_FREE_CALLS = {
     "import": ("-c", "import minkqm"),
     "help": ("-m", "minkqm", "--help"),
@@ -785,6 +880,9 @@ NUMPY_FREE_CALLS = {
     "duality": (
         "-m", "minkqm", "duality", "--alpha", "1", "--EC", "-2", "--MC", "0.5",
         "--r0-scale", "1",
+    ),
+    "coulomb_scaling": (
+        "-c", "import minkqm; print(minkqm.coulomb_scaling(minkqm.NATURAL_UNITS, 1.0, -0.5))",
     ),
 }
 

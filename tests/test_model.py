@@ -111,6 +111,21 @@ class TestEffectivePotential:
             ):
                 func(Free(), pp, 0.0, 1.0)
 
+    def test_r_squared_overflow_raises(self):
+        # r^2 overflows to inf: the free particle's U_eff, promised strictly
+        # negative, was -0.0
+        for func, m_ang in ((effective_potential, 0.0), (euclidean_effective_for, 2.0)):
+            with pytest.raises(
+                DomainError, match=r"r=1e\+160 comes out 0: .* at r\^2=inf leaves the double range"
+            ):
+                func(Free(), NATURAL_UNITS, m_ang, 1e160)
+        # the Euclidean free value at |M| = 1/2 has no angular term, and a
+        # Coulomb value keeps its potential
+        assert euclidean_effective_for(Free(), NATURAL_UNITS, 0.5, 1e160) == 0.0
+        assert effective_potential(Coulomb(1.0), NATURAL_UNITS, 0.0, 1e160) == -1e-160
+        # where r^2 is finite the value keeps its bits
+        assert effective_potential(Free(), NATURAL_UNITS, 0.0, 1e150) == -0.125 / (1e150 * 1e150)
+
 
 class TestRadialCoefficient:
     def test_hand_values(self):

@@ -454,7 +454,7 @@ def _four_lngamma_phase(g, m_ang, r0=None):
     gamma = math.fmod(gamma_raw, math.pi)
     if gamma < 0.0:
         gamma += math.pi
-    return spectra.ReflectionPhase(gamma, gamma - m_ang * math.log(r0), gamma_raw)
+    return spectra.ReflectionPhase(gamma, gamma - m_ang * math.log(r0), gamma_raw, r0)
 
 
 class TestLargeZForms:
@@ -1074,6 +1074,25 @@ class TestDuality:
         with pytest.raises(DomainError, match=r"omega = sqrt\(-8 E_C / \(m r0\^2\)\) at "
                            r".* leaves the double range"):
             duality_forward(PP, 1.0, e_c, 0.5, r0)
+
+    def test_e_osc_overflow_raises(self):
+        # E_osc = 4 alpha / r0 overflowed to inf and passed the energy
+        # relation, since inf - inf is NaN
+        with pytest.raises(DomainError, match=r"E_osc = 4 alpha / r0 at alpha=1e\+300, "
+                           r"r0_scale=1e-10 leaves the double range"):
+            duality_forward(PP, 1e300, -1.0, 0.5, 1e-10)
+
+    def test_relation_holds_where_2_alpha_omega_overflows(self):
+        # 2 alpha omega = 5.7e310 overflowed inside the relation, which
+        # then raised ConsistencyError "4e+300 vs inf"
+        d = duality_forward(PP, 1e300, -1e20, 0.5, 1.0)
+        assert (d.omega, d.e_osc) == (math.sqrt(8e20), 4e300)
+
+    def test_omega_underflow_raises(self):
+        # m r0^2 = 1e400 overflowed to inf, so omega came out 0 and failed
+        # the energy relation with ConsistencyError
+        with pytest.raises(DomainError, match=r"omega = .* r0_scale=1e\+200 leaves the double range"):
+            duality_forward(PP, 1.0, -1.0, 0.5, 1e200)
 
 
 class TestOscillator:
