@@ -439,7 +439,8 @@ def duality_forward(
     (positive branch) is verified to 1e-12 relative as a consistency check,
     through its ratio to 4 alpha / r0, which stays near 1 where 2 alpha
     omega overflows.  Raises DomainError where m r0^2 underflows to 0 or
-    omega or E_osc leaves the double range.
+    omega or E_osc leaves the double range, and where m r0^2 is subnormal,
+    having lost the bits that omega and the relation need.
     """
     if not -math.inf < e_coulomb < 0:
         raise DomainError(f"duality needs a finite E_coulomb < 0, got {e_coulomb}")
@@ -447,9 +448,8 @@ def duality_forward(
     _require_positive("r0_scale", r0_scale)
     _require_positive("alpha", alpha)
     _require_finite("M_osc = 2 M_coulomb", 2.0 * m_coulomb)
-    m_r0_squared = _nonzero(
-        pp.mass * r0_scale * r0_scale, f"m r0^2 at mass={pp.mass!r}, r0_scale={r0_scale!r}"
-    )
+    what = f"m r0^2 at mass={pp.mass!r}, r0_scale={r0_scale!r}"
+    m_r0_squared = _nonzero(pp.mass * r0_scale * r0_scale, what)
     omega = math.sqrt(-8.0 * e_coulomb / m_r0_squared)
     if not 0.0 < omega < math.inf:
         raise DomainError(
@@ -461,6 +461,11 @@ def duality_forward(
         raise DomainError(
             f"oscillator level E_osc = 4 alpha / r0 at alpha={alpha!r}, "
             f"r0_scale={r0_scale!r} leaves the double range"
+        )
+    if m_r0_squared < sys.float_info.min:
+        # omega, and the relation through it, would keep only its few bits
+        raise DomainError(
+            f"{what} is {m_r0_squared!r}, subnormal: it leaves the normal double range"
         )
     # the relation's sides over 4 alpha / r0: where m r0^2 is nonzero and finite,
     # omega / sqrt(-2 E_C) and sqrt(m) r0 lie in [1e-162, 1e162], so nothing overflows

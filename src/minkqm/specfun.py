@@ -14,6 +14,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -73,6 +74,17 @@ DEFAULT_SERIES_CAP = 10_000
 # The Kummer series checks once per this many terms that its partial sum
 # is still finite in longdouble.
 _OVERFLOW_CHECK_TERMS = 64
+# The Kummer series' tail test runs where its bound rho on the term ratios
+# is below _TAIL_RHO.  A skip past terms where the test cannot pass allows
+# a relative slack of _SKIP_SLACK for rounding, on each of the two bounds it
+# compares and on its convexity test, and is taken only where the values
+# it bounds lie within [_SKIP_TINY, _SKIP_HUGE], far from subnormals and inf.
+_TAIL_RHO = 0.9
+_SKIP_SLACK = 1e-6
+_SKIP_SPREAD = (1.0 + _SKIP_SLACK) / (1.0 - _SKIP_SLACK)
+_SKIP_CONVEX = 1.0 + _SKIP_SLACK
+_SKIP_TINY = 1e-280
+_SKIP_HUGE = 1e280
 # A KummerParams keeps its term-factor blocks below this index (256 terms,
 # more than grids up to z = 80 reach); later blocks are built per sum.
 _KEPT_BLOCKS = 4
@@ -206,6 +218,15 @@ class KummerParams:
         n = round(-self.a.real)
         order = n if n >= 0 and abs(self.a + n) <= TERMINATION_TOL else None
         object.__setattr__(self, "_order", order)
+        # |c| and |a - c| for the tail test's ratio bound, and the first term
+        # index past |c|, where its window can start (past the cap: none)
+        abs_c = math.hypot(self.c.real, self.c.imag)
+        gap = self.a - self.c
+        object.__setattr__(self, "_abs_c", abs_c)
+        object.__setattr__(self, "_gap", math.hypot(gap.real, gap.imag))
+        object.__setattr__(
+            self, "_low", int(abs_c) + 1 if abs_c < DEFAULT_SERIES_CAP else DEFAULT_SERIES_CAP + 1
+        )
         # The series' first _KEPT_BLOCKS term-factor blocks by block index,
         # built on first use: the points summed with these parameters share them.
         object.__setattr__(self, "_blocks", {})
@@ -239,8 +260,126 @@ class KummerParams:
         return block
 
 
+def _tail_window(p: KummerParams, z: float, low: int) -> int:
+    """The first term j > low with rho_j = (1 + |a - c|/(j - |c|)) z/(j + 1)
+    below _TAIL_RHO, for a term low > |c| where it is not;
+    DEFAULT_SERIES_CAP + 1 where no term up to the cap qualifies.  rho_j
+    falls in j by more than a part in 1e4 per term up to the cap, far more
+    than its rounding, so every later term qualifies too.
+    """
+    abs_c, gap = p._abs_c, p._gap
+    # rho_u = _TAIL_RHO at u = |c| + v, v the positive root of
+    # 0.9 v^2 + b v - |a - c| z = 0.  Start two terms short of it, which
+    # rounding cannot carry past the first qualifying term.
+    b = _TAIL_RHO * (abs_c + 1.0) - z
+    root = math.sqrt(b * b + 4.0 * _TAIL_RHO * gap * z)
+    v = (root - b) / (2.0 * _TAIL_RHO) if b <= 0.0 else 2.0 * gap * z / (root + b)
+    if not abs_c + v < DEFAULT_SERIES_CAP:
+        return DEFAULT_SERIES_CAP + 1
+    j = max(low + 1, int(abs_c + v) - 1)
+    while not (1.0 + gap / (j - abs_c)) * z / (j + 1) < _TAIL_RHO:
+        j += 1
+    return j
+
+
+def _next_tail_test(p: KummerParams, z: float, tol: float, j: int, lhs: float, size: float,
+                    rho: float) -> int:
+    """The first term after j at which the tail test could pass, where it
+    failed at j: lhs = |t_j| rho_j/(1 - rho_j) > tol |s_j|, size = |s_j|.
+
+    Upper bound: for m > j, |s_m| <= |s_j| + |t_j| rho_j/(1 - rho_j), the
+    geometric tail the test relies on, so tol |s_m| <= tol (size + lhs).
+
+    Lower bound: |t_{l+1}/t_l| = |a + l| |z| / (|c + l| (l + 1)), and for
+    l >= j, |c + l| <= l + C with C = |c + j| - j, since |c + l| - l falls
+    in l.  With A = -Re a, where j >= A + 1, |a + l| >= l - A gives
+    q(l) = (l - A) |z| / ((l + C)(l + 1)), which rises, then falls: on
+    j..h-1 it is at least the lesser of q(j) and q(h - 1), and where ln q
+    is convex on [j, inf), which holds from a j where its second derivative
+    is >= 0, the mean of ln q over j..m-1 is at least ln q at the midpoint
+    (Jensen).  Below A + 1 the ratio is at least the least |a + l| over
+    the integers j..h-1, times |z|, over the greatest (l + C)(l + 1) there.
+    Call Q that lower bound on the ratios up to a horizon h.  rho_m/(1 - rho_m) falls
+    in m, so for j < m <= h the test's left side is at least
+    lhs Q^(m-j) R_h/R_j, with R = rho/(1 - rho), and the test fails
+    wherever that exceeds the upper bound.  h is a guess at where it stops
+    failing, as if the ratios fell like 1/l from |t_{j+1}/t_j|.
+
+    _SKIP_SLACK covers the rounding of the terms, the sums and these
+    bounds, each a few ulps per term.  Where a bound is not usable (values
+    outside [_SKIP_TINY, _SKIP_HUGE], a ratio not in (0, 1)), the next term.
+    """
+    ratio = tol * (size + lhs) * _SKIP_SPREAD / lhs
+    if not (_SKIP_TINY < ratio < 1.0 and _SKIP_TINY < tol * size
+            and size < _SKIP_HUGE and lhs < _SKIP_HUGE):
+        return j + 1
+    jf = float(j)
+    a_re, a_im = p.a.real, p.a.imag
+    u = jf + a_re  # l - A at l = j
+    c_off = math.hypot(jf + p.c.real, p.c.imag) - jf
+    den = (jf + c_off) * (jf + 1.0)
+    ratio_j = math.hypot(u, a_im) * z / den
+    if not 0.0 < ratio_j < 1.0:
+        return j + 1
+    log_ratio = math.log(ratio)
+    lr = -math.log(ratio_j)
+    span = int(jf * (math.sqrt(lr * lr - 2.0 * log_ratio / jf) - lr)) + 1
+    if span > DEFAULT_SERIES_CAP:
+        span = DEFAULT_SERIES_CAP
+    hf = jf + span
+    if u >= 1.0:
+        q = u * z / den
+        # (ln q)'' >= 0 at j: ((l - A)/(l + C))^2 + ((l - A)/(l + 1))^2 >= 1,
+        # and each ratio either rises in l or stays above 1.
+        r_c = u / (jf + c_off)
+        r_1 = u / (jf + 1.0)
+        x = jf + 0.5 * (span - 1) if r_c * r_c + r_1 * r_1 > _SKIP_CONVEX else hf - 1.0
+        q_x = (x + a_re) * z / ((x + c_off) * (x + 1.0))
+        if q_x < q:
+            q = q_x
+    else:
+        nearest = min(max(round(-a_re), j), j + span - 1)
+        q = math.hypot(nearest + a_re, a_im) * z / ((hf - 1.0 + c_off) * hf)
+    rho_h = (1.0 + p._gap / (hf - p._abs_c)) * z / (hf + 1.0)
+    if not (0.0 < q < 1.0 and 0.0 < rho_h):
+        return j + 1
+    log_ratio += math.log(rho * (1.0 - rho_h) / ((1.0 - rho) * rho_h))
+    skip = log_ratio / math.log(q)
+    if not skip >= 1.0:
+        return j + 1
+    return j + 1 + (int(skip) if skip < span else span)
+
+
+def _passes_past_double(t, s, rho: float, tol: float) -> bool:
+    """The tail test where |s| passes the double range: |t|/|s| against tol,
+    taken in extended precision, where |s| is finite there."""
+    size = abs(s)
+    return not size < math.inf or float(abs(t) / size) * rho / (1.0 - rho) <= tol
+
+
 def _kummer_m_ld(p: KummerParams, z: float, tol: float):
-    """Series sum of F(a, c, z) in extended precision (clongdouble)."""
+    """Series sum of F(a, c, z) in extended precision (clongdouble).
+
+    A polynomial sums its n + 1 terms.  Any other series stops at the first
+    term j of its tail window where the geometric tail bound passes:
+    |t_j| rho_j/(1 - rho_j) <= tol |s_j|, with
+    rho_j = (1 + |a - c|/(j - |c|)) |z|/(j + 1), which bounds every later
+    term ratio.  The window holds the terms with j > |c|, j + 1 > |z| and
+    rho_j < 0.9; rho_j falls in j, so the window runs from its first term
+    on, and that term is found once per call.  Where the double |s_j| is
+    inf, the test compares |t_j|/|s_j| with tol in extended precision
+    instead: tol * inf passed at once.
+
+    The test runs only where it could pass.  After it fails at j,
+    _next_tail_test bounds |s_m| from above by the same geometric tail and
+    |t_m| from below by a lower bound on the term ratios; up to the first m
+    where the two bounds allow a pass, with slack for rounding, the test
+    would fail, so those terms are summed with no test.  Near the stop,
+    where a skip cannot pay for its bounds, every term is tested.  The sum
+    therefore stops at the term, with the bits, that testing every term of
+    the window gives.  Every _OVERFLOW_CHECK_TERMS terms, and at the stop,
+    the partial sum must be finite in extended precision.
+    """
     if not (z > 0.0 and 0.0 < tol < math.inf):
         if not z >= 0:
             raise DomainError(f"Kummer series requires z >= 0, got z={z}")
@@ -260,32 +399,65 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float):
                 s = s + t
         return s
 
-    abs_z = abs(z)
-    gap = abs(p.a - p.c)
-    abs_c = abs(p.c)
+    gap = p._gap
+    abs_c = p._abs_c
+    # The term of the next tail test; first the window's start, the first
+    # j > |c| with j + 1 > z and rho_j < _TAIL_RHO.
+    test = p._low
+    if test + 1 <= z:
+        test = int(z) if z < DEFAULT_SERIES_CAP else DEFAULT_SERIES_CAP + 1
+    if test <= DEFAULT_SERIES_CAP and not (1.0 + gap / (test - abs_c)) * z / (test + 1) < _TAIL_RHO:
+        test = _tail_window(p, z, test)
+    k = 0  # terms added after the first
+    near = False  # whether the test runs at every term
     # Large z or |a| can overflow longdouble; the terms then turn inf/NaN
     # quietly and the first non-finite block raises.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, DEFAULT_SERIES_CAP, _OVERFLOW_CHECK_TERMS):
-            converged = False
             i = start // _OVERFLOW_CHECK_TERMS
-            for k, (a_k, d_k) in enumerate(p._blocks.get(i) or p._block(i), start):
-                t = t * a_k * zl / d_k
-                s = s + t
-                # Geometric tail bound: for j > k, |t_{j+1}/t_j| <= rho once
-                # the index clears both |c| and |z|.
-                j = k + 1
-                if j > abs_c and j + 1 > abs_z:
-                    rho = (1.0 + gap / (j - abs_c)) * abs_z / (j + 1)
-                    if rho < 0.9 and float(abs(t)) * rho / (1.0 - rho) <= tol * float(abs(s)):
+            block = p._blocks.get(i) or p._block(i)
+            end = start + len(block)
+            converged = False
+            while True:
+                # the terms before the next test, with no test
+                stop = test - 1 if test <= end else end
+                for a_k, d_k in islice(block, k - start, stop - start):
+                    t = t * a_k * zl / d_k
+                    s = s + t
+                k = stop
+                if k == end:
+                    break
+                # From there, test each term until the test passes or, away
+                # from the stop, a failed test bounds the next one.
+                for a_k, d_k in islice(block, k - start, None):
+                    t = t * a_k * zl / d_k
+                    s = s + t
+                    k += 1
+                    rho = (1.0 + gap / (k - abs_c)) * z / (k + 1)
+                    lhs = float(abs(t)) * rho / (1.0 - rho)
+                    size = float(abs(s))
+                    if lhs <= tol * size and (size < math.inf or _passes_past_double(t, s, rho, tol)):
                         converged = True
                         break
+                    if not near:
+                        # Bounding a skip costs about as much as five tests.
+                        # Where the terms, falling by |z|/(k + 1) each, would
+                        # pass within twelve, test each term instead.
+                        if lhs * (z / (k + 1)) ** 12 <= tol * (size + lhs):
+                            near = True
+                        else:
+                            test = _next_tail_test(p, z, tol, k, lhs, size, rho)
+                            break
+                else:
+                    test = end + 1
+                if converged:
+                    break
             # s - s is 0 exactly where both parts of s are finite
             if not s - s == 0:
                 raise DomainError(
                     f"Kummer series F(a={p.a}, c={p.c}, z={z:.6g}) leaves the "
                     f"double range: its terms are not finite in extended "
-                    f"precision by term {k + 1}"
+                    f"precision by term {k}"
                 )
             if converged:
                 return s

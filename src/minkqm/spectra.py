@@ -103,18 +103,16 @@ def _u1_params(
     return params, (_U1_POLY_SAFE / order if order else math.inf), np.clongdouble(1j * m_ang)
 
 
-def _u1_ld(g: float, m_ang: float, z: float, tol: float):
+def _u1_ld(g: float, m_ang: float, z: float, tol: float, quiet: bool = False):
     # float() also takes a 0-d array, which the cache could not hash.
     params, quiet_from, i_m = _u1_params(float(g), float(m_ang), math.copysign(1.0, m_ang))
-    if z > quiet_from:
+    if z > quiet_from and not quiet:
         # The polynomial may overflow; the caller's _finite reports that,
-        # not a numpy warning.
+        # not a numpy warning.  errstate is entered only here, around a
+        # second call: entering a context manager on every point, even a
+        # null one, costs more than that call.
         with np.errstate(over="ignore", invalid="ignore"):
-            return _u1_sum(params, i_m, g, m_ang, z, tol)
-    return _u1_sum(params, i_m, g, m_ang, z, tol)
-
-
-def _u1_sum(params: KummerParams, i_m, g: float, m_ang: float, z: float, tol: float):
+            return _u1_ld(g, m_ang, z, tol, quiet=True)
     try:
         series = _kummer_m_ld(params, z, tol)
     except ConvergenceError:
@@ -126,8 +124,7 @@ def _u1_sum(params: KummerParams, i_m, g: float, m_ang: float, z: float, tol: fl
         raise
     zl = z - _CZERO
     lnz = np.log(zl)
-    pref = np.exp(-zl / 2 + _HALF * lnz + i_m * lnz)
-    return pref * series
+    return np.exp(-zl / 2 + _HALF * lnz + i_m * lnz) * series
 
 
 def coulomb_u1(
@@ -182,8 +179,9 @@ def coulomb_third(
     M = 0.5 is 5.8e-4 at z = 30 and 11 at z = 40 (g = 2, M = 1: 2.4e-7
     and 2e-3).  Beyond that the result is cancellation noise;
     ``coulomb_third_asymptotic`` gives only the growing branch, not this
-    decaying tail.  Raises DomainError where the series leaves the double
-    range (from z ~ 1.4e3 for g = 2).
+    decaying tail.  Raises DomainError where the result leaves the double
+    range, and where u1 does (from z ~ 1.4e3 for g = 2) while the result is
+    nonzero; an exact zero, as at M = 0 where e^{-2i gamma} is 1, stands.
     """
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
@@ -192,7 +190,12 @@ def coulomb_third(
     _require_finite("gamma", gamma)
     phase = np.exp(_MINUS_2J * (gamma - _CZERO))
     u1 = _u1_ld(g, m_ang, z, tol)
-    return _finite(u1 - phase * np.conj(u1), z, "coulomb_third", _ENVELOPE, g=g, M=m_ang)
+    value = _finite(u1 - phase * np.conj(u1), z, "coulomb_third", _ENVELOPE, g=g, M=m_ang)
+    if value and not cmath.isfinite(complex(u1)):
+        # what is left of the difference there is cancellation noise,
+        # which may fall back inside the double range
+        _finite(u1, z, "coulomb_third", _ENVELOPE, g=g, M=m_ang)
+    return value
 
 
 def _large_z_series(g: float, m_ang: float, z: float):

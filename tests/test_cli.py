@@ -790,6 +790,20 @@ class TestDualityCommand:
             "mass=1.0, r0_scale=1e-160 leaves the double range\n",
         )
 
+    def test_subnormal_m_r0_squared_exits_2(self, capsys):
+        # omega from a subnormal m r0^2 failed the energy relation: exit 3
+        # with "duality energy relation violated: 40000000000.00012 vs
+        # 40000222658.20545"
+        code, out, err = run_cli(
+            capsys, "duality", "--alpha", "1e-300", "--EC=-1e-300", "--MC", "0.5",
+            "--r0-scale", "1e-310", "--mass", "1e300",
+        )
+        assert (code, out, err) == (
+            2, "",
+            "error: m r0^2 at mass=1e+300, r0_scale=1e-310 is 1e-320, subnormal: "
+            "it leaves the normal double range\n",
+        )
+
     def test_e_osc_overflow_exits_2(self, capsys):
         # E_osc = 4 alpha / r0 overflowed: "E_osc": Infinity with exit 0
         code, out, err = run_cli(

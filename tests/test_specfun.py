@@ -304,10 +304,83 @@ class TestKummerM:
                     built = dict(p._blocks)
                     assert bool(built) == (run == "warm")
                     got = _kummer_m_ld(p, z, 1e-13)
-                    assert _same_bits(got, _plain_kummer_loop(p, z)), (run, p, z)
+                    assert _same_bits(got, _plain_kummer_loop(p, z, 1e-13)), (run, p, z)
                     if run == "warm":
                         assert p._blocks.keys() == built.keys()
                         assert all(p._blocks[i] is block for i, block in built.items())
+
+    def test_skipped_tests_keep_the_plain_loops_stop(self):
+        # The sum tests its tail only where the test could pass, and must
+        # stop where testing every term stops: the same bits, and the same
+        # error where the partial sums leave the longdouble range or the
+        # term cap is reached.  Random non-terminating (a, c) with |a| <= 100,
+        # Re c in [0.3, 3] and |Im c| <= 10, drawn three ways: at large,
+        # u1's (1/2 - g + iM, 1 + 2iM), and a near a negative half-integer,
+        # where |a + l| dips as l passes -Re a.  z runs from 1e-4 to 2e3,
+        # past z ~ 720 where |s| passes the double range, with four
+        # tolerances.  Then the term cap (z = 1e4) and longdouble overflow
+        # (z = 3e4, and a = 5e5, whose terms overflow before the window),
+        # three near-real cases where a skip bounded by |a + j| alone would
+        # pass the stop, and three u1 cases where one that took ln q at the
+        # midpoint without checking that ln q is convex would.
+        rng = np.random.default_rng(26)
+        cases = []
+        for i in range(1500):
+            if i % 3 == 0:
+                a = 100.0 * rng.uniform() * np.exp(1j * rng.uniform(-np.pi, np.pi))
+                c = complex(rng.uniform(0.3, 3.0), rng.uniform(-10.0, 10.0))
+            elif i % 3 == 1:
+                g = float(np.exp(rng.uniform(np.log(0.2), np.log(20.0))))
+                m_ang = rng.choice((-1.0, 1.0)) * float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
+                a, c = complex(0.5 - g, m_ang), complex(1.0, 2.0 * m_ang)
+            else:
+                a = complex(-rng.integers(3, 40) - rng.uniform(0.05, 0.95), rng.uniform(-0.3, 0.3))
+                c = complex(rng.uniform(0.3, 3.0), rng.uniform(-3.0, 3.0))
+            z = float(np.exp(rng.uniform(np.log(1e-4), np.log(2e3))))
+            tol = float(rng.choice([1e-16, 1e-13, 1e-8, 1e-3]))
+            cases.append((a, c, z, tol))
+        cases += [
+            (complex(0.5, 1), complex(1, 2), 1e4, 1e-13),
+            (complex(-1.5, 1), complex(1, 2), 3e4, 1e-13),
+            (complex(5e5, 0.5), complex(1, 2), 100.0, 1e-13),
+            (complex(-11.292426793746484, 0.03798890878640748),
+             complex(2.5862393203284917, 1.7369192949531893), 2.618662156023855, 1e-8),
+            (complex(-12.844217040022185, -0.2693050273549503),
+             complex(1.8826805928980124, 2.18832683296254), 1.7167455119466897, 1e-13),
+            (complex(-36.75753042189386, 0.12747527348335452),
+             complex(0.7498534275798503, 0.08933004626658425), 5.704883179608633, 1e-16),
+            (complex(-9.988811156525294, -0.8146929447835333),
+             complex(1, -1.6293858895670665), 10.792902463032748, 1e-13),
+            (complex(-10.395701379507392, 0.2627340808293772),
+             complex(1, 0.5254681616587544), 11.373580096336656, 1e-13),
+            (complex(-8.488156919330375, 1.0152136445816287),
+             complex(1, 2.0304272891632573), 8.666587956876832, 1e-13),
+        ]
+        outcomes = []
+        for a, c, z, tol in cases:
+            p = KummerParams(a, c)
+            assert p.terminating_order() is None
+            got = _sum_outcome(_kummer_m_ld, p, z, tol)
+            assert got == _sum_outcome(_plain_kummer_loop, p, z, tol), (a, c, z, tol)
+            if isinstance(got[0], type):
+                outcomes.append(got[0])
+            else:
+                value = _kummer_m_ld(p, z, tol)
+                outcomes.append("value" if np.isfinite(complex(value)) else "past double")
+        assert {"value", "past double", ConvergenceError, DomainError} == set(outcomes)
+
+    def test_sum_past_the_double_range_keeps_converging(self):
+        # |F| passes the double range near z = 720 at these parameters; the
+        # tail test compared with tol * inf there and passed at the first
+        # term of its window, 5e-4 short of F at z = 800
+        mp = pytest.importorskip("mpmath")
+        p = KummerParams(complex(-1.5, 1), complex(1, 2))
+        with mp.workdps(40):
+            for z in (600.0, 720.0, 800.0, 1000.0, 1300.0):
+                got = _kummer_m_ld(p, z, 1e-13)
+                got = mp.mpc(mp.mpf(str(np.real(got))), mp.mpf(str(np.imag(got))))
+                want = mp.hyp1f1(mp.mpc(-1.5, 1), mp.mpc(1, 2), z)
+                assert abs(got - want) <= 1e-12 * abs(want), z
 
     @pytest.mark.parametrize(
         "a, c", [(math.nan, 2), (math.inf, 2), (complex(1, -math.inf), 2), (1, math.nan), (1, complex(1, math.inf))]
@@ -331,7 +404,7 @@ class TestKummerM:
             p = KummerParams(complex(-n, 0.0), complex(1, 2))
             got = _kummer_m_ld(p, 7.5, 1e-13)
             assert [len(block) for block in p._blocks.values()] == ([n] if n else [])
-            assert _same_bits(got, _plain_kummer_loop(p, 7.5))
+            assert _same_bits(got, _plain_kummer_loop(p, 7.5, 1e-13))
 
     def test_long_sums_keep_at_most_the_first_blocks(self):
         # A degree-2,000 u1 polynomial (32 blocks) and a series at z = 500
@@ -344,7 +417,7 @@ class TestKummerM:
             assert sorted(p._blocks) == list(range(_KEPT_BLOCKS))
             kept = dict(p._blocks)
             again = _kummer_m_ld(p, z, 1e-13)
-            assert _same_bits(again, first) and _same_bits(first, _plain_kummer_loop(p, z))
+            assert _same_bits(again, first) and _same_bits(first, _plain_kummer_loop(p, z, 1e-13))
             assert all(p._blocks[i] is block for i, block in kept.items())
             assert p._blocks.keys() == kept.keys()
 
@@ -406,22 +479,53 @@ class TestKummerM:
                 assert kummer_m(p, float(z)) == complex(acc)
 
 
-def _plain_kummer_loop(p, z):
-    """F(a, c, z) summed term by term with the library's stopping rule."""
+def _plain_kummer_loop(p, z, tol=1e-13):
+    """F(a, c, z) summed term by term with the library's stopping rule, the
+    tail test run at every term of its window, and the library's errors:
+    the partial sum must be finite every 64 terms and at the stop, and the
+    term cap raises.  Where |s| passes the double range, the test compares
+    |t|/|s| with tol in extended precision, as the library does; before, a
+    double |s| of inf passed it at once."""
     abs_z, abs_c, gap = z, abs(p.c), abs(p.a - p.c)
     n = p.terminating_order()
     t = s = np.clongdouble(1.0)
-    for k in range(10_000 if n is None else n):
-        t = t * (np.clongdouble(p.a) + k) * np.clongdouble(z) / (
-            (np.clongdouble(p.c) + k) * (k + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(10_000 if n is None else n):
+            t = t * (np.clongdouble(p.a) + k) * np.clongdouble(z) / (
+                (np.clongdouble(p.c) + k) * (k + 1)
+            )
+            s = s + t
+            j = k + 1
+            converged = False
+            if n is None and j > abs_c and j + 1 > abs_z:
+                rho = (1.0 + gap / (j - abs_c)) * abs_z / (j + 1)
+                if rho < 0.9:
+                    size = float(abs(s))
+                    if size == math.inf and abs(s) < math.inf:
+                        converged = float(abs(t) / abs(s)) * rho / (1.0 - rho) <= tol
+                    else:
+                        converged = float(abs(t)) * rho / (1.0 - rho) <= tol * size
+            if n is None and (converged or j % 64 == 0 or j == 10_000) and not s - s == 0:
+                raise DomainError(
+                    f"Kummer series F(a={p.a}, c={p.c}, z={z:.6g}) leaves the double range: "
+                    f"its terms are not finite in extended precision by term {j}"
+                )
+            if converged:
+                return s
+    if n is None:
+        raise ConvergenceError(
+            f"Kummer series did not converge within 10000 terms (a={p.a}, c={p.c}, z={z})"
         )
-        s = s + t
-        j = k + 1
-        if n is None and j > abs_c and j + 1 > abs_z:
-            rho = (1.0 + gap / (j - abs_c)) * abs_z / (j + 1)
-            if rho < 0.9 and float(abs(t)) * rho / (1.0 - rho) <= 1e-13 * float(abs(s)):
-                break
     return s
+
+
+def _sum_outcome(call, *args):
+    """A sum's real and imaginary parts as bytes, or its error class and message."""
+    try:
+        value = call(*args)
+    except (DomainError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+    return np.real(value).tobytes()[:10], np.imag(value).tobytes()[:10]
 
 
 def _same_bits(x, y):

@@ -163,6 +163,40 @@ class TestWavefunctions:
                 with pytest.raises(DomainError, match="double range"):
                     func(2.0, 1.0, z)
 
+    @pytest.mark.parametrize("g, m_ang", [(2.0, 1.0), (0.7, 0.5), (8.0, 1.0)])
+    def test_past_the_double_range_of_the_series_sum(self, g, m_ang):
+        # From z ~ 720 |F| passes the double range, and the series' tail test
+        # compared with tol * inf: it passed at the first term of its window
+        # and u1 came out 5.4e-4 off at z = 800 (g = 2, M = 1), with exit 0.
+        # u1 and u2 must hold 1e-12 of mpmath or raise DomainError where they
+        # leave the double range; the third solution, under the same gamma,
+        # must hold 1e-12 of |u1| (its own size is cancellation noise) or
+        # raise where u1 does.
+        mp = pytest.importorskip("mpmath")
+        gamma = gamma_phase(g, m_ang).gamma
+        big = np.finfo(float).max
+        outcomes = set()
+
+        def exact_u1(m, z):
+            z = mp.mpf(z)
+            return (mp.exp(-z / 2) * mp.sqrt(z) * mp.power(z, 1j * m)
+                    * mp.hyp1f1(mp.mpf(0.5) - g + 1j * m, 1 + 2j * m, z))
+
+        with mp.workdps(40):
+            for z in (700.0, 720.0, 760.0, 800.0, 1000.0, 1200.0, 1300.0, 1400.0, 1500.0, 2000.0):
+                u1, u2 = exact_u1(m_ang, z), exact_u1(-m_ang, z)
+                third = u1 - mp.exp(-2j * mp.mpf(gamma)) * u2
+                for func, want, scale in ((coulomb_u1, u1, u1), (coulomb_u2, u2, u2),
+                                          (lambda g, m, z: coulomb_third(g, m, z, gamma), third, u1)):
+                    if max(abs(u1.real), abs(u1.imag)) > big:
+                        with pytest.raises(DomainError, match="double range"):
+                            func(g, m_ang, z)
+                        outcomes.add("raised")
+                    else:
+                        assert abs(func(g, m_ang, z) - want) <= 1e-12 * abs(scale), (func, z)
+                        outcomes.add("held")
+        assert outcomes == {"held", "raised"}
+
     @pytest.mark.parametrize("z", [1e4, 1e6])
     def test_terminating_series_forms_raise_instead_of_non_finite(self, z):
         # At g = 3000.5, M = 0 the series is a degree-3000 polynomial.  At
@@ -1087,6 +1121,15 @@ class TestDuality:
         # then raised ConsistencyError "4e+300 vs inf"
         d = duality_forward(PP, 1e300, -1e20, 0.5, 1.0)
         assert (d.omega, d.e_osc) == (math.sqrt(8e20), 4e300)
+
+    def test_subnormal_m_r0_squared_raises(self):
+        # m r0^2 = 1e-320 keeps a few bits, so omega did too, and the
+        # energy relation failed: ConsistencyError "duality energy relation
+        # violated: 40000000000.00012 vs 40000222658.20545"
+        pp = PhysicalParams(mass=1e300, hbar=1.0)
+        with pytest.raises(DomainError, match=r"m r0\^2 at mass=1e\+300, r0_scale=1e-310 is "
+                           r"1e-320, subnormal: it leaves the normal double range"):
+            duality_forward(pp, 1e-300, -1e-300, 0.5, 1e-310)
 
     def test_omega_underflow_raises(self):
         # m r0^2 = 1e400 overflowed to inf, so omega came out 0 and failed
