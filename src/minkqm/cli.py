@@ -250,7 +250,6 @@ def _emit(payloads: list[dict], command: str, pp: PhysicalParams, fmt: str) -> s
 
 
 def _grid(args):
-    import numpy as np
     lo, hi, n = args.grid_min, args.grid_max, args.grid_points
     if n < 2:
         raise UsageError(f"grid needs at least 2 points, got {n}")
@@ -259,8 +258,16 @@ def _grid(args):
     if args.grid_spacing == "log":
         if lo <= 0:
             raise UsageError("log grid needs a positive lower end")
+        import numpy as np
         return np.exp(np.linspace(math.log(lo), math.log(hi), n))
-    return np.linspace(lo, hi, n)
+    # np.linspace(lo, hi, n) in Python floats, the same operations and bits
+    # without loading numpy: i step + lo, or (i/div) delta + lo where the
+    # step rounds to 0, and hi as the last point
+    div, delta = n - 1, hi - lo
+    step = delta / div
+    grid = [i * step + lo for i in range(n)] if step else [i / div * delta + lo for i in range(n)]
+    grid[-1] = hi
+    return grid
 
 
 # ------------------------------------------------------------ commands

@@ -88,6 +88,13 @@ _SKIP_HUGE = 1e280
 # A KummerParams keeps its term-factor blocks below this index (256 terms,
 # more than grids up to z = 80 reach); later blocks are built per sum.
 _KEPT_BLOCKS = 4
+# ln of the longdouble range's top, less a margin of e^40 that covers the
+# rounding of every bound in _quiet_below: 11316.5 for an 80-bit longdouble,
+# 669.8 where longdouble is a plain double.
+_LOG_QUIET = float(np.log(np.finfo(np.longdouble).max)) - 40.0
+# The n z up to which a degree-n polynomial with Re c >= 1 stays in range
+# (3.2e7 for an 80-bit longdouble).
+_POLY_QUIET = (_LOG_QUIET / 2.0) ** 2
 
 
 def _nearest_nonpositive_integer_distance(z: complex) -> float:
@@ -95,6 +102,35 @@ def _nearest_nonpositive_integer_distance(z: complex) -> float:
     if k > 0:
         return float("inf")
     return abs(complex(z) - k)
+
+
+def _quiet_below(a: complex, c: complex, order: int | None, abs_c: float) -> float:
+    """The z below which no term factor, term, product or partial sum of the
+    series F(a, c, z) can leave the longdouble range; 0 where that cannot be
+    shown, inf for degree 0, which sums no term.
+
+    Where Re c >= 1, |c + j| >= j + 1, so |(c)_k| >= k!.  A degree-n
+    polynomial has |(a)_k| <= n^k, so its terms obey |t_k| <= (n z)^k/(k!)^2,
+    and its terms, sums and products t a_k z stay below n z e^(2 sqrt(n z)).
+    Any other series has |(a)_k| <= k! 2^(A + k) with A = ceil|a|, since
+    (A)_k = k! binom(A + k - 1, k), so |t_k| <= 2^A (2z)^k/k!: its terms and
+    sums stay below 2^A e^(2z), its products below
+    2^A e^(2z) (|a| + cap) max(z, 1); |a| + 1 stands for A.  The factors
+    a + k and (c + k)(k + 1) stay below |a| + K and (|c| + K)(K + 1), K the
+    last term summed.
+    """
+    if order == 0:
+        return math.inf
+    last = DEFAULT_SERIES_CAP if order is None else max(order, DEFAULT_SERIES_CAP)
+    if not (c.real >= 1.0 and math.log(abs_c + last) + math.log(last + 1.0) < _LOG_QUIET):
+        return 0.0
+    if order is not None:
+        return _POLY_QUIET / order
+    abs_a = math.hypot(a.real, a.imag)
+    # ln max(z, 1) <= ln _LOG_QUIET for every z this returns
+    spare = (_LOG_QUIET - (abs_a + 1.0) * math.log(2.0) - math.log(abs_a + last)
+             - math.log(_LOG_QUIET))
+    return spare / 2.0 if spare > 0.0 else 0.0
 
 
 def _finite(value, z: float, name: str, growth: str, **params) -> complex:
@@ -202,6 +238,13 @@ class KummerParams:
 
     c must stay away from non-positive integers, where every series
     denominator (c)_k vanishes.
+
+    Each instance takes its range rule once: below a z of ``_quiet_below``,
+    no term, product or partial sum of its series can leave the longdouble
+    range, so a sum there runs with no ``np.errstate``.  Where Re c >= 1
+    that z is 5,648 for u1's series at g = 2, M = 1, falling by (ln 2)/2
+    per unit of |a|, and 3.2e7/n for a polynomial of degree n; where
+    Re c < 1 there is none, and every sum enters ``np.errstate``.
     """
 
     a: complex
@@ -227,6 +270,7 @@ class KummerParams:
         object.__setattr__(
             self, "_low", int(abs_c) + 1 if abs_c < DEFAULT_SERIES_CAP else DEFAULT_SERIES_CAP + 1
         )
+        object.__setattr__(self, "_quiet_below", _quiet_below(self.a, self.c, order, abs_c))
         # The series' first _KEPT_BLOCKS term-factor blocks by block index,
         # built on first use: the points summed with these parameters share them.
         object.__setattr__(self, "_blocks", {})
@@ -379,6 +423,17 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float):
     therefore stops at the term, with the bits, that testing every term of
     the window gives.  Every _OVERFLOW_CHECK_TERMS terms, and at the stop,
     the partial sum must be finite in extended precision.
+
+    Below p's quiet bound no value the sum makes can leave the longdouble
+    range (KummerParams), so it runs with no context manager: entering and
+    leaving np.errstate costs 1.3-1.8 us, more than a tenth of a short
+    series.  At or past the bound, and at an inf or NaN z, the sum runs
+    under np.errstate(over="ignore", invalid="ignore"): its terms then turn
+    inf or NaN quietly, a series raises DomainError at its first block that
+    is not finite, and a polynomial returns them to its caller.  Where the
+    tail window starts past the cap and z is below the bound, so that no
+    overflow can come first, ConvergenceError is raised at once, naming |c|
+    and the cap, instead of after the cap's terms.
     """
     if not (z > 0.0 and 0.0 < tol < math.inf):
         if not z >= 0:
@@ -386,7 +441,15 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float):
         if not (tol > 0 and math.isfinite(tol)):
             raise DomainError(f"tol must be positive and finite, got {tol}")
         return _ONE
+    if z < p._quiet_below:
+        return _kummer_sum(p, z, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _kummer_sum(p, z, tol)
 
+
+def _kummer_sum(p: KummerParams, z: float, tol: float):
+    """_kummer_m_ld's sum at a z > 0 and a valid tol, with no errstate of
+    its own."""
     zl = z - _CZERO
     s = t = _ONE
 
@@ -408,59 +471,62 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float):
         test = int(z) if z < DEFAULT_SERIES_CAP else DEFAULT_SERIES_CAP + 1
     if test <= DEFAULT_SERIES_CAP and not (1.0 + gap / (test - abs_c)) * z / (test + 1) < _TAIL_RHO:
         test = _tail_window(p, z, test)
+    if test > DEFAULT_SERIES_CAP and z < p._quiet_below:
+        raise ConvergenceError(
+            f"Kummer series cannot converge within {DEFAULT_SERIES_CAP} terms: its tail "
+            f"test needs a term j > |c| = {abs_c:.6g} with j + 1 > z and rho_j < {_TAIL_RHO}, "
+            f"and none up to the cap is one (a={p.a}, c={p.c}, z={z})"
+        )
     k = 0  # terms added after the first
     near = False  # whether the test runs at every term
-    # Large z or |a| can overflow longdouble; the terms then turn inf/NaN
-    # quietly and the first non-finite block raises.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, DEFAULT_SERIES_CAP, _OVERFLOW_CHECK_TERMS):
-            i = start // _OVERFLOW_CHECK_TERMS
-            block = p._blocks.get(i) or p._block(i)
-            end = start + len(block)
-            converged = False
-            while True:
-                # the terms before the next test, with no test
-                stop = test - 1 if test <= end else end
-                for a_k, d_k in islice(block, k - start, stop - start):
-                    t = t * a_k * zl / d_k
-                    s = s + t
-                k = stop
-                if k == end:
+    for start in range(0, DEFAULT_SERIES_CAP, _OVERFLOW_CHECK_TERMS):
+        i = start // _OVERFLOW_CHECK_TERMS
+        block = p._blocks.get(i) or p._block(i)
+        end = start + len(block)
+        converged = False
+        while True:
+            # the terms before the next test, with no test
+            stop = test - 1 if test <= end else end
+            for a_k, d_k in islice(block, k - start, stop - start):
+                t = t * a_k * zl / d_k
+                s = s + t
+            k = stop
+            if k == end:
+                break
+            # From there, test each term until the test passes or, away
+            # from the stop, a failed test bounds the next one.
+            for a_k, d_k in islice(block, k - start, None):
+                t = t * a_k * zl / d_k
+                s = s + t
+                k += 1
+                rho = (1.0 + gap / (k - abs_c)) * z / (k + 1)
+                lhs = float(abs(t)) * rho / (1.0 - rho)
+                size = float(abs(s))
+                if lhs <= tol * size and (size < math.inf or _passes_past_double(t, s, rho, tol)):
+                    converged = True
                     break
-                # From there, test each term until the test passes or, away
-                # from the stop, a failed test bounds the next one.
-                for a_k, d_k in islice(block, k - start, None):
-                    t = t * a_k * zl / d_k
-                    s = s + t
-                    k += 1
-                    rho = (1.0 + gap / (k - abs_c)) * z / (k + 1)
-                    lhs = float(abs(t)) * rho / (1.0 - rho)
-                    size = float(abs(s))
-                    if lhs <= tol * size and (size < math.inf or _passes_past_double(t, s, rho, tol)):
-                        converged = True
+                if not near:
+                    # Bounding a skip costs about as much as five tests.
+                    # Where the terms, falling by |z|/(k + 1) each, would
+                    # pass within twelve, test each term instead.
+                    if lhs * (z / (k + 1)) ** 12 <= tol * (size + lhs):
+                        near = True
+                    else:
+                        test = _next_tail_test(p, z, tol, k, lhs, size, rho)
                         break
-                    if not near:
-                        # Bounding a skip costs about as much as five tests.
-                        # Where the terms, falling by |z|/(k + 1) each, would
-                        # pass within twelve, test each term instead.
-                        if lhs * (z / (k + 1)) ** 12 <= tol * (size + lhs):
-                            near = True
-                        else:
-                            test = _next_tail_test(p, z, tol, k, lhs, size, rho)
-                            break
-                else:
-                    test = end + 1
-                if converged:
-                    break
-            # s - s is 0 exactly where both parts of s are finite
-            if not s - s == 0:
-                raise DomainError(
-                    f"Kummer series F(a={p.a}, c={p.c}, z={z:.6g}) leaves the "
-                    f"double range: its terms are not finite in extended "
-                    f"precision by term {k}"
-                )
+            else:
+                test = end + 1
             if converged:
-                return s
+                break
+        # s - s is 0 exactly where both parts of s are finite
+        if not s - s == 0:
+            raise DomainError(
+                f"Kummer series F(a={p.a}, c={p.c}, z={z:.6g}) leaves the "
+                f"double range: its terms are not finite in extended "
+                f"precision by term {k}"
+            )
+        if converged:
+            return s
     raise ConvergenceError(
         f"Kummer series did not converge within {DEFAULT_SERIES_CAP} terms "
         f"(a={p.a}, c={p.c}, z={z})"
@@ -481,13 +547,11 @@ def kummer_m(p: KummerParams, z: float, tol: float = DEFAULT_SERIES_TOL) -> comp
     tol : float
         Relative tail tolerance.
 
-    Raises ConvergenceError past DEFAULT_SERIES_CAP terms and DomainError
-    where the value leaves the double range.
+    Raises ConvergenceError past DEFAULT_SERIES_CAP terms, or at once where
+    the tail test cannot start within them, and DomainError where the value
+    leaves the double range.  np.errstate is entered only at or past the
+    parameters' quiet bound (see KummerParams), where a polynomial's
+    overflow is then reported by _finite, not by a numpy warning.
     """
-    # A terminating polynomial sums outside _kummer_m_ld's errstate; its
-    # overflow is reported by _finite, not by a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(
-            _kummer_m_ld(p, z, tol), z, "kummer_m", "the series sum", a=p.a, c=p.c
-        )
+    return _finite(_kummer_m_ld(p, z, tol), z, "kummer_m", "the series sum", a=p.a, c=p.c)
 

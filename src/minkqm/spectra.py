@@ -38,7 +38,6 @@ from .model import (  # the numpy-free spectra and the Coulomb scaling, re-expor
 from .specfun import (
     KummerParams,
     _CZERO,
-    _HALF,
     _ZERO,
     _finite,
     _kummer_m_ld,
@@ -57,16 +56,11 @@ _ENVELOPE = "e^(z/2) z^(-g)"
 # (g, M) pairs whose u1 series parameters _u1_params keeps, and (n, M) pairs
 # for _oscillator_params; a grid's points share one.
 _U1_PARAMS_CACHED = 32
-# u1's series (c = 1 + 2iM) and the oscillator's (c = 1 + iM) have |(c)_k| >= k!,
-# so where either terminates at degree n its terms obey |t_k| <= (n z)^k / (k!)^2,
-# and its sums and products stay below n z e^(2 sqrt(n z)).  Up to this n z
-# (3.2e7 for an 80-bit longdouble) that is inside the longdouble range.
-_U1_POLY_SAFE = (float(np.log(np.finfo(np.longdouble).max)) / 2.0 - 20.0) ** 2
 _MINUS_2J = np.clongdouble(-2j)
+_MINUS_HALF = np.clongdouble(-0.5)
 # gamma_phase refuses a gamma_raw whose rounding to double, ulp(gamma_raw)/2,
 # exceeds this: gamma, its reduction mod pi, cannot be better.
 _GAMMA_RESOLUTION = 1e-9
-_NO_ERRSTATE = contextlib.nullcontext()
 
 
 @dataclass(frozen=True)
@@ -90,29 +84,20 @@ class ReflectionPhase:
 @functools.lru_cache(maxsize=_U1_PARAMS_CACHED)
 def _u1_params(
     g: float, m_ang: float, m_sign: float
-) -> tuple[KummerParams, float, np.clongdouble]:
-    """u1's series parameters (1/2 + iM - g, 1 + 2iM), the z past which the
-    series, where it terminates, may overflow longdouble, and the
-    prefactor's iM as a clongdouble.  m_sign, the sign of M, keeps
+) -> tuple[KummerParams, np.clongdouble]:
+    """u1's series parameters (1/2 + iM - g, 1 + 2iM) and its prefactor's
+    exponent 1/2 + iM as a clongdouble.  m_sign, the sign of M, keeps
     M = +0.0 and -0.0 apart, which float hashing merges.  Refuses a
     non-finite g or M, once per cached pair: an error is not cached."""
     _require_finite("g", g)
     _require_finite("M", m_ang)
     params = KummerParams(complex(0.5 - g, m_ang), complex(1.0, 2.0 * m_ang))
-    order = params.terminating_order()
-    return params, (_U1_POLY_SAFE / order if order else math.inf), np.clongdouble(1j * m_ang)
+    return params, np.clongdouble(complex(0.5, m_ang))
 
 
-def _u1_ld(g: float, m_ang: float, z: float, tol: float, quiet: bool = False):
+def _u1_ld(g: float, m_ang: float, z: float, tol: float):
     # float() also takes a 0-d array, which the cache could not hash.
-    params, quiet_from, i_m = _u1_params(float(g), float(m_ang), math.copysign(1.0, m_ang))
-    if z > quiet_from and not quiet:
-        # The polynomial may overflow; the caller's _finite reports that,
-        # not a numpy warning.  errstate is entered only here, around a
-        # second call: entering a context manager on every point, even a
-        # null one, costs more than that call.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _u1_ld(g, m_ang, z, tol, quiet=True)
+    params, half_i_m = _u1_params(float(g), float(m_ang), math.copysign(1.0, m_ang))
     try:
         series = _kummer_m_ld(params, z, tol)
     except ConvergenceError:
@@ -122,9 +107,14 @@ def _u1_ld(g: float, m_ang: float, z: float, tol: float, quiet: bool = False):
         # raises DomainError saying so; elsewhere the cap error stands.
         _finite(_u1_asymptotic_ld(g, m_ang, z), z, "u1", _ENVELOPE, g=g, M=m_ang)
         raise
+    # e^(-z/2) z^(1/2 + iM), the same bits as e^(-z/2 + (1/2) ln z + iM ln z)
     zl = z - _CZERO
-    lnz = np.log(zl)
-    return np.exp(-zl / 2 + _HALF * lnz + i_m * lnz) * series
+    if z < params._quiet_below:
+        return np.exp(zl * _MINUS_HALF + half_i_m * np.log(zl)) * series
+    # Past the series' quiet bound a polynomial's sum may be inf or NaN;
+    # the caller's _finite reports that, not a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(zl * _MINUS_HALF + half_i_m * np.log(zl)) * series
 
 
 def coulomb_u1(
@@ -152,7 +142,10 @@ def coulomb_u2(
     conjugate for real parameters.  Raises DomainError where u1 would."""
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
-    return _finite(_u1_ld(g, -m_ang, z, tol), z, "coulomb_u2", _ENVELOPE, g=g, M=m_ang)
+    value = complex(_u1_ld(g, -m_ang, z, tol))
+    if cmath.isfinite(value):
+        return value
+    return _finite(value, z, "coulomb_u2", _ENVELOPE, g=g, M=m_ang)
 
 
 def coulomb_third(
@@ -190,10 +183,11 @@ def coulomb_third(
     _require_finite("gamma", gamma)
     phase = np.exp(_MINUS_2J * (gamma - _CZERO))
     u1 = _u1_ld(g, m_ang, z, tol)
-    value = _finite(u1 - phase * np.conj(u1), z, "coulomb_third", _ENVELOPE, g=g, M=m_ang)
-    if value and not cmath.isfinite(complex(u1)):
-        # what is left of the difference there is cancellation noise,
-        # which may fall back inside the double range
+    value = complex(u1 - phase * np.conj(u1))
+    if not cmath.isfinite(value) or value and not cmath.isfinite(complex(u1)):
+        _finite(value, z, "coulomb_third", _ENVELOPE, g=g, M=m_ang)
+        # what is left of the difference where u1 is not finite is
+        # cancellation noise, which may fall back inside the double range
         _finite(u1, z, "coulomb_third", _ENVELOPE, g=g, M=m_ang)
     return value
 
@@ -541,12 +535,10 @@ def _ladder(
 @functools.lru_cache(maxsize=_U1_PARAMS_CACHED)
 def _oscillator_params(
     n: int, m_osc: float, m_sign: float
-) -> tuple[KummerParams, float, np.clongdouble]:
-    """The oscillator series' parameters (-n, 1 + iM), the z from which the
-    amplitude may overflow longdouble, and the prefactor's iM as a
-    clongdouble; m_sign keeps M = +-0 apart, as in _u1_params."""
-    params = KummerParams(complex(-n, 0.0), complex(1.0, m_osc))
-    return params, (_U1_POLY_SAFE / n if n else math.inf), np.clongdouble(1j * m_osc)
+) -> tuple[KummerParams, np.clongdouble]:
+    """The oscillator series' parameters (-n, 1 + iM) and the prefactor's iM
+    as a clongdouble; m_sign keeps M = +-0 apart, as in _u1_params."""
+    return KummerParams(complex(-n, 0.0), complex(1.0, m_osc)), np.clongdouble(1j * m_osc)
 
 
 def oscillator_wavefunction(
@@ -563,7 +555,9 @@ def oscillator_wavefunction(
 
     The Kummer factor is a degree-n polynomial in z = m omega rho^2 / hbar.
     Raises DomainError where z leaves the double range (rho ~ 1.3e154 in
-    natural units).
+    natural units).  np.errstate is entered only where the polynomial may
+    leave the longdouble range (z at or past its quiet bound, 3.2e7/n; see
+    specfun.KummerParams), where z is inf or NaN, or where M phi overflows.
     """
     if not rho > 0:
         raise DomainError(f"rho must be positive, got {rho}")
@@ -573,15 +567,20 @@ def oscillator_wavefunction(
     _require_finite("M_osc", m_osc)
     _require_finite("phi", phi)
     z = pp.mass * omega * rho * rho / pp.hbar
-    params, quiet_from, i_m = _oscillator_params(n, float(m_osc), math.copysign(1.0, m_osc))
+    params, i_m = _oscillator_params(n, float(m_osc), math.copysign(1.0, m_osc))
     m_phi = 1j * m_osc * phi
-    # From quiet_from the polynomial may overflow, and z may be inf or NaN
-    # or M phi inf; _finite reports that, not a numpy warning.
-    safe = z < quiet_from and math.isfinite(m_phi.imag)
-    with _NO_ERRSTATE if safe else np.errstate(over="ignore", invalid="ignore"):
-        lnrho = np.log(rho - _CZERO)
-        pref = np.exp(i_m * lnrho - (z - _CZERO) / 2 + (m_phi - _CZERO))
-        value = pref * _kummer_m_ld(params, z, tol)
+    if z < params._quiet_below and math.isfinite(m_phi.imag):
+        pref = np.exp(i_m * np.log(rho - _CZERO) - (z - _CZERO) / 2 + (m_phi - _CZERO))
+        value = complex(pref * _kummer_m_ld(params, z, tol))
+    else:
+        # Past the series' quiet bound the polynomial may overflow, and z
+        # may be inf or NaN or M phi inf; _finite reports that, not a numpy
+        # warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            pref = np.exp(i_m * np.log(rho - _CZERO) - (z - _CZERO) / 2 + (m_phi - _CZERO))
+            value = complex(pref * _kummer_m_ld(params, z, tol))
+    if cmath.isfinite(value):
+        return value
     return _finite(
         value, z, "oscillator_wavefunction", "z = m omega rho^2 / hbar",
         n=n, M=m_osc, rho=rho,

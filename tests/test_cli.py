@@ -366,6 +366,39 @@ class TestWavefunctionCommand:
             assert out == ""
             assert "double range" in err
 
+    def test_series_that_cannot_start_its_tail_test_exits_3(self, capsys):
+        # |c| = 12000 puts u1's tail window past the term cap: the series
+        # raises ConvergenceError at once, and the CLI exits 3
+        code, out, err = run_cli(
+            capsys, "wavefunction", "--system", "coulomb", "--g", "2", "--M", "6000",
+            "--grid-min", "1", "--grid-max", "2", "--grid-points", "2",
+        )
+        assert (code, out) == (3, "")
+        assert "cannot converge within 10000 terms" in err and "|c| = 12000" in err
+
+    def test_linear_grid_matches_linspace(self):
+        # the linear grid is built in Python floats, without numpy, and must
+        # be np.linspace's bit for bit: on seeded ends and point counts, on
+        # spans whose step rounds to 0 (subnormal), where np.linspace takes
+        # (i/div) delta, and on negative and zero-crossing ends
+        import argparse
+        import random
+
+        rng = random.Random("linear-grid")
+        cases = [(5e-324, 2e-323, 7), (0.0, 5e-324, 3), (-1e-323, 5e-324, 11), (-3.0, 2.5, 2),
+                 (0.1, 10.0, 200), (1e300, 1.7e308, 9), (-1e308, 1e308, 5)]
+        for _ in range(300):
+            lo = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-320, 300)
+            hi = lo + abs(lo) * rng.uniform(1e-15, 10.0) + rng.uniform(0.0, 1e-300)
+            cases.append((lo, hi, rng.randint(2, 500)))
+            lo = rng.randint(-20, 20) * 5e-324
+            cases.append((lo, lo + rng.randint(1, 20) * 5e-324, rng.randint(2, 60)))
+        for lo, hi, n in cases:
+            args = argparse.Namespace(grid_min=lo, grid_max=hi, grid_points=n, grid_spacing="linear")
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = [float(x).hex() for x in np.linspace(lo, hi, n)]
+            assert [float(x).hex() for x in cli._grid(args)] == want, (lo, hi, n)
+
     def test_log_grid_needs_positive_min(self, capsys):
         code, _, _ = run_cli(
             capsys, "wavefunction", "--system", "oscillator", "--M", "0",
@@ -875,7 +908,8 @@ class TestEntryPoints:
 
 
 # Calls that load no numpy: the import, the help, the closed-form levels,
-# the free ladder, the duality map and the Coulomb scaling.
+# the free ladder, the duality map, the Coulomb scaling and potentials on a
+# linear grid.
 NUMPY_FREE_CALLS = {
     "import": ("-c", "import minkqm"),
     "help": ("-m", "minkqm", "--help"),
@@ -897,6 +931,10 @@ NUMPY_FREE_CALLS = {
     ),
     "coulomb_scaling": (
         "-c", "import minkqm; print(minkqm.coulomb_scaling(minkqm.NATURAL_UNITS, 1.0, -0.5))",
+    ),
+    "potential_linear": (
+        "-m", "minkqm", "potential", "--system", "oscillator", "--M", "1", "--grid-min", "0.2",
+        "--grid-max", "3",
     ),
 }
 

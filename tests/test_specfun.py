@@ -436,6 +436,105 @@ class TestKummerM:
             if z == 0.0:
                 assert _same_bits(_kummer_m_ld(p, z, 1e-13), np.clongdouble(1.0))
 
+    def test_quiet_range_rule_is_sound(self):
+        # Below each parameter set's quiet bound no term factor, term,
+        # product or partial sum may leave the longdouble range, so a sum
+        # there, which runs with no errstate, must not raise
+        # FloatingPointError under np.errstate(all="raise").  Seeded Re c >= 1
+        # parameters: u1's (polynomials at M = 0, g = n + 1/2), the
+        # oscillator's (-n, 1 + iM), a with |a| <= 1e3, terminating (degree
+        # <= 300) and not, and a real a in [100, 1e3] with c in [1, 2], whose
+        # sums leave the range nearest the bound (a = 1e3 from 1.56 times
+        # it).  z is log-uniform from 1e-2, uniform over the bound's upper
+        # half, and the last double below it.  The degrees and the floor on
+        # z keep every term above the smallest normal longdouble: an
+        # underflow, which numpy ignores by default, is not what the rule
+        # bounds.
+        rng = np.random.default_rng(27)
+        params = []
+        for i in range(200):
+            kind = i % 5
+            if kind == 0:
+                g = float(np.exp(rng.uniform(np.log(0.05), np.log(40.0))))
+                m_ang = rng.choice((-1.0, 1.0)) * float(np.exp(rng.uniform(np.log(1e-3), np.log(50.0))))
+                if i % 8 == 0:
+                    g, m_ang = int(rng.integers(1, 40)) + 0.5, 0.0
+                a, c = complex(0.5 - g, m_ang), complex(1.0, 2.0 * m_ang)
+            elif kind == 1:
+                a, c = complex(-int(rng.integers(1, 300)), 0.0), complex(1.0, rng.uniform(-50.0, 50.0))
+            elif kind == 4:
+                a, c = rng.uniform(100.0, 1e3), rng.uniform(1.0, 2.0)
+            else:
+                c = complex(rng.uniform(1.0, 3.0), rng.uniform(-20.0, 20.0))
+                if kind == 2:
+                    a = 1e3 * rng.uniform() * np.exp(1j * rng.uniform(-np.pi, np.pi))
+                else:
+                    a = complex(-int(rng.integers(1, 300)), 0.0)
+            params.append(KummerParams(a, c))
+        outcomes = set()
+        for p in params:
+            bound = p._quiet_below
+            assert 0.0 < bound < math.inf
+            top = math.nextafter(bound, 0.0)
+            for z in (float(np.exp(rng.uniform(np.log(1e-2), np.log(top)))),
+                      rng.uniform(bound / 2.0, top), top):
+                with np.errstate(all="raise"):
+                    try:
+                        value = _kummer_m_ld(p, z, 1e-13)
+                    except (ConvergenceError, DomainError) as exc:
+                        outcomes.add(type(exc))
+                    else:
+                        outcomes.add("polynomial" if p.terminating_order() else "series")
+                        assert np.isfinite(value), (p, z)
+        assert {"polynomial", "series"} <= outcomes
+
+    @pytest.mark.parametrize(
+        "a, c, past",
+        [(1000, 1, 2.0), (complex(500, 300), complex(1, 5), 2.0),
+         (complex(-1.5, 1), complex(1, 2), 3.0), (-4000, 1, 3.0)],
+    )
+    def test_overflow_past_the_quiet_bound_stays_quiet(self, a, c, past):
+        # a few times past the bound these sums do leave the longdouble
+        # range; errstate is entered there, so the series raises DomainError
+        # at its first block that is not finite, and the polynomial's inf or
+        # NaN reaches kummer_m's double-range check, with no numpy warning
+        p = KummerParams(a, c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="leaves the double range"):
+                kummer_m(p, past * p._quiet_below)
+            if p.terminating_order() is None:
+                with pytest.raises(DomainError, match="not finite in extended precision"):
+                    _kummer_m_ld(p, past * p._quiet_below, 1e-13)
+            else:
+                assert not np.isfinite(_kummer_m_ld(p, past * p._quiet_below, 1e-13))
+
+    def test_re_c_below_one_has_no_quiet_range(self):
+        # where Re c < 1, |c + j| may be tiny, and no bound is taken
+        assert KummerParams(complex(-1.5, 1), complex(0.5, 2))._quiet_below == 0.0
+        assert KummerParams(-3, 0.5)._quiet_below == 0.0
+        assert KummerParams(0, 0.5)._quiet_below == math.inf  # sums no term
+
+    def test_tail_window_past_the_cap_fails_at_once(self):
+        # |c| >= the cap puts the tail window's first term past it.  Inside
+        # the quiet range no overflow can come first, so ConvergenceError
+        # is raised before any term is summed (no term-factor block is
+        # built), naming |c| and the cap; the sum of 10,000 terms took 9.7 ms.
+        for a, c, z in [(0.5, 9999, 1.0), (complex(-1.5, 6000), complex(1, 12000), 1.0),
+                        (0.1, 2e4, 300.0)]:
+            p = KummerParams(a, c)
+            assert z < p._quiet_below
+            with pytest.raises(ConvergenceError) as excinfo:
+                kummer_m(p, z)
+            assert str(excinfo.value).startswith(
+                f"Kummer series cannot converge within 10000 terms: its tail test needs a "
+                f"term j > |c| = {abs(c):.6g} with j + 1 > z"
+            )
+            assert p._blocks == {}
+        # u1's handler keeps the error where its large-z form is finite
+        with pytest.raises(ConvergenceError, match=r"\|c\| = 12000"):
+            spectra.coulomb_u1(2.0, 6000.0, 1.0)
+
     def test_term_cap(self):
         # the tail bound needs more than |z| terms; at z = 1e4 the partial
         # sums stay finite in extended precision up to the cap

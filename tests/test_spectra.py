@@ -1246,6 +1246,36 @@ class TestOscillatorRange:
                 assert got == want, args
 
 
+class TestQuietRange:
+    def test_errstate_entered_only_past_the_quiet_bound(self, monkeypatch):
+        # Entering np.errstate costs more than a tenth of a short series.
+        # The series' range rule leaves it out of every u1, u2, third and
+        # oscillator point up to z = 80, polynomials included; at z = 3e4,
+        # past the rule's bound, the series enters it and overflows quietly.
+        zs = [float(z) for z in np.geomspace(1e-4, 80.0, 40)]
+        zs += [float(z) for z in np.linspace(0.5, 80.0, 40)]
+        coulomb = [(0.7, 0.5), (2.0, 1.0), (8.0, -1.0), (20.0, 4.0), (2.5, 0.0), (1.7, -0.0)]
+        entered = []
+        errstate = np.errstate
+
+        def counted(*args, **kwargs):
+            entered.append(kwargs)
+            return errstate(*args, **kwargs)
+
+        monkeypatch.setattr(specfun.np, "errstate", counted)
+        for z in zs:
+            for g, m_ang in coulomb:
+                coulomb_u1(g, m_ang, z)
+                coulomb_u2(g, m_ang, z)
+                coulomb_third(g, m_ang, z, GAMMA_PHASE_G2_M1)
+            for n, m_osc, phi in ((0, 1.0, 0.3), (3, 1.0, 0.3), (40, -0.5, 2.0), (2, 0.0, 0.0)):
+                oscillator_wavefunction(PP, 1.0, n, m_osc, math.sqrt(z), phi)
+        assert entered == []
+        with pytest.raises(DomainError, match="double range"):
+            coulomb_u1(2.0, 1.0, 3e4)
+        assert entered
+
+
 def _constructor_oscillator_wavefunction(pp, omega, n, m_osc, rho, phi):
     """oscillator_wavefunction with its series parameters and prefactor
     scalars built on every call."""
