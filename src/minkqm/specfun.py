@@ -14,7 +14,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -88,6 +88,9 @@ _SKIP_HUGE = 1e280
 # A KummerParams keeps its term-factor blocks below this index (256 terms,
 # more than grids up to z = 80 reach); later blocks are built per sum.
 _KEPT_BLOCKS = 4
+# A polynomial up to this degree, all in its kept blocks, sums one flat
+# tuple of its term factors.
+_FLAT_DEGREE = _KEPT_BLOCKS * _OVERFLOW_CHECK_TERMS
 # ln of the longdouble range's top, less a margin of e^40 that covers the
 # rounding of every bound in _quiet_below: 11316.5 for an 80-bit longdouble,
 # 669.8 where longdouble is a plain double.
@@ -245,6 +248,11 @@ class KummerParams:
     that z is 5,648 for u1's series at g = 2, M = 1, falling by (ln 2)/2
     per unit of |a|, and 3.2e7/n for a polynomial of degree n; where
     Re c < 1 there is none, and every sum enters ``np.errstate``.
+
+    The term factors are kept in blocks of _OVERFLOW_CHECK_TERMS terms
+    (``_block``).  A polynomial of degree up to _FLAT_DEGREE also keeps its
+    factor pairs as one flat tuple, built from those blocks on its first
+    sum, which ``_kummer_m_ld`` sums in one loop below the quiet bound.
     """
 
     a: complex
@@ -274,6 +282,10 @@ class KummerParams:
         # The series' first _KEPT_BLOCKS term-factor blocks by block index,
         # built on first use: the points summed with these parameters share them.
         object.__setattr__(self, "_blocks", {})
+        # A short polynomial's factor pairs as one tuple, once _poly_pairs
+        # has built it on the first sum; None until then, and for every
+        # other series.
+        object.__setattr__(self, "_pairs", None)
 
     def terminating_order(self) -> int | None:
         """Degree n if the series terminates (a = -n within tolerance), else None."""
@@ -302,6 +314,20 @@ class KummerParams:
         if i < _KEPT_BLOCKS:
             self._blocks[i] = block
         return block
+
+    def _poly_pairs(self):
+        """The polynomial's factor pairs (A[k], D[k]), k < n, in order.  Up
+        to degree _FLAT_DEGREE, one tuple of its kept blocks' pairs, kept in
+        _pairs; past it, a chain over the blocks, built as ``_block`` says."""
+        if self._pairs is not None:
+            return self._pairs
+        blocks = (self._blocks.get(i) or self._block(i)
+                  for i in range(-(-self._order // _OVERFLOW_CHECK_TERMS)))
+        if self._order > _FLAT_DEGREE:
+            return chain.from_iterable(blocks)
+        pairs = tuple(chain.from_iterable(blocks))
+        object.__setattr__(self, "_pairs", pairs)
+        return pairs
 
 
 def _tail_window(p: KummerParams, z: float, low: int) -> int:
@@ -427,7 +453,12 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float):
     Below p's quiet bound no value the sum makes can leave the longdouble
     range (KummerParams), so it runs with no context manager: entering and
     leaving np.errstate costs 1.3-1.8 us, more than a tenth of a short
-    series.  At or past the bound, and at an inf or NaN z, the sum runs
+    series.  That test comes first, with the checks on z and tol, so a
+    valid point below the bound takes one branch.  There a polynomial whose
+    flat tuple of factor pairs is built (degree <= _FLAT_DEGREE, after its
+    first sum) is summed in one loop over it, with no further call, degree
+    0 returning 1 at once, and every other series goes on to _kummer_sum.
+    At or past the bound, and at an inf or NaN z, the sum runs
     under np.errstate(over="ignore", invalid="ignore"): its terms then turn
     inf or NaN quietly, a series raises DomainError at its first block that
     is not finite, and a polynomial returns them to its caller.  Where the
@@ -435,14 +466,24 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float):
     overflow can come first, ConvergenceError is raised at once, naming |c|
     and the cap, instead of after the cap's terms.
     """
+    if z < p._quiet_below and z > 0.0 and 0.0 < tol < math.inf:
+        pairs = p._pairs
+        if pairs is None:
+            return _kummer_sum(p, z, tol)
+        if not pairs:  # degree 0
+            return _ONE
+        zl = z - _CZERO
+        s = t = _ONE
+        for a_k, d_k in pairs:
+            t = t * a_k * zl / d_k
+            s = s + t
+        return s
     if not (z > 0.0 and 0.0 < tol < math.inf):
         if not z >= 0:
             raise DomainError(f"Kummer series requires z >= 0, got z={z}")
         if not (tol > 0 and math.isfinite(tol)):
             raise DomainError(f"tol must be positive and finite, got {tol}")
         return _ONE
-    if z < p._quiet_below:
-        return _kummer_sum(p, z, tol)
     with np.errstate(over="ignore", invalid="ignore"):
         return _kummer_sum(p, z, tol)
 
@@ -453,13 +494,11 @@ def _kummer_sum(p: KummerParams, z: float, tol: float):
     zl = z - _CZERO
     s = t = _ONE
 
-    n_term = p._order
-    if n_term is not None:
+    if p._order is not None:
         # Degree-n polynomial: exactly n+1 terms, no tail heuristics.
-        for i in range(-(-n_term // _OVERFLOW_CHECK_TERMS)):
-            for a_k, d_k in p._blocks.get(i) or p._block(i):
-                t = t * a_k * zl / d_k
-                s = s + t
+        for a_k, d_k in p._poly_pairs():
+            t = t * a_k * zl / d_k
+            s = s + t
         return s
 
     gap = p._gap

@@ -95,9 +95,20 @@ def _u1_params(
     return params, np.clongdouble(complex(0.5, m_ang))
 
 
+# u1's last (g, M, sign of M) and its _u1_params plan, as one tuple: the
+# points of a grid share one pair, which this answers before the cache.
+_u1_last = (math.nan, math.nan, math.nan, None, None)
+
+
 def _u1_ld(g: float, m_ang: float, z: float, tol: float):
-    # float() also takes a 0-d array, which the cache could not hash.
-    params, half_i_m = _u1_params(float(g), float(m_ang), math.copysign(1.0, m_ang))
+    global _u1_last
+    m_sign = math.copysign(1.0, m_ang)
+    last_g, last_m, last_sign, params, half_i_m = _u1_last
+    if not (g == last_g and m_ang == last_m and m_sign == last_sign):
+        # float() also takes a 0-d array, which the cache could not hash.
+        key = (float(g), float(m_ang), m_sign)
+        params, half_i_m = _u1_params(*key)
+        _u1_last = (*key, params, half_i_m)
     try:
         series = _kummer_m_ld(params, z, tol)
     except ConvergenceError:
@@ -534,11 +545,15 @@ def _ladder(
 
 @functools.lru_cache(maxsize=_U1_PARAMS_CACHED)
 def _oscillator_params(
-    n: int, m_osc: float, m_sign: float
+    n: float, m_osc: float, m_sign: float
 ) -> tuple[KummerParams, np.clongdouble]:
     """The oscillator series' parameters (-n, 1 + iM) and the prefactor's iM
     as a clongdouble; m_sign keeps M = +-0 apart, as in _u1_params."""
     return KummerParams(complex(-n, 0.0), complex(1.0, m_osc)), np.clongdouble(1j * m_osc)
+
+
+# The last (n, M, sign of M) and its _oscillator_params plan, as in _u1_ld.
+_oscillator_last = (math.nan, math.nan, math.nan, None, None)
 
 
 def oscillator_wavefunction(
@@ -559,6 +574,7 @@ def oscillator_wavefunction(
     leave the longdouble range (z at or past its quiet bound, 3.2e7/n; see
     specfun.KummerParams), where z is inf or NaN, or where M phi overflows.
     """
+    global _oscillator_last
     if not rho > 0:
         raise DomainError(f"rho must be positive, got {rho}")
     if n < 0:
@@ -567,7 +583,14 @@ def oscillator_wavefunction(
     _require_finite("M_osc", m_osc)
     _require_finite("phi", phi)
     z = pp.mass * omega * rho * rho / pp.hbar
-    params, i_m = _oscillator_params(n, float(m_osc), math.copysign(1.0, m_osc))
+    m_sign = math.copysign(1.0, m_osc)
+    last_n, last_m, last_sign, params, i_m = _oscillator_last
+    if not (n == last_n and m_osc == last_m and m_sign == last_sign):
+        # float(n) gives the parameters of n, and takes a 0-d array, which
+        # the cache could not hash, as u1 takes g
+        key = (float(n), float(m_osc), m_sign)
+        params, i_m = _oscillator_params(*key)
+        _oscillator_last = (*key, params, i_m)
     m_phi = 1j * m_osc * phi
     if z < params._quiet_below and math.isfinite(m_phi.imag):
         pref = np.exp(i_m * np.log(rho - _CZERO) - (z - _CZERO) / 2 + (m_phi - _CZERO))

@@ -406,6 +406,45 @@ class TestKummerM:
             assert [len(block) for block in p._blocks.values()] == ([n] if n else [])
             assert _same_bits(got, _plain_kummer_loop(p, 7.5, 1e-13))
 
+    def test_flat_polynomial_sum_matches_plain_loop(self):
+        # A polynomial up to degree 256 sums one flat tuple of its kept
+        # blocks' factor pairs below its quiet bound, built on its first
+        # sum; a longer one keeps none.  Degrees across the block edges and
+        # the tuple's limit, imaginary parts of +0.0 and -0.0 and nonzero,
+        # and Re c < 1 (no quiet range); z below, just below, at and past
+        # the bound.  Each case runs cold and warm, with the plain loop's
+        # bits or error.
+        for n in (0, 1, 3, 63, 64, 65, 255, 256, 257, 300):
+            for a_im, c in ((0.0, complex(1, 0.0)), (-0.0, complex(1, -0.0)),
+                            (0.0, complex(1, 1.4)), (-0.0, complex(1, -0.7)), (0.0, complex(0.5, 0.0))):
+                p = KummerParams(complex(-n, a_im), c)
+                bound = p._quiet_below
+                zs = [z for z in (0.5, 7.5, math.nextafter(bound, 0.0), bound, 3.0 * bound)
+                      if 0.0 < z < math.inf]
+                for run in ("cold", "warm"):
+                    for z in zs:
+                        got = _sum_outcome(_kummer_m_ld, p, z, 1e-13)
+                        assert got == _sum_outcome(_plain_kummer_loop, p, z, 1e-13), (run, n, a_im, c, z)
+                if n <= 256:
+                    kept = [pair for i in sorted(p._blocks) for pair in p._blocks[i]]
+                    assert len(p._pairs) == len(kept) == n
+                    assert all(x is y for x, y in zip(p._pairs, kept))
+                else:
+                    assert p._pairs is None
+                # the checks on z and tol keep their order and messages
+                for z in (math.nan, -1.0, -math.inf, -0.0):
+                    for tol in (1e-13, 0.0, -1.0, math.nan, math.inf):
+                        if not z >= 0:
+                            want = (DomainError, f"Kummer series requires z >= 0, got z={z}")
+                        elif tol == 1e-13:
+                            want = _sum_outcome(np.clongdouble, 1.0)
+                        else:
+                            want = (DomainError, f"tol must be positive and finite, got {tol}")
+                        assert _sum_outcome(_kummer_m_ld, p, z, tol) == want, (n, z, tol)
+                for tol in (0.0, -1.0, math.nan, math.inf):
+                    assert _sum_outcome(_kummer_m_ld, p, 2.0, tol) == (
+                        DomainError, f"tol must be positive and finite, got {tol}")
+
     def test_long_sums_keep_at_most_the_first_blocks(self):
         # A degree-2,000 u1 polynomial (32 blocks) and a series at z = 500
         # (about 12 blocks) keep only their first _KEPT_BLOCKS blocks; a

@@ -249,6 +249,45 @@ class TestWavefunctions:
         for func in (coulomb_u1, coulomb_u2, coulomb_third):
             assert func(np.array(2.0), np.array(1.0), 3.0) == func(2.0, 1.0, 3.0)
 
+    def test_last_pair_lookup_keeps_the_bits(self):
+        # u1 and the oscillator reuse the plan of their last (g, M) or (n, M)
+        # pair, with the sign of M, before their caches.  Pairs alternated
+        # point by point, M = +0.0 against -0.0 (where equality merges them)
+        # and 0-d arrays give the bits of parameters built fresh, signs of
+        # zero included.  A NaN g or M raises on every call and leaves the
+        # last plan as it was.
+        pairs = [(2.5, 0.0), (2.5, -0.0), (1.5, 0.0), (2.0, 1.0), (2.0, -1.0), (0.5, -0.0)]
+        zs = [0.3, 4.0, 17.5]
+        for z in zs:
+            for g, m_ang in pairs * 2:
+                got = spectra._u1_ld(g, m_ang, z, DEFAULT_SERIES_TOL)
+                assert _hex_bits(got) == _hex_bits(_bare_u1_ld(g, m_ang, z)), (g, m_ang, z)
+                a = spectra._u1_last[3].a
+                assert a == complex(0.5 - g, m_ang) and math.copysign(1.0, a.imag) == math.copysign(1.0, m_ang)
+        assert coulomb_u1(np.array(2.5), np.array(-0.0), 4.0) == coulomb_u1(2.5, -0.0, 4.0)
+        assert type(spectra._u1_last[0]) is type(spectra._u1_last[1]) is float
+        want = _hex_bits(_bare_u1_ld(1.5, -0.0, 3.0))
+        for bad in ((math.nan, -0.0), (1.5, math.nan), (math.nan, -0.0)):
+            with pytest.raises(DomainError, match="must be finite"):
+                coulomb_u1(*bad, 3.0)
+            assert _hex_bits(spectra._u1_ld(1.5, -0.0, 3.0, DEFAULT_SERIES_TOL)) == want
+
+        def osc(n, m_osc):
+            return _outcome(oscillator_wavefunction, PP, 1.0, n, m_osc, 1.7, 0.3)
+
+        keys = [(3, 0.0), (3, -0.0), (0, 1.4), (3, 1.4), (0, -0.0), (np.array(2), np.array(-0.7))]
+        fresh = []  # a list: a dict would merge the keys of M = +0.0 and -0.0
+        for key in keys:
+            spectra._oscillator_params.cache_clear()
+            spectra._oscillator_last = (math.nan,) * 3 + (None, None)
+            fresh.append(osc(*key))
+        assert fresh[-1] == osc(2, -0.7)
+        for key, want in list(zip(keys, fresh)) * 2:
+            assert osc(*key) == want, key
+            # the plan kept is the pair's own, down to the sign of a zero M
+            c = spectra._oscillator_last[3].c
+            assert c == complex(1.0, key[1]) and math.copysign(1.0, c.imag) == math.copysign(1.0, key[1])
+
     def test_third_sums_one_series_bit_for_bit(self):
         # coulomb_third takes u2 as the conjugate of u1, at M = +-0 too,
         # where the two differ in the sign of a zero imaginary part.
