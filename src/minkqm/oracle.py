@@ -41,6 +41,7 @@ from .model import (
 )
 
 _RENORM_LIMIT = 1e100
+_CHUNK = 1024  # Numerov steps between two range checks
 _STABILITY_BOUND = 0.01  # h^2 * max|coefficient| must stay below this
 _FIT_RESIDUAL_TOL = 1e-4  # phase-fit rms residual relative to the amplitude
 
@@ -123,46 +124,79 @@ def _numerov(
     recurrence (the running first difference of z = (1 + h^2 coef/12) y is
     updated each step), which keeps roundoff growth linear in the step
     count instead of quadratic.  Inward is the outward sweep of the
-    reversed coefficients, reversed: the same operations on the same values.
+    reversed coefficients, written to the output back to front: the same
+    operations on the same values.
+
+    The loop reads the weights through memoryviews, which yield Python
+    floats, and sweeps _CHUNK steps at a time.  Each chunk's values go to
+    the output array, and |y| > 1e100 is tested once on that slice.  The
+    first value past it must rescale every value so far, as a test at
+    every step would have done, but the values after it were swept
+    unscaled: so the chunk is swept again from its saved state up to that
+    value, everything up to it is divided by its magnitude, and the sweep
+    goes on from the next step.  Only that chunk is swept twice; sweeping
+    the rest of the grid again would cost a whole sweep per rescale.
+
     Returns (values in grid order, accumulated log scale).  Raises
     DomainError for a start that is not finite or values that leave the
     double range.
     """
     if inward:
-        y, log_scale = _numerov(coef[::-1], h, start, inward=False)
-        # contiguous, so that RadialSolution can view it as floats
-        return np.ascontiguousarray(y[::-1]), log_scale
+        coef = coef[::-1]
     h2 = h * h
-    w = (1.0 + (h2 / 12.0) * coef).tolist()  # Numerov weights
-    hc = (h2 * coef[1:-1]).tolist()  # the step to point i takes coef[i - 1]
-    # not Python complex: its abs raises OverflowError, and its division
-    # divides where numpy's multiplies by a reciprocal
-    scalar = float if np.result_type(*start).kind != "c" else np.complex128
+    w = memoryview(1.0 + (h2 / 12.0) * coef)  # Numerov weights
+    hc = memoryview(h2 * coef[1:-1])  # the step to point i takes coef[i - 1]
+    n = len(w)
+    if np.result_type(*start).kind != "c":
+        scalar, grid = float, np.empty(n)
+        magnitude = np.abs
+    else:
+        # not Python complex: its abs raises OverflowError, and its division
+        # divides where numpy's multiplies by a reciprocal
+        scalar, grid = np.complex128, np.empty(n, complex)
+
+        def magnitude(v):
+            # numpy's abs of a complex array may round otherwise than the
+            # scalar abs that gives the scale; hypot rounds as it does
+            return np.hypot(v.real, v.imag)
+
+    y = grid[::-1] if inward else grid  # in the direction of travel
     log_scale = 0.0
     # an overflow gives an infinite scale and a start of inf or NaN a NaN
     # last value, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        y_prev = scalar(start[1])
-        y = [scalar(start[0]), y_prev]
-        append = y.append
-        limit = _RENORM_LIMIT
+        y[0] = y_first = scalar(start[0])
+        y[1] = y_prev = scalar(start[1])
         z_curr = w[1] * y_prev
-        diff = z_curr - w[0] * y[0]
-        for hc_i, w_i in zip(hc, w[2:]):
-            diff = diff - hc_i * y_prev
-            z_curr = z_curr + diff
-            y_prev = z_curr / w_i
-            append(y_prev)
-            mag = abs(y_prev)
-            if mag > limit:
-                y[:] = [v / mag for v in y]
-                y_prev = y[-1]
+        diff = z_curr - w[0] * y_first
+        i, stop = 2, min(2 + _CHUNK, n)
+        while i < n:
+            saved = y_prev, z_curr, diff
+            swept = []
+            append = swept.append
+            for hc_i, w_i in zip(hc[i - 2 : stop - 2], w[i:stop]):
+                diff = diff - hc_i * y_prev
+                z_curr = z_curr + diff
+                y_prev = z_curr / w_i
+                append(y_prev)
+            y[i:stop] = swept
+            past = magnitude(y[i:stop]) > _RENORM_LIMIT
+            if past.any():
+                end = i + int(past.argmax()) + 1
+                if end < stop:  # sweep again up to the first value past
+                    y_prev, z_curr, diff = saved
+                    stop = end
+                    continue
+                mag = abs(y_prev)
+                y[:stop] /= mag
+                y_prev = scalar(y[stop - 1])
                 z_curr /= mag
                 diff /= mag
                 log_scale += math.log(mag)
-    if not (math.isfinite(log_scale) and math.isfinite(abs(y[-1]))):
+            i, stop = stop, min(stop + _CHUNK, n)
+    if not (math.isfinite(log_scale) and math.isfinite(abs(y_prev))):
         raise DomainError("Numerov sweep started or ended outside the double range")
-    return np.array(y), log_scale
+    return grid, log_scale
 
 
 def _check_stability(h: float, coef: np.ndarray):
@@ -283,8 +317,9 @@ def inward_phase(
     v_end = 1.0
     v_prev = math.exp(kappa * (r[-1] - r[-2])) * math.sqrt(r[-1] / r[-2]) * v_end
     v, _ = _numerov(coef, h, (v_end, v_prev), inward=True)
-    window = x <= x[0] + math.log(10.0)
-    beta, _, rel = _phase_fit(x[window], v[window], m_ang)
+    # x increases, so its points up to x[0] + ln 10 are a prefix
+    end = int(np.searchsorted(x, x[0] + math.log(10.0), side="right"))
+    beta, _, rel = _phase_fit(x[:end], v[:end], m_ang)
     if rel > _FIT_RESIDUAL_TOL:
         raise FitQualityError(
             f"phase fit residual {rel:.3e} exceeds {_FIT_RESIDUAL_TOL:.1e} "

@@ -569,10 +569,12 @@ def oscillator_wavefunction(
     rho^{iM} e^{-m omega rho^2 / 2 hbar} F(-n, 1 + iM, m omega rho^2/hbar) e^{iM phi}.
 
     The Kummer factor is a degree-n polynomial in z = m omega rho^2 / hbar.
-    Raises DomainError where z leaves the double range (rho ~ 1.3e154 in
-    natural units).  np.errstate is entered only where the polynomial may
-    leave the longdouble range (z at or past its quiet bound, 3.2e7/n; see
-    specfun.KummerParams), where z is inf or NaN, or where M phi overflows.
+    n is a non-negative integer, which an integer-valued float or 0-d array
+    may hold; any other n raises DomainError, as does a z that leaves the
+    double range (rho ~ 1.3e154 in natural units).  np.errstate is entered
+    only where the polynomial may leave the longdouble range (z at or past
+    its quiet bound, 3.2e7/n; see specfun.KummerParams), where z is inf or
+    NaN, or where M phi overflows.
     """
     global _oscillator_last
     if not rho > 0:
@@ -587,8 +589,11 @@ def oscillator_wavefunction(
     last_n, last_m, last_sign, params, i_m = _oscillator_last
     if not (n == last_n and m_osc == last_m and m_sign == last_sign):
         # float(n) gives the parameters of n, and takes a 0-d array, which
-        # the cache could not hash, as u1 takes g
+        # the cache could not hash, as u1 takes g; only an integer n is
+        # kept, so a hit needs no test
         key = (float(n), float(m_osc), m_sign)
+        if not key[0].is_integer():
+            raise DomainError(f"n must be an integer, got {n}")
         params, i_m = _oscillator_params(*key)
         _oscillator_last = (*key, params, i_m)
     m_phi = 1j * m_osc * phi

@@ -191,6 +191,132 @@ class TestNumerovKernel:
                 assert sol.log_scale == want_scale > 0.0
                 assert sol.u_values.tobytes() == (want * scale).astype(complex).tobytes()
 
+    @pytest.mark.parametrize("inward", [False, True], ids=["outward", "inward"])
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "first point", "second chunk's first point", "first chunk's last point",
+            "second chunk's last point", "sweep's last point",
+        ],
+    )
+    def test_first_value_past_the_limit_at_a_chunk_edge(self, where, inward):
+        # The kernel tests the range once per chunk of _CHUNK steps, the
+        # first of which makes point 2.  A sweep first passes 1e100 at the
+        # named point and keeps growing, so it rescales again later.
+        chunk, n = oracle._CHUNK, 3 * oracle._CHUNK
+        target = {
+            "first point": 2,
+            "second chunk's first point": 2 + chunk,
+            "first chunk's last point": 1 + chunk,
+            "second chunk's last point": 1 + 2 * chunk,
+            "sweep's last point": n - 1,
+        }[where]
+        for base in ((1.0, 1.0), (complex(1.0, -0.5), complex(1.0, 0.25))):
+            coef, start = _first_past_the_limit_at(target, n, 0.01, base, inward)
+            want = _reference_outcome(coef, 0.01, start, inward)
+            assert want[2] > 0.0
+            assert _kernel_outcome(coef, 0.01, start, inward) == want
+
+    @pytest.mark.parametrize(
+        "start", [(1.0, 1.1), (complex(0.3, 1.0), complex(-0.0, 1.1)), (1e99, 1e300)], ids=str
+    )
+    def test_many_rescales_inside_one_chunk(self, start):
+        # growth of about e^2 a step passes 1e100 every 115 steps or so
+        h = 0.02
+        coef = np.full(3 * oracle._CHUNK, -4.0 / (h * h))
+        for inward in (False, True):
+            want = _reference_outcome(coef, h, start, inward)
+            assert want[2] > 20 * math.log(1e100)
+            assert _kernel_outcome(coef, h, start, inward) == want
+
+    def test_complex_range_test_rounds_as_the_scalar_abs(self):
+        # numpy's abs of a complex array (a SIMD loop on AVX-512 hosts)
+        # can differ in the last bit from the scalar abs that the rescale
+        # divides by; near |y| = 1e100 that decides whether a value
+        # rescales.  With coef = 0 and start (v, v) every value is v.
+        rng = random.Random("complex-range-test")
+        values = []
+        for _ in range(4000):
+            t = rng.uniform(0.0, 2.0 * math.pi)
+            values.append(complex(1e100 * math.cos(t), 1e100 * math.sin(t)))
+        by_array = np.abs(np.array(values)) > 1e100
+        split = [v for v, a in zip(values, by_array) if a != (abs(np.complex128(v)) > 1e100)]
+        coef = np.zeros(oracle._CHUNK + 8)
+        for v in (split[:2] + split[-2:]) or values[:4]:
+            for inward in (False, True):
+                want = _reference_outcome(coef, 0.01, (v, v), inward)
+                assert _kernel_outcome(coef, 0.01, (v, v), inward) == want, v
+
+    def test_three_points(self):
+        # one step; the second start passes 1e100 but is not tested, the
+        # step's value is
+        h = 0.1
+        for coef in (np.array([-1.0, 2.0, -300.0]), np.array([-40.0, -50.0, -60.0])):
+            for start in ((1e99, 1.2e99), (1e99, 1e101), (complex(1e99, 1.0), complex(5e99, -0.0))):
+                for inward in (False, True):
+                    want = _reference_outcome(coef, h, start, inward)
+                    assert _kernel_outcome(coef, h, start, inward) == want
+        assert _reference_outcome(np.array([-40.0, -50.0, -60.0]), h, (1e99, 1e101), False)[2] > 0.0
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            (math.inf, 1.0), (1.0, -math.inf), (math.nan, 1.0), (1.0, math.nan),
+            (complex(math.inf), 1.0), (1.0, complex(0.0, math.nan)),
+        ],
+        ids=str,
+    )
+    def test_start_outside_the_range(self, start):
+        # the sweep runs to its end and raises there, whether or not it
+        # rescaled on the way
+        h = 0.01
+        rng = random.Random(str(start))
+        coef = np.array([rng.uniform(-40.0, 40.0) for _ in range(2 * oracle._CHUNK + 5)])
+        for c in (coef, np.full(coef.size, -1.0 / (h * h))):
+            for inward in (False, True):
+                want = _reference_outcome(c, h, start, inward)
+                assert want[0] is DomainError
+                assert _kernel_outcome(c, h, start, inward) == want
+
+
+def _first_past_the_limit_at(target, n, h, start, inward):
+    """(coef, start) for a sweep of n points from start, scaled by a power
+    of 2, whose values in the direction of travel stay within 1e100 up to
+    point target and pass it there.  The coefficient is 0 (y stays at its
+    start) up to 30 points before target and -1/h^2 (growth of about e a
+    step) from there on."""
+    travel = np.zeros(n)
+    travel[max(target - 30, 0):] = -1.0 / (h * h)
+    y, _ = _two_direction_numerov(travel[: target + 1], h, start, False)  # up to e^30
+    below, past = float(np.max(np.abs(y[:target]))), float(abs(y[target]))
+    scale = 2.0 ** math.floor(math.log2(1e100 / below))  # exact: values scale by it
+    assert below * scale <= 1e100 < past * scale
+    start = (start[0] * scale, start[1] * scale)
+    return (travel[::-1].copy() if inward else travel), start
+
+
+def _reference_outcome(coef, h, start, inward):
+    """_two_direction_numerov's values with the kernel's range rule: a
+    DomainError where the log scale or the last value is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, log_scale = _two_direction_numerov(coef, h, start, inward)
+    if not (math.isfinite(log_scale) and math.isfinite(abs(y[0] if inward else y[-1]))):
+        return DomainError, "Numerov sweep started or ended outside the double range"
+    return y.dtype, y.tobytes(), log_scale
+
+
+def _kernel_outcome(coef, h, start, inward):
+    """oracle._numerov's values, dtype and log scale, or its error; a numpy
+    warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            y, log_scale = oracle._numerov(coef, h, start, inward)
+        except DomainError as exc:
+            return DomainError, str(exc)
+    assert y.flags.c_contiguous
+    return y.dtype, y.tobytes(), log_scale
+
 
 def _two_direction_numerov(coef, h, start, inward):
     """The summed Numerov recurrence run in either direction by index

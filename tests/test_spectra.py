@@ -1203,6 +1203,22 @@ class TestOscillator:
             assert got.real == pytest.approx(math.exp(-rho * rho / 2), rel=1e-14)
             assert got.imag == 0.0
 
+    def test_n_must_be_an_integer(self):
+        # a non-integer n has no terminating series; 2.5 returned
+        # (-0.1638+0.3781j) from F(-2.5, 1 + 0.7i, z).  A NaN or inf n
+        # raised "Kummer parameters must be finite" and now raises here.
+        want = _hex_bits(oscillator_wavefunction(PP, 1.0, 3, 0.7, 1.0, 0.0))
+        for n in (2.5, np.array(2.5), 1e-300, 3.0000000000000004, math.nan, math.inf):
+            for _ in range(2):  # on a miss and after a valid call with n = 3
+                with pytest.raises(DomainError, match=r"^n must be an integer, got "):
+                    oscillator_wavefunction(PP, 1.0, n, 0.7, 1.0, 0.0)
+                assert _hex_bits(oscillator_wavefunction(PP, 1.0, 3, 0.7, 1.0, 0.0)) == want
+        with pytest.raises(DomainError, match=r"^n must be >= 0, got -inf$"):
+            oscillator_wavefunction(PP, 1.0, -math.inf, 0.7, 1.0, 0.0)
+        for n in (3.0, np.array(3), np.float64(3.0), np.array(3.0)):
+            spectra._oscillator_last = (math.nan,) * 3 + (None, None)
+            assert _hex_bits(oscillator_wavefunction(PP, 1.0, n, 0.7, 1.0, 0.0)) == want, n
+
     def test_first_excited_node(self):
         assert oscillator_wavefunction(PP, 1.0, 1, 0.0, 1.0, 0.0) == 0.0
 
