@@ -107,6 +107,13 @@ def _nearest_nonpositive_integer_distance(z: complex) -> float:
     return abs(complex(z) - k)
 
 
+def _terminating_order(a: complex) -> int | None:
+    """Degree n where a = -n, n >= 0 an integer, to TERMINATION_TOL, else
+    None: KummerParams' termination rule, shared with spectra's M = 0 poles."""
+    n = round(-a.real)
+    return n if n >= 0 and abs(a + n) <= TERMINATION_TOL else None
+
+
 def _quiet_below(a: complex, c: complex, order: int | None, abs_c: float) -> float:
     """The z below which no term factor, term, product or partial sum of the
     series F(a, c, z) can leave the longdouble range; 0 where that cannot be
@@ -124,7 +131,7 @@ def _quiet_below(a: complex, c: complex, order: int | None, abs_c: float) -> flo
     """
     if order == 0:
         return math.inf
-    last = DEFAULT_SERIES_CAP if order is None else max(order, DEFAULT_SERIES_CAP)
+    last = DEFAULT_SERIES_CAP  # no sum runs past the cap: a longer polynomial raises
     if not (c.real >= 1.0 and math.log(abs_c + last) + math.log(last + 1.0) < _LOG_QUIET):
         return 0.0
     if order is not None:
@@ -240,7 +247,10 @@ class KummerParams:
     """Parameter pair (a, c) of the confluent series F(a, c, z).
 
     c must stay away from non-positive integers, where every series
-    denominator (c)_k vanishes.
+    denominator (c)_k vanishes.  The series is a polynomial of degree n
+    where a = -n to TERMINATION_TOL (``_terminating_order``, the rule that
+    spectra's pole test at M = 0 also reads); one of degree past
+    DEFAULT_SERIES_CAP raises DomainError when summed.
 
     Each instance takes its range rule once: below a z of ``_quiet_below``,
     no term, product or partial sum of its series can leave the longdouble
@@ -266,8 +276,7 @@ class KummerParams:
         if _nearest_nonpositive_integer_distance(self.c) <= TERMINATION_TOL:
             raise PoleError(f"Kummer parameter c={self.c} is a non-positive integer")
         # taken once here rather than on every point a series is summed at
-        n = round(-self.a.real)
-        order = n if n >= 0 and abs(self.a + n) <= TERMINATION_TOL else None
+        order = _terminating_order(self.a)
         object.__setattr__(self, "_order", order)
         # |c| and |a - c| for the tail test's ratio bound, and the first term
         # index past |c|, where its window can start (past the cap: none)
@@ -464,7 +473,9 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float):
     is not finite, and a polynomial returns them to its caller.  Where the
     tail window starts past the cap and z is below the bound, so that no
     overflow can come first, ConvergenceError is raised at once, naming |c|
-    and the cap, instead of after the cap's terms.
+    and the cap, instead of after the cap's terms.  A polynomial of degree
+    past the cap raises DomainError, naming its degree and the cap, before
+    it builds a term-factor block.
     """
     if z < p._quiet_below and z > 0.0 and 0.0 < tol < math.inf:
         pairs = p._pairs
@@ -496,6 +507,11 @@ def _kummer_sum(p: KummerParams, z: float, tol: float):
 
     if p._order is not None:
         # Degree-n polynomial: exactly n+1 terms, no tail heuristics.
+        if p._order > DEFAULT_SERIES_CAP:
+            raise DomainError(
+                f"Kummer polynomial of degree {p._order} is past the {DEFAULT_SERIES_CAP}-term "
+                f"cap (a={p.a}, c={p.c})"
+            )
         for a_k, d_k in p._poly_pairs():
             t = t * a_k * zl / d_k
             s = s + t
@@ -588,7 +604,9 @@ def kummer_m(p: KummerParams, z: float, tol: float = DEFAULT_SERIES_TOL) -> comp
 
     Raises ConvergenceError past DEFAULT_SERIES_CAP terms, or at once where
     the tail test cannot start within them, and DomainError where the value
-    leaves the double range.  np.errstate is entered only at or past the
+    leaves the double range or, at any z > 0, where a polynomial's degree
+    is past DEFAULT_SERIES_CAP: a polynomial sums no more terms than any
+    other series.  np.errstate is entered only at or past the
     parameters' quiet bound (see KummerParams), where a polynomial's
     overflow is then reported by _finite, not by a numpy warning.
     """

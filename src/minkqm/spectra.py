@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import contextlib
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -42,6 +41,7 @@ from .specfun import (
     _finite,
     _kummer_m_ld,
     _ln_gamma_ld,
+    _terminating_order,
     DEFAULT_SERIES_TOL,
 )
 
@@ -53,9 +53,6 @@ _SCAN_DECADES = 160
 # double range: near z = 1.4e3 for g = 2, and out of the longdouble range
 # near z = 2.3e4.
 _ENVELOPE = "e^(z/2) z^(-g)"
-# (g, M) pairs whose u1 series parameters _u1_params keeps, and (n, M) pairs
-# for _oscillator_params; a grid's points share one.
-_U1_PARAMS_CACHED = 32
 _MINUS_2J = np.clongdouble(-2j)
 _MINUS_HALF = np.clongdouble(-0.5)
 # gamma_phase refuses a gamma_raw whose rounding to double, ulp(gamma_raw)/2,
@@ -81,22 +78,13 @@ class ReflectionPhase:
 # --------------------------------------------------------------------------
 # wavefunctions (unnormalized, leading constant 1, argument z = r/r0)
 
-@functools.lru_cache(maxsize=_U1_PARAMS_CACHED)
-def _u1_params(
-    g: float, m_ang: float, m_sign: float
-) -> tuple[KummerParams, np.clongdouble]:
-    """u1's series parameters (1/2 + iM - g, 1 + 2iM) and its prefactor's
-    exponent 1/2 + iM as a clongdouble.  m_sign, the sign of M, keeps
-    M = +0.0 and -0.0 apart, which float hashing merges.  Refuses a
-    non-finite g or M, once per cached pair: an error is not cached."""
-    _require_finite("g", g)
-    _require_finite("M", m_ang)
-    params = KummerParams(complex(0.5 - g, m_ang), complex(1.0, 2.0 * m_ang))
-    return params, np.clongdouble(complex(0.5, m_ang))
-
-
-# u1's last (g, M, sign of M) and its _u1_params plan, as one tuple: the
-# points of a grid share one pair, which this answers before the cache.
+# u1's one plan: its last (g, M, sign of M), the series parameters
+# (1/2 + iM - g, 1 + 2iM) and the prefactor's exponent 1/2 + iM as a
+# clongdouble, in one tuple.  The points of a grid share one pair.  A new
+# pair builds its plan, and later its term-factor blocks, afresh, so a
+# caller alternating u1 and u2 (u1 at -M) point by point pays that on every
+# point.  The sign of M keeps M = +0.0 and -0.0 apart, which float equality
+# merges.
 _u1_last = (math.nan, math.nan, math.nan, None, None)
 
 
@@ -105,10 +93,14 @@ def _u1_ld(g: float, m_ang: float, z: float, tol: float):
     m_sign = math.copysign(1.0, m_ang)
     last_g, last_m, last_sign, params, half_i_m = _u1_last
     if not (g == last_g and m_ang == last_m and m_sign == last_sign):
-        # float() also takes a 0-d array, which the cache could not hash.
-        key = (float(g), float(m_ang), m_sign)
-        params, half_i_m = _u1_params(*key)
-        _u1_last = (*key, params, half_i_m)
+        # g and M as floats, a 0-d array's too; a refused pair is not kept,
+        # so its error is raised on every call
+        g_f, m_f = float(g), float(m_ang)
+        _require_finite("g", g_f)
+        _require_finite("M", m_f)
+        params = KummerParams(complex(0.5 - g_f, m_f), complex(1.0, 2.0 * m_f))
+        half_i_m = np.clongdouble(complex(0.5, m_f))
+        _u1_last = (g_f, m_f, m_sign, params, half_i_m)
     try:
         series = _kummer_m_ld(params, z, tol)
     except ConvergenceError:
@@ -303,7 +295,7 @@ def _refuse_m0_pole(g: float, m_ang: float, what: str) -> None:
     """PoleError where u1's series terminates at M = +-0, that is where g - 1/2
     is a non-negative integer to specfun.TERMINATION_TOL: the Gamma factors
     sit on poles there, the closed-form levels."""
-    k = _u1_params(g, m_ang, math.copysign(1.0, m_ang))[0].terminating_order()
+    k = _terminating_order(complex(0.5 - g, m_ang))
     if k is not None:
         raise PoleError(
             f"{what} undefined at M=0, g={g}: Gamma pole (closed-form level n={k})"
@@ -543,16 +535,8 @@ def _ladder(
 # --------------------------------------------------------------------------
 # oscillator spectra and wavefunctions
 
-@functools.lru_cache(maxsize=_U1_PARAMS_CACHED)
-def _oscillator_params(
-    n: float, m_osc: float, m_sign: float
-) -> tuple[KummerParams, np.clongdouble]:
-    """The oscillator series' parameters (-n, 1 + iM) and the prefactor's iM
-    as a clongdouble; m_sign keeps M = +-0 apart, as in _u1_params."""
-    return KummerParams(complex(-n, 0.0), complex(1.0, m_osc)), np.clongdouble(1j * m_osc)
-
-
-# The last (n, M, sign of M) and its _oscillator_params plan, as in _u1_ld.
+# The oscillator's plan, as u1's: its last (n, M, sign of M), the series
+# parameters (-n, 1 + iM) and the prefactor's iM as a clongdouble.
 _oscillator_last = (math.nan, math.nan, math.nan, None, None)
 
 
@@ -588,14 +572,14 @@ def oscillator_wavefunction(
     m_sign = math.copysign(1.0, m_osc)
     last_n, last_m, last_sign, params, i_m = _oscillator_last
     if not (n == last_n and m_osc == last_m and m_sign == last_sign):
-        # float(n) gives the parameters of n, and takes a 0-d array, which
-        # the cache could not hash, as u1 takes g; only an integer n is
-        # kept, so a hit needs no test
-        key = (float(n), float(m_osc), m_sign)
-        if not key[0].is_integer():
+        # float(n) gives the parameters of n, and takes a 0-d array, as u1
+        # takes g; only an integer n is kept, so a hit needs no test
+        n_f, m_f = float(n), float(m_osc)
+        if not n_f.is_integer():
             raise DomainError(f"n must be an integer, got {n}")
-        params, i_m = _oscillator_params(*key)
-        _oscillator_last = (*key, params, i_m)
+        params = KummerParams(complex(-n_f, 0.0), complex(1.0, m_f))
+        i_m = np.clongdouble(1j * m_f)
+        _oscillator_last = (n_f, m_f, m_sign, params, i_m)
     m_phi = 1j * m_osc * phi
     if z < params._quiet_below and math.isfinite(m_phi.imag):
         pref = np.exp(i_m * np.log(rho - _CZERO) - (z - _CZERO) / 2 + (m_phi - _CZERO))

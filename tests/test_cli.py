@@ -376,6 +376,20 @@ class TestWavefunctionCommand:
         assert (code, out) == (3, "")
         assert "cannot converge within 10000 terms" in err and "|c| = 12000" in err
 
+    def test_oscillator_degree_past_the_term_cap_exits_2(self):
+        # n = 1e20 summed its polynomial term by term, with no bound on its
+        # time; its series now raises DomainError before a term is summed
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "minkqm", "wavefunction", "--system", "oscillator", "--M", "1",
+             "--n", "100000000000000000000", "--grid-points", "2"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "degree 100000000000000000000 is past the 10000-term cap" in proc.stderr
+
     def test_linear_grid_matches_linspace(self):
         # the linear grid is built in Python floats, without numpy, and must
         # be np.linspace's bit for bit: on seeded ends and point counts, on

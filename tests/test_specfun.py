@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from minkqm import specfun, spectra
 from minkqm.errors import ConvergenceError, DomainError, PoleError
 from minkqm.model import NATURAL_UNITS
-from minkqm.specfun import _KEPT_BLOCKS, KummerParams, _kummer_m_ld, kummer_m, ln_gamma
+from minkqm.specfun import (
+    _KEPT_BLOCKS, DEFAULT_SERIES_CAP, KummerParams, _kummer_m_ld, kummer_m, ln_gamma,
+)
 
 # 40-digit offline references
 LN_GAMMA_1_2I = complex(-1.8760787864309293, 0.12964631630978831)
@@ -449,8 +451,7 @@ class TestKummerM:
         # A degree-2,000 u1 polynomial (32 blocks) and a series at z = 500
         # (about 12 blocks) keep only their first _KEPT_BLOCKS blocks; a
         # second sum, which builds the later blocks again, keeps the bits.
-        spectra.coulomb_u1(2000.5, 0.0, 1.0)
-        u1_params = spectra._u1_params(2000.5, 0.0, 1.0)[0]
+        u1_params = KummerParams(complex(0.5 - 2000.5, 0.0), complex(1.0, 0.0))
         for p, z in [(u1_params, 1.0), (KummerParams(complex(0.3, 0.2), complex(1.1, 0.4)), 500.0)]:
             first = _kummer_m_ld(p, z, 1e-13)
             assert sorted(p._blocks) == list(range(_KEPT_BLOCKS))
@@ -459,6 +460,26 @@ class TestKummerM:
             assert _same_bits(again, first) and _same_bits(first, _plain_kummer_loop(p, z, 1e-13))
             assert all(p._blocks[i] is block for i, block in kept.items())
             assert p._blocks.keys() == kept.keys()
+
+    def test_polynomial_past_the_term_cap_raises(self):
+        # A polynomial sums at most the cap's terms, as any other series
+        # does: degree 10,000 keeps the plain loop's bits, and a higher
+        # degree raises DomainError naming its degree and the cap before it
+        # builds a term-factor block, below its quiet bound, past it and at
+        # z = inf.  Degree 1e20 was summed term by term, with no bound on
+        # its time.
+        p = KummerParams(-DEFAULT_SERIES_CAP, complex(1.0, 0.3))
+        assert _same_bits(_kummer_m_ld(p, 0.5, 1e-13), _plain_kummer_loop(p, 0.5))
+        for n in (DEFAULT_SERIES_CAP + 1, 2**53 + 2, 10**20):
+            for c in (1.0, complex(1.0, 0.7), 0.5):
+                p = KummerParams(-n, c)
+                assert p.terminating_order() == n
+                for z in (1e-3, 0.5, 1e4, math.inf):
+                    with pytest.raises(DomainError, match=(
+                        rf"^Kummer polynomial of degree {n} is past the 10000-term cap "
+                    )):
+                        kummer_m(p, z)
+                assert p._blocks == {} and p._pairs is None
 
     @pytest.mark.parametrize("n", [3, 64, 65])
     def test_guard_order(self, n):

@@ -1,9 +1,11 @@
 import cmath
 import collections
+import gc
 import hashlib
 import math
 import random
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -251,11 +253,11 @@ class TestWavefunctions:
 
     def test_last_pair_lookup_keeps_the_bits(self):
         # u1 and the oscillator reuse the plan of their last (g, M) or (n, M)
-        # pair, with the sign of M, before their caches.  Pairs alternated
-        # point by point, M = +0.0 against -0.0 (where equality merges them)
-        # and 0-d arrays give the bits of parameters built fresh, signs of
-        # zero included.  A NaN g or M raises on every call and leaves the
-        # last plan as it was.
+        # pair, with the sign of M, and build a new pair's plan.  Pairs
+        # alternated point by point, M = +0.0 against -0.0 (where equality
+        # merges them) and 0-d arrays give the bits of parameters built
+        # fresh, signs of zero included.  A NaN g or M raises on every call
+        # and leaves the last plan as it was.
         pairs = [(2.5, 0.0), (2.5, -0.0), (1.5, 0.0), (2.0, 1.0), (2.0, -1.0), (0.5, -0.0)]
         zs = [0.3, 4.0, 17.5]
         for z in zs:
@@ -278,7 +280,6 @@ class TestWavefunctions:
         keys = [(3, 0.0), (3, -0.0), (0, 1.4), (3, 1.4), (0, -0.0), (np.array(2), np.array(-0.7))]
         fresh = []  # a list: a dict would merge the keys of M = +0.0 and -0.0
         for key in keys:
-            spectra._oscillator_params.cache_clear()
             spectra._oscillator_last = (math.nan,) * 3 + (None, None)
             fresh.append(osc(*key))
         assert fresh[-1] == osc(2, -0.7)
@@ -287,6 +288,39 @@ class TestWavefunctions:
             # the plan kept is the pair's own, down to the sign of a zero M
             c = spectra._oscillator_last[3].c
             assert c == complex(1.0, key[1]) and math.copysign(1.0, c.imag) == math.copysign(1.0, key[1])
+
+    def test_only_the_last_plan_stays_alive(self):
+        # Each amplitude keeps one plan, its last pair's: after grids at 40
+        # (g, M) and 40 (n, M) pairs, the series parameters of the 39
+        # before, and the term-factor blocks they keep, are freed.
+        zs = [0.5 * k for k in range(1, 9)]
+        u1_plans, oscillator_plans = [], []
+        for i in range(40):
+            g, m_ang = 0.3 + 0.1 * i, (-1.0) ** i * (0.2 + 0.05 * i)
+            for z in zs:
+                coulomb_u1(g, m_ang, z)
+            u1_plans.append(weakref.ref(spectra._u1_last[3]))
+            for rho in zs:
+                oscillator_wavefunction(PP, 1.0, i % 7, 0.1 * (i + 1), rho, 0.0)
+            oscillator_plans.append(weakref.ref(spectra._oscillator_last[3]))
+        gc.collect()
+        for plans in (u1_plans, oscillator_plans):
+            assert [ref() is not None for ref in plans] == [False] * 39 + [True]
+
+    def test_polynomial_past_the_term_cap_raises(self):
+        # u1, u2 and the third solution at M = +-0 with g - 1/2 = 20,000,
+        # and the oscillator at n = 20,000, have a polynomial series past
+        # the 10,000-term cap; degree 10,000 is summed
+        for call in (
+            lambda: coulomb_u1(20000.5, 0.0, 1.0),
+            lambda: coulomb_u2(20000.5, -0.0, 1.0),
+            lambda: coulomb_third(20000.5, 0.0, 1.0, 0.5),
+            lambda: oscillator_wavefunction(PP, 1.0, 20000, 0.7, 1.0, 0.0),
+        ):
+            with pytest.raises(DomainError, match="degree 20000 is past the 10000-term cap"):
+                call()
+        assert cmath.isfinite(coulomb_u1(10000.5, 0.0, 1.0))
+        assert cmath.isfinite(oscillator_wavefunction(PP, 1.0, 10000, 0.7, 0.1, 0.0))
 
     def test_third_sums_one_series_bit_for_bit(self):
         # coulomb_third takes u2 as the conjugate of u1, at M = +-0 too,
