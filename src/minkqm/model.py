@@ -124,11 +124,19 @@ class Coulomb:
 SystemKind = Free | Oscillator | Coulomb
 
 
+def _smallest_radius(r):
+    """The least radius of r, a Python or numpy number or an array of
+    radii; DomainError for an empty array."""
+    if getattr(r, "size", 1) == 0:
+        raise DomainError("the radius grid is empty: it has no smallest r")
+    return r.min() if hasattr(r, "min") else r
+
+
 def potential(kind: SystemKind, pp: PhysicalParams, r):
-    """U(r) for the three angle-independent systems; r a float or an array."""
+    """U(r) for the three angle-independent systems; r a number or an array."""
     if isinstance(kind, Free):
         return 0.0
-    r_min = r if isinstance(r, float) else r.min()
+    r_min = _smallest_radius(r)
     if isinstance(kind, Oscillator):
         if r_min < 0:
             raise DomainError(f"r must be >= 0, got {r_min}")
@@ -198,10 +206,11 @@ def radial_coefficient(
 ):
     """Coefficient Q(r) of u'' + Q u = 0; equals (2m/hbar^2)(E - U_eff).
 
-    r is a float or an array of radii (the oracle passes whole grids).
-    Raises DomainError where hbar^2 or the smallest r^2 underflows to 0.
+    r is a number or an array of radii (the oracle passes whole grids).
+    Raises DomainError where hbar^2 or the smallest r^2 underflows to 0,
+    or where the array is empty.
     """
-    r_min = r if isinstance(r, float) else float(r.min())
+    r_min = float(_smallest_radius(r))
     if r_min <= 0:
         raise DomainError(f"radial coefficient needs r > 0, got {r_min}")
     two_m_over_h2 = 2.0 * pp.mass / _nonzero(pp.hbar * pp.hbar, f"hbar^2 at hbar={pp.hbar!r}")
@@ -228,6 +237,13 @@ def _require_finite(name: str, value: float) -> None:
     """DomainError unless value is finite."""
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
+
+
+def _require_index(n) -> None:
+    """DomainError unless the level index n is an integer, which an
+    integer-valued float may hold (n % 1 is 0 for an int of any size)."""
+    if not n % 1 == 0:
+        raise DomainError(f"level index must be an integer, got {n}")
 
 
 def _normal_level(
@@ -275,10 +291,12 @@ def coulomb_closed_spectrum(
 
     Real (and equal to the Euclidean-plane ladder) exactly when M = 0;
     complex decay states otherwise.  M -> -M conjugates the energy.
-    Raises DomainError where it leaves the normal double range (|M| from
-    about 1.34e154, where (n + 1/2 + iM)^2 overflows, or an alpha^2 that
+    Raises DomainError for an n that is not a non-negative integer, and
+    where the level leaves the normal double range (|M| from about
+    1.34e154, where (n + 1/2 + iM)^2 overflows, or an alpha^2 that
     underflows).
     """
+    _require_index(n)
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")
     _require_positive("alpha", alpha)
@@ -291,7 +309,9 @@ def coulomb_closed_spectrum(
 
 def shallow_spectrum(pp: PhysicalParams, alpha: float, g0: float, n: int) -> float:
     """Rydberg-like level -m alpha^2/(2 hbar^2 (n+g0)^2) of the shallow regime;
-    DomainError where it leaves the normal double range."""
+    DomainError for an n that is not an integer, and where the level leaves
+    the normal double range."""
+    _require_index(n)
     _require_positive("alpha", alpha)
     s = n + g0
     _require_positive("n + g0", s)
@@ -301,12 +321,15 @@ def shallow_spectrum(pp: PhysicalParams, alpha: float, g0: float, n: int) -> flo
 
 
 def deep_ladder(energy0: float, m_ang: float, n: int) -> float:
-    """Geometric ladder E_n = E0 exp(2 pi n / M); exact for the free particle,
-    asymptotic (deep levels) for the Coulomb system."""
+    """Geometric ladder E_n = E0 exp(2 pi n / M), n an integer and M finite
+    and nonzero; exact for the free particle, asymptotic (deep levels) for
+    the Coulomb system."""
     if not energy0 < 0:
         raise DomainError(f"ladder anchor must be negative, got {energy0}")
     if m_ang == 0:
         raise DomainError("ladder undefined at M = 0")
+    _require_finite("M", m_ang)
+    _require_index(n)
     try:
         level = energy0 * math.exp(2.0 * math.pi * n / m_ang)
     except OverflowError:
@@ -321,7 +344,9 @@ def oscillator_closed_spectrum(
     pp: PhysicalParams, omega: float, n: int, m_osc: float
 ) -> complex:
     """Closed-form oscillator level hbar omega (2n + 1 + i M_osc); DomainError
-    where it leaves the normal double range."""
+    for an n that is not a non-negative integer, and where the level leaves
+    the normal double range."""
+    _require_index(n)
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")
     _require_positive("omega", omega)

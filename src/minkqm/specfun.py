@@ -14,7 +14,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -88,16 +88,12 @@ _SKIP_HUGE = 1e280
 # A KummerParams keeps its term-factor blocks below this index (256 terms,
 # more than grids up to z = 80 reach); later blocks are built per sum.
 _KEPT_BLOCKS = 4
-# A polynomial up to this degree, all in its kept blocks, sums one flat
-# tuple of its term factors.
+# A polynomial up to this degree keeps its term factors as one flat tuple.
 _FLAT_DEGREE = _KEPT_BLOCKS * _OVERFLOW_CHECK_TERMS
 # ln of the longdouble range's top, less a margin of e^40 that covers the
 # rounding of every bound in _quiet_below: 11316.5 for an 80-bit longdouble,
 # 669.8 where longdouble is a plain double.
 _LOG_QUIET = float(np.log(np.finfo(np.longdouble).max)) - 40.0
-# The n z up to which a degree-n polynomial with Re c >= 1 stays in range
-# (3.2e7 for an 80-bit longdouble).
-_POLY_QUIET = (_LOG_QUIET / 2.0) ** 2
 
 
 def _nearest_nonpositive_integer_distance(z: complex) -> float:
@@ -114,28 +110,22 @@ def _terminating_order(a: complex) -> int | None:
     return n if n >= 0 and abs(a + n) <= TERMINATION_TOL else None
 
 
-def _quiet_below(a: complex, c: complex, order: int | None, abs_c: float) -> float:
+def _quiet_below(a: complex, c: complex, abs_c: float) -> float:
     """The z below which no term factor, term, product or partial sum of the
     series F(a, c, z) can leave the longdouble range; 0 where that cannot be
-    shown, inf for degree 0, which sums no term.
+    shown.  One rule for every series, polynomials included.
 
-    Where Re c >= 1, |c + j| >= j + 1, so |(c)_k| >= k!.  A degree-n
-    polynomial has |(a)_k| <= n^k, so its terms obey |t_k| <= (n z)^k/(k!)^2,
-    and its terms, sums and products t a_k z stay below n z e^(2 sqrt(n z)).
-    Any other series has |(a)_k| <= k! 2^(A + k) with A = ceil|a|, since
-    (A)_k = k! binom(A + k - 1, k), so |t_k| <= 2^A (2z)^k/k!: its terms and
-    sums stay below 2^A e^(2z), its products below
+    Where Re c >= 1, |c + j| >= j + 1, so |(c)_k| >= k!, and
+    |(a)_k| <= k! 2^(A + k) with A = ceil|a|, since
+    (A)_k = k! binom(A + k - 1, k), so |t_k| <= 2^A (2z)^k/k!: the terms and
+    sums stay below 2^A e^(2z), the products below
     2^A e^(2z) (|a| + cap) max(z, 1); |a| + 1 stands for A.  The factors
     a + k and (c + k)(k + 1) stay below |a| + K and (|c| + K)(K + 1), K the
     last term summed.
     """
-    if order == 0:
-        return math.inf
     last = DEFAULT_SERIES_CAP  # no sum runs past the cap: a longer polynomial raises
     if not (c.real >= 1.0 and math.log(abs_c + last) + math.log(last + 1.0) < _LOG_QUIET):
         return 0.0
-    if order is not None:
-        return _POLY_QUIET / order
     abs_a = math.hypot(a.real, a.imag)
     # ln max(z, 1) <= ln _LOG_QUIET for every z this returns
     spare = (_LOG_QUIET - (abs_a + 1.0) * math.log(2.0) - math.log(abs_a + last)
@@ -254,15 +244,16 @@ class KummerParams:
 
     Each instance takes its range rule once: below a z of ``_quiet_below``,
     no term, product or partial sum of its series can leave the longdouble
-    range, so a sum there runs with no ``np.errstate``.  Where Re c >= 1
-    that z is 5,648 for u1's series at g = 2, M = 1, falling by (ln 2)/2
-    per unit of |a|, and 3.2e7/n for a polynomial of degree n; where
-    Re c < 1 there is none, and every sum enters ``np.errstate``.
+    range, so a sum there runs with no ``np.errstate``.  The rule is the
+    same for every series: where Re c >= 1 that z is 5,648 for u1's series
+    at g = 2, M = 1, falling by (ln 2)/2 per unit of |a| (about
+    5,649 - 0.35 n for a polynomial of degree n); where Re c < 1 there is
+    none, and every sum enters ``np.errstate``.
 
-    The term factors are kept in blocks of _OVERFLOW_CHECK_TERMS terms
-    (``_block``).  A polynomial of degree up to _FLAT_DEGREE also keeps its
-    factor pairs as one flat tuple, built from those blocks on its first
-    sum, which ``_kummer_m_ld`` sums in one loop below the quiet bound.
+    A polynomial of degree up to _FLAT_DEGREE keeps its factor pairs as one
+    flat tuple, built here, which ``_kummer_m_ld`` sums in one loop; a
+    longer one builds its pairs on each sum.  Any other series keeps its
+    term factors in blocks of _OVERFLOW_CHECK_TERMS terms (``_block``).
     """
 
     a: complex
@@ -287,56 +278,45 @@ class KummerParams:
         object.__setattr__(
             self, "_low", int(abs_c) + 1 if abs_c < DEFAULT_SERIES_CAP else DEFAULT_SERIES_CAP + 1
         )
-        object.__setattr__(self, "_quiet_below", _quiet_below(self.a, self.c, order, abs_c))
-        # The series' first _KEPT_BLOCKS term-factor blocks by block index,
-        # built on first use: the points summed with these parameters share them.
+        object.__setattr__(self, "_quiet_below", _quiet_below(self.a, self.c, abs_c))
+        # A series' first _KEPT_BLOCKS term-factor blocks by block index, built
+        # on first use: the points summed with these parameters share them.
         object.__setattr__(self, "_blocks", {})
-        # A short polynomial's factor pairs as one tuple, once _poly_pairs
-        # has built it on the first sum; None until then, and for every
-        # other series.
-        object.__setattr__(self, "_pairs", None)
+        # A short polynomial's factor pairs as one tuple, else None
+        pairs = self._factors(0, order) if order is not None and order <= _FLAT_DEGREE else None
+        object.__setattr__(self, "_pairs", pairs)
 
     def terminating_order(self) -> int | None:
         """Degree n if the series terminates (a = -n within tolerance), else None."""
         return self._order
 
-    def _block(self, i: int):
-        """Build block i of the term factors A[k] = a + k and D[k] =
-        (c + k)(k + 1) as clongdouble pairs, _OVERFLOW_CHECK_TERMS terms cut
-        at the polynomial's degree or at DEFAULT_SERIES_CAP.  For i below
-        _KEPT_BLOCKS keep it in _blocks, where the sums look it up first;
-        kept by index, a block built out of order is still the right one.
-        Later blocks are built again by each sum that reaches them, so a
-        long sum keeps no more than a short one.
+    def _factors(self, start: int, stop: int):
+        """The term factors A[k] = a + k and D[k] = (c + k)(k + 1), for
+        start <= k < stop, as a tuple of clongdouble pairs.
 
         Term k + 1 of the series is t_k * A[k] * z / D[k]: the same
         operations on the same values as computing the factors in place,
         since numpy's elementwise complex arithmetic gives the bits of the
-        scalar expressions, so a kept block changes no bit.
+        scalar expressions, so a kept factor changes no bit.
         """
-        start = i * _OVERFLOW_CHECK_TERMS
-        end = DEFAULT_SERIES_CAP if self._order is None else self._order
         # Finite a and c keep every factor finite: |c + k| (k + 1) stays
         # below 1e313, far inside the longdouble range.
-        ks = np.arange(start, min(start + _OVERFLOW_CHECK_TERMS, end), dtype=np.clongdouble)
-        block = tuple(zip(self.a + ks, (self.c + ks) * (ks + 1)))
+        ks = np.arange(start, stop, dtype=np.clongdouble)
+        return tuple(zip(self.a + ks, (self.c + ks) * (ks + 1)))
+
+    def _block(self, i: int):
+        """Block i of a non-terminating series' term factors,
+        _OVERFLOW_CHECK_TERMS terms cut at DEFAULT_SERIES_CAP.  For i below
+        _KEPT_BLOCKS keep it in _blocks, where the sums look it up first;
+        kept by index, a block built out of order is still the right one.
+        Later blocks are built again by each sum that reaches them, so a
+        long sum keeps no more than a short one.
+        """
+        start = i * _OVERFLOW_CHECK_TERMS
+        block = self._factors(start, min(start + _OVERFLOW_CHECK_TERMS, DEFAULT_SERIES_CAP))
         if i < _KEPT_BLOCKS:
             self._blocks[i] = block
         return block
-
-    def _poly_pairs(self):
-        """The polynomial's factor pairs (A[k], D[k]), k < n, in order.  Up
-        to degree _FLAT_DEGREE, one tuple of its kept blocks' pairs, kept in
-        _pairs; past it, a chain over the blocks, built as ``_block`` says."""
-        if self._pairs is not None:
-            return self._pairs
-        blocks = (self._blocks.get(i) or self._block(i)
-                  for i in range(-(-self._order // _OVERFLOW_CHECK_TERMS)))
-        if self._order > _FLAT_DEGREE:
-            return chain.from_iterable(blocks)
-        pairs = tuple(chain.from_iterable(blocks))
-        object.__setattr__(self, "_pairs", pairs)
-        return pairs
 
 
 def _tail_window(p: KummerParams, z: float, low: int) -> int:
@@ -463,11 +443,10 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float):
     range (KummerParams), so it runs with no context manager: entering and
     leaving np.errstate costs 1.3-1.8 us, more than a tenth of a short
     series.  That test comes first, with the checks on z and tol, so a
-    valid point below the bound takes one branch.  There a polynomial whose
-    flat tuple of factor pairs is built (degree <= _FLAT_DEGREE, after its
-    first sum) is summed in one loop over it, with no further call, degree
-    0 returning 1 at once, and every other series goes on to _kummer_sum.
-    At or past the bound, and at an inf or NaN z, the sum runs
+    valid point below the bound takes one branch.  There a polynomial of
+    degree <= _FLAT_DEGREE sums, in one loop, the tuple of factor pairs
+    built with its parameters (degree 0 returns 1 at once), and every
+    other series goes on to _kummer_sum.  At or past the bound, and at an inf or NaN z, the sum runs
     under np.errstate(over="ignore", invalid="ignore"): its terms then turn
     inf or NaN quietly, a series raises DomainError at its first block that
     is not finite, and a polynomial returns them to its caller.  Where the
@@ -475,7 +454,7 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float):
     overflow can come first, ConvergenceError is raised at once, naming |c|
     and the cap, instead of after the cap's terms.  A polynomial of degree
     past the cap raises DomainError, naming its degree and the cap, before
-    it builds a term-factor block.
+    it builds a term factor.
     """
     if z < p._quiet_below and z > 0.0 and 0.0 < tol < math.inf:
         pairs = p._pairs
@@ -512,7 +491,7 @@ def _kummer_sum(p: KummerParams, z: float, tol: float):
                 f"Kummer polynomial of degree {p._order} is past the {DEFAULT_SERIES_CAP}-term "
                 f"cap (a={p.a}, c={p.c})"
             )
-        for a_k, d_k in p._poly_pairs():
+        for a_k, d_k in p._pairs or p._factors(0, p._order):
             t = t * a_k * zl / d_k
             s = s + t
         return s
@@ -607,8 +586,8 @@ def kummer_m(p: KummerParams, z: float, tol: float = DEFAULT_SERIES_TOL) -> comp
     leaves the double range or, at any z > 0, where a polynomial's degree
     is past DEFAULT_SERIES_CAP: a polynomial sums no more terms than any
     other series.  np.errstate is entered only at or past the
-    parameters' quiet bound (see KummerParams), where a polynomial's
-    overflow is then reported by _finite, not by a numpy warning.
+    parameters' quiet bound, the same rule for every series (KummerParams),
+    where _finite reports a polynomial's overflow, not a numpy warning.
     """
     return _finite(_kummer_m_ld(p, z, tol), z, "kummer_m", "the series sum", a=p.a, c=p.c)
 

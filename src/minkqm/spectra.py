@@ -30,7 +30,7 @@ from . import _roots
 from .errors import BracketError, ConvergenceError, DomainError, PoleError
 from .model import (  # the numpy-free spectra and the Coulomb scaling, re-exported here
     DEFAULT_SOLVER_TOL, Branch, DualityMap, PhysicalParams, ScaledCoulomb, SpectrumEntry,
-    _normal_level, _quantized_entries, _require_finite, _require_positive,
+    _normal_level, _quantized_entries, _require_finite, _require_index, _require_positive,
     coulomb_closed_spectrum, coulomb_scaling, deep_ladder, duality_forward,
     oscillator_closed_spectrum, shallow_spectrum, solve_quantized_spectrum,
 )
@@ -396,7 +396,8 @@ def _ladder(
     sign: float,
     tol: float,
 ) -> list[SpectrumEntry]:
-    """Ladder entries from f(x_n) = f(x0) + sign pi n, one per n in n_range.
+    """Ladder entries from f(x_n) = f(x0) + sign pi n, one per n in n_range;
+    an n that is not an integer raises DomainError.
 
     The ladder scans x = ln g from x0 = ln g0, g at the anchor level
     energy0, which n = 0 returns as given; energy_of_g maps e^x at a root
@@ -516,6 +517,7 @@ def _ladder(
     levels: list[tuple[int, float]] = []
     guess = None
     for n in n_range:
+        _require_index(n)
         target = f0 + sign * math.pi * n
         if n == 0:
             energy = energy0
@@ -557,8 +559,8 @@ def oscillator_wavefunction(
     may hold; any other n raises DomainError, as does a z that leaves the
     double range (rho ~ 1.3e154 in natural units).  np.errstate is entered
     only where the polynomial may leave the longdouble range (z at or past
-    its quiet bound, 3.2e7/n; see specfun.KummerParams), where z is inf or
-    NaN, or where M phi overflows.
+    the quiet bound that every Kummer series takes, about 5,649 - 0.35 n;
+    see specfun.KummerParams), where z is inf or NaN, or where M phi overflows.
     """
     global _oscillator_last
     if not rho > 0:

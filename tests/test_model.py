@@ -178,6 +178,25 @@ class TestRadialCoefficient:
                 radial_coefficient(kind, pp, 1.3, -0.7, float(ri)) for ri in r
             ]
 
+    def test_any_number_or_array_of_radii(self):
+        # an int radius raised AttributeError and an empty grid numpy's
+        # ValueError; Python and numpy numbers now give the float's bits,
+        # and an empty grid raises DomainError
+        for kind in (Oscillator(1.7), Coulomb(0.8)):
+            want_u = potential(kind, NATURAL_UNITS, 2.0)
+            want_eff = effective_potential(kind, NATURAL_UNITS, 1.3, 2.0)
+            want_q = radial_coefficient(kind, NATURAL_UNITS, 1.3, -0.7, 2.0)
+            for r in (2, np.int64(2), np.float64(2.0)):
+                assert potential(kind, NATURAL_UNITS, r) == want_u
+                assert effective_potential(kind, NATURAL_UNITS, 1.3, r) == want_eff
+                assert radial_coefficient(kind, NATURAL_UNITS, 1.3, -0.7, r) == want_q
+            for r in (np.array([2, 3]), np.array([2.0, 3.0])):
+                assert radial_coefficient(kind, NATURAL_UNITS, 1.3, -0.7, r)[0] == want_q
+            with pytest.raises(DomainError, match="radius grid is empty"):
+                potential(kind, NATURAL_UNITS, np.array([]))
+        with pytest.raises(DomainError, match="radius grid is empty"):
+            radial_coefficient(Free(), NATURAL_UNITS, 1.3, -0.7, np.array([]))
+
     @pytest.mark.parametrize(
         "pp, r, match",
         [

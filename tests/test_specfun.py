@@ -284,11 +284,13 @@ class TestKummerM:
     def test_guarded_sum_matches_plain_loop(self):
         # The blockwise sum with kept term factors keeps the arithmetic and
         # the stopping rule of the plain loop: for Re c < 1 and large |a|,
-        # for a terminating polynomial of two blocks, and for a series of
+        # for a terminating polynomial of 70 terms, and for a series of
         # about 50 blocks.  Each group of cases runs cold, on fresh
         # instances, and then warm, on the same instances, where the second
-        # sum builds no new block.  Parameters whose imaginary parts are
-        # +0.0 and -0.0 share a group, and must keep their own blocks.
+        # sum builds no new block.  A polynomial builds no block: its factor
+        # tuple is built with its parameters, and no sum replaces it.
+        # Parameters whose imaginary parts are +0.0 and -0.0 share a group,
+        # and must keep their own factors.
         groups = [
             [(complex(-1.5, 1), complex(0.5, 2), 30.0)],
             [(complex(0.3, -2.1), complex(0.9, 0.4), 12.0)],
@@ -303,10 +305,14 @@ class TestKummerM:
             params = [(KummerParams(a, c), z) for a, c, z in group]
             for run in ("cold", "warm"):
                 for p, z in params:
-                    built = dict(p._blocks)
-                    assert bool(built) == (run == "warm")
+                    built, pairs = dict(p._blocks), p._pairs
+                    if p.terminating_order() is None:
+                        assert bool(built) == (run == "warm") and pairs is None
+                    else:
+                        assert built == {} and len(pairs) == p.terminating_order()
                     got = _kummer_m_ld(p, z, 1e-13)
                     assert _same_bits(got, _plain_kummer_loop(p, z, 1e-13)), (run, p, z)
+                    assert p._pairs is pairs
                     if run == "warm":
                         assert p._blocks.keys() == built.keys()
                         assert all(p._blocks[i] is block for i, block in built.items())
@@ -401,38 +407,38 @@ class TestKummerM:
 
     def test_one_block_polynomial_keeps_its_factors(self):
         # up to one block of terms, the factor pairs live on the parameters
-        # as one block cut at the degree, and the sum keeps the plain loop's bits
+        # as one tuple cut at the degree, and the sum keeps the plain loop's bits
         for n in (0, 3, 64):
             p = KummerParams(complex(-n, 0.0), complex(1, 2))
             got = _kummer_m_ld(p, 7.5, 1e-13)
-            assert [len(block) for block in p._blocks.values()] == ([n] if n else [])
+            assert len(p._pairs) == n
             assert _same_bits(got, _plain_kummer_loop(p, 7.5, 1e-13))
 
     def test_flat_polynomial_sum_matches_plain_loop(self):
-        # A polynomial up to degree 256 sums one flat tuple of its kept
-        # blocks' factor pairs below its quiet bound, built on its first
-        # sum; a longer one keeps none.  Degrees across the block edges and
-        # the tuple's limit, imaginary parts of +0.0 and -0.0 and nonzero,
-        # and Re c < 1 (no quiet range); z below, just below, at and past
-        # the bound.  Each case runs cold and warm, with the plain loop's
-        # bits or error.
+        # A polynomial up to degree 256 sums one flat tuple of its factor
+        # pairs below its quiet bound, built with its parameters; a longer
+        # one keeps none.  Degrees across the block edges and the tuple's
+        # limit, imaginary parts of +0.0 and -0.0 and nonzero, and Re c < 1
+        # (no quiet range); z below, just below, at and past the bound, and
+        # up to the n z = (_LOG_QUIET/2)^2 that bounded a polynomial before
+        # it took the rule every series takes.  Each case runs cold and
+        # warm, with the plain loop's bits or error.
         for n in (0, 1, 3, 63, 64, 65, 255, 256, 257, 300):
             for a_im, c in ((0.0, complex(1, 0.0)), (-0.0, complex(1, -0.0)),
                             (0.0, complex(1, 1.4)), (-0.0, complex(1, -0.7)), (0.0, complex(0.5, 0.0))):
                 p = KummerParams(complex(-n, a_im), c)
+                pairs = p._pairs
+                assert (len(pairs) == n) if n <= 256 else pairs is None
                 bound = p._quiet_below
-                zs = [z for z in (0.5, 7.5, math.nextafter(bound, 0.0), bound, 3.0 * bound)
+                old = (specfun._LOG_QUIET / 2.0) ** 2 / max(n, 1)
+                zs = [z for z in (0.5, 7.5, math.nextafter(bound, 0.0), bound, 3.0 * bound,
+                                  math.sqrt(bound * old), math.nextafter(old, 0.0))
                       if 0.0 < z < math.inf]
                 for run in ("cold", "warm"):
                     for z in zs:
                         got = _sum_outcome(_kummer_m_ld, p, z, 1e-13)
                         assert got == _sum_outcome(_plain_kummer_loop, p, z, 1e-13), (run, n, a_im, c, z)
-                if n <= 256:
-                    kept = [pair for i in sorted(p._blocks) for pair in p._blocks[i]]
-                    assert len(p._pairs) == len(kept) == n
-                    assert all(x is y for x, y in zip(p._pairs, kept))
-                else:
-                    assert p._pairs is None
+                assert p._pairs is pairs and p._blocks == {}
                 # the checks on z and tol keep their order and messages
                 for z in (math.nan, -1.0, -math.inf, -0.0):
                     for tol in (1e-13, 0.0, -1.0, math.nan, math.inf):
@@ -448,13 +454,17 @@ class TestKummerM:
                         DomainError, f"tol must be positive and finite, got {tol}")
 
     def test_long_sums_keep_at_most_the_first_blocks(self):
-        # A degree-2,000 u1 polynomial (32 blocks) and a series at z = 500
-        # (about 12 blocks) keep only their first _KEPT_BLOCKS blocks; a
-        # second sum, which builds the later blocks again, keeps the bits.
+        # A series at z = 500 (about 12 blocks) keeps only its first
+        # _KEPT_BLOCKS blocks, and a degree-2,000 u1 polynomial keeps no
+        # factors; a second sum, which builds the factors past them again,
+        # keeps the bits.
         u1_params = KummerParams(complex(0.5 - 2000.5, 0.0), complex(1.0, 0.0))
         for p, z in [(u1_params, 1.0), (KummerParams(complex(0.3, 0.2), complex(1.1, 0.4)), 500.0)]:
             first = _kummer_m_ld(p, z, 1e-13)
-            assert sorted(p._blocks) == list(range(_KEPT_BLOCKS))
+            if p.terminating_order() is None:
+                assert sorted(p._blocks) == list(range(_KEPT_BLOCKS))
+            else:
+                assert p._blocks == {} and p._pairs is None
             kept = dict(p._blocks)
             again = _kummer_m_ld(p, z, 1e-13)
             assert _same_bits(again, first) and _same_bits(first, _plain_kummer_loop(p, z, 1e-13))
@@ -551,13 +561,14 @@ class TestKummerM:
     @pytest.mark.parametrize(
         "a, c, past",
         [(1000, 1, 2.0), (complex(500, 300), complex(1, 5), 2.0),
-         (complex(-1.5, 1), complex(1, 2), 3.0), (-4000, 1, 3.0)],
+         (complex(-1.5, 1), complex(1, 2), 3.0), (-4000, 1, 5.634)],
     )
     def test_overflow_past_the_quiet_bound_stays_quiet(self, a, c, past):
         # a few times past the bound these sums do leave the longdouble
-        # range; errstate is entered there, so the series raises DomainError
-        # at its first block that is not finite, and the polynomial's inf or
-        # NaN reaches kummer_m's double-range check, with no numpy warning
+        # range (the polynomial at z = 24,013); errstate is entered there,
+        # so the series raises DomainError at its first block that is not
+        # finite, and the polynomial's inf or NaN reaches kummer_m's
+        # double-range check, with no numpy warning
         p = KummerParams(a, c)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -573,7 +584,10 @@ class TestKummerM:
         # where Re c < 1, |c + j| may be tiny, and no bound is taken
         assert KummerParams(complex(-1.5, 1), complex(0.5, 2))._quiet_below == 0.0
         assert KummerParams(-3, 0.5)._quiet_below == 0.0
-        assert KummerParams(0, 0.5)._quiet_below == math.inf  # sums no term
+        p = KummerParams(0, 0.5)
+        assert p._quiet_below == 0.0
+        for z in (7.5, 1e4, math.inf):
+            assert _same_bits(_kummer_m_ld(p, z, 1e-13), np.clongdouble(1.0))
 
     def test_tail_window_past_the_cap_fails_at_once(self):
         # |c| >= the cap puts the tail window's first term past it.  Inside

@@ -1131,6 +1131,41 @@ class TestLadders:
         with pytest.raises(DomainError):
             deep_ladder(1.0, 1.0, 0)
 
+    @pytest.mark.parametrize("m_ang", [math.inf, -math.inf])
+    def test_non_finite_m_rejected(self, m_ang):
+        # M = inf gave E0 for every n
+        with pytest.raises(DomainError, match=f"M must be finite, got {m_ang}"):
+            deep_ladder(-1.0, m_ang, 3)
+
+    def test_non_integer_level_index_rejected(self):
+        # each of these returned a level at n = 1.5 or 0.5 with no error
+        # (shallow_spectrum's n + g0 took any real n);
+        # an integer-valued float and a numpy int keep the int's bits
+        calls = [
+            (coulomb_closed_spectrum, (PP, 1.0, "n", 0.0)),
+            (oscillator_closed_spectrum, (PP, 1.0, "n", 0.0)),
+            (deep_ladder, (-1.0, 1.0, "n")),
+            (shallow_spectrum, (PP, 1.0, 0.5, "n")),
+            (solve_quantized_spectrum, (PP, 1.0, 1.0, -1.0, ["n"])),
+            (solve_quantized_spectrum, (PP, 0.0, 1.0, -1.0, ["n"])),
+            (oscillator_quantized_spectrum, (PP, 1.0, 1.0, 1.0, ["n"])),
+        ]
+        for func, args in calls:
+            def call(n):
+                return func(*[([n] if a == ["n"] else n if a == "n" else a) for a in args])
+
+            for n in (1.5, 0.5, math.inf, math.nan):
+                with pytest.raises(DomainError, match=f"^level index must be an integer, got {n}$"):
+                    call(n)
+            def bits(n):
+                got = call(n)
+                levels = [e.energy for e in got] if isinstance(got, list) else [got]
+                return [(complex(e).real.hex(), complex(e).imag.hex()) for e in levels]
+
+            want = bits(2)
+            for n in (2.0, np.int64(2)):
+                assert bits(n) == want, (func.__name__, n)
+
 
     def test_shallow_values(self):
         assert shallow_spectrum(PP, 1.0, 0.5, 0) == -2.0
