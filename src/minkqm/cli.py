@@ -16,7 +16,6 @@ any DomainError, 3 any other MinkqmError or an OverflowError.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -241,6 +240,7 @@ def _emit(payloads: list[dict], command: str, pp: PhysicalParams, fmt: str) -> s
         lines = [json.dumps({**head, "units": {"hbar": pp.hbar, "mass": pp.mass}})]
         lines.extend(json.dumps(rec) for rec in records)
         return "\n".join(lines) + "\n"
+    import csv  # only where --format csv asks for it
     buf = io.StringIO()
     if records:
         writer = csv.DictWriter(buf, records[0], lineterminator="\n")

@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+from . import _record
 from .errors import ConsistencyError, DomainError
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(_record.Record):
     """Mass and Planck constant; the units backbone of every formula."""
 
     mass: float = 1.0
@@ -63,8 +62,7 @@ def bound_state_length(pp: PhysicalParams, energy: float) -> float:
     return pp.hbar / (2.0 * math.sqrt(two_m_e))
 
 
-@dataclass(frozen=True)
-class ScaledCoulomb:
+class ScaledCoulomb(_record.Record):
     """Bound-state scaling of the Coulomb problem at energy E < 0.
 
     r0 is the length unit, g the dimensionless strength (the effective
@@ -96,13 +94,11 @@ def coulomb_scaling(pp: PhysicalParams, alpha: float, energy: float) -> ScaledCo
     return ScaledCoulomb(r0=r0, g=pp.mass * alpha / scale, energy=energy)
 
 
-@dataclass(frozen=True)
-class Free:
+class Free(_record.Record):
     pass
 
 
-@dataclass(frozen=True)
-class Oscillator:
+class Oscillator(_record.Record):
     omega: float
 
     def __post_init__(self):
@@ -110,8 +106,7 @@ class Oscillator:
             raise DomainError(f"omega must be positive, got {self.omega}")
 
 
-@dataclass(frozen=True)
-class Coulomb:
+class Coulomb(_record.Record):
     """Attractive Coulomb center, U = -alpha/r with alpha > 0."""
 
     alpha: float
@@ -124,19 +119,29 @@ class Coulomb:
 SystemKind = Free | Oscillator | Coulomb
 
 
-def _smallest_radius(r):
-    """The least radius of r, a Python or numpy number or an array of
-    radii; DomainError for an empty array."""
+def _radii(r):
+    """r as floats and its least radius; r a Python or numpy number or an
+    array of radii.  An int radius takes exactly its float's value, so an
+    int array is never squared in its own dtype, where it would wrap.
+    DomainError for an empty array and an int past the double range."""
     if getattr(r, "size", 1) == 0:
         raise DomainError("the radius grid is empty: it has no smallest r")
-    return r.min() if hasattr(r, "min") else r
+    r_min = r.min() if hasattr(r, "min") else r
+    if not (isinstance(r, float) or getattr(r, "dtype", None) == "float64"):
+        try:
+            r = r * 1.0
+        except OverflowError:
+            raise DomainError(
+                "radius is an int past the double range (about 1.8e308): it has no float value"
+            ) from None
+    return r, r_min
 
 
 def potential(kind: SystemKind, pp: PhysicalParams, r):
     """U(r) for the three angle-independent systems; r a number or an array."""
     if isinstance(kind, Free):
         return 0.0
-    r_min = _smallest_radius(r)
+    r, r_min = _radii(r)
     if isinstance(kind, Oscillator):
         if r_min < 0:
             raise DomainError(f"r must be >= 0, got {r_min}")
@@ -176,6 +181,7 @@ def _effective(
     angular term leaves a value of 0 (r^2 overflows, or the term underflows)."""
     if r <= 0:
         raise DomainError(f"effective potential needs r > 0, got {r}")
+    r = _radii(r)[0]
     h2_over_2m = _nonzero(
         pp.hbar**2 / (2.0 * pp.mass), f"hbar^2/(2m) at hbar={pp.hbar!r}, mass={pp.mass!r}"
     )
@@ -210,7 +216,8 @@ def radial_coefficient(
     Raises DomainError where hbar^2 or the smallest r^2 underflows to 0,
     or where the array is empty.
     """
-    r_min = float(_smallest_radius(r))
+    r, r_min = _radii(r)
+    r_min = float(r_min)
     if r_min <= 0:
         raise DomainError(f"radial coefficient needs r > 0, got {r_min}")
     two_m_over_h2 = 2.0 * pp.mass / _nonzero(pp.hbar * pp.hbar, f"hbar^2 at hbar={pp.hbar!r}")
@@ -265,8 +272,7 @@ class Branch(str, Enum):
     QUANTIZED_THIRD = "quantized_third"
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(_record.Record):
     n: int
     m_ang: float
     energy: complex
@@ -435,8 +441,7 @@ def solve_quantized_spectrum(
 # --------------------------------------------------------------------------
 # Coulomb <-> oscillator duality
 
-@dataclass(frozen=True)
-class DualityMap:
+class DualityMap(_record.Record):
     """Substitution r0 r = rho^2, phi = 2 phi mapping Coulomb data to
     oscillator data: r0 E_osc = 4 alpha, m omega^2 r0^2 = -8 E_C,
     M_osc = 2 M_C."""

@@ -20,12 +20,11 @@ in x there, ideal for the fit) and needs no grid stitching.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
 
-from . import _roots
+from . import _record, _roots
 from .errors import (
     DomainError,
     FitQualityError,
@@ -46,8 +45,7 @@ _STABILITY_BOUND = 0.01  # h^2 * max|coefficient| must stay below this
 _FIT_RESIDUAL_TOL = 1e-4  # phase-fit rms residual relative to the amplitude
 
 
-@dataclass(frozen=True)
-class ShootingConfig:
+class ShootingConfig(_record.Record):
     """Grid window for one radial integration; steps is the point count."""
 
     r_min: float
@@ -78,8 +76,7 @@ def scaled_config(
     return ShootingConfig(min_factor * r0, max_factor * r0, steps)
 
 
-@dataclass(frozen=True)
-class RadialSolution:
+class RadialSolution(_record.Record):
     """Sampled radial amplitude u(r) with the data that produced it.
 
     Stored values are rescaled by exp(-log_scale) whenever the raw

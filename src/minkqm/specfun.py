@@ -13,11 +13,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
+from . import _record
 from .errors import ConvergenceError, DomainError, PoleError
 
 # Godfrey's 15-term Lanczos coefficient set, shift 607/128.  Relative
@@ -232,8 +232,7 @@ def ln_gamma(z: complex) -> complex:
     return value
 
 
-@dataclass(frozen=True)
-class KummerParams:
+class KummerParams(_record.Record):
     """Parameter pair (a, c) of the confluent series F(a, c, z).
 
     c must stay away from non-positive integers, where every series

@@ -21,12 +21,11 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from . import _roots
+from . import _record, _roots
 from .errors import BracketError, ConvergenceError, DomainError, PoleError
 from .model import (  # the numpy-free spectra and the Coulomb scaling, re-exported here
     DEFAULT_SOLVER_TOL, Branch, DualityMap, PhysicalParams, ScaledCoulomb, SpectrumEntry,
@@ -60,8 +59,7 @@ _MINUS_HALF = np.clongdouble(-0.5)
 _GAMMA_RESOLUTION = 1e-9
 
 
-@dataclass(frozen=True)
-class ReflectionPhase:
+class ReflectionPhase(_record.Record):
     """Near-origin reflection phase of u ~ sqrt(r) sin(M ln r + gamma).
 
     gamma is reduced to [0, pi); gamma_raw is the unreduced companion used

@@ -8,17 +8,15 @@ alone.  Randomized checks use fixed seeds; the report is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, oracle, spectra
+from . import _record, model, oracle, spectra
 from .errors import PoleError
 from .model import Coulomb, Free, NATURAL_UNITS
 from .specfun import KummerParams, kummer_m, ln_gamma
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_record.Record):
     suite: str
     name: str
     measured: float

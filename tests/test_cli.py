@@ -953,21 +953,55 @@ NUMPY_FREE_CALLS = {
 }
 
 
+# The child of _loaded_modules: it runs "-m module args..." or "-c code" as
+# the interpreter would, and at exit writes the names in sys.modules to
+# stderr.  -X importtime cannot stand in for it: it prints no line for a
+# submodule loaded through a fromlist, as cli's `from . import spectra`.
+_REPORT_MODULES = """\
+import atexit, runpy, sys
+atexit.register(lambda: print("\\nloaded modules:", *sorted(sys.modules), file=sys.stderr))
+flag, target = sys.argv[1:3]
+sys.argv[:3] = [flag]
+if flag == "-m":
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+else:
+    exec(compile(target, "<string>", "exec"), {"__name__": "__main__"})
+"""
+
+
 def _loaded_modules(*args):
-    """The modules a fresh interpreter run with args imports."""
+    """The modules in sys.modules when a fresh interpreter run with args exits."""
     import subprocess
     import sys
 
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True,
+        [sys.executable, "-c", _REPORT_MODULES, *args], capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    # -X importtime writes one "import time: self | cumulative | name" line
-    # per module imported
-    return {
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines() if line.startswith("import time:")
-    }
+    report = proc.stderr.rsplit("loaded modules:", 1)[1]
+    return set(report.split())
+
+
+# One command of each kind that the benchmark's cli workload runs, and
+# whether it loads numpy.
+CLI_WORKLOAD_CALLS = {
+    "cli_closed": (False, "spectrum", "--system", "coulomb", "--alpha=1.0", "--M=0.5",
+                   "--closed", "--n", "0..3"),
+    "cli_free": (False, "spectrum", "--system", "free", "--M=1.0", "--E0=-1.0", "--n", "-2..2"),
+    "cli_third": (True, "wavefunction", "--system", "coulomb", "--g=2.0", "--M=1.0", "--branch",
+                  "third", "--grid-min=0.0001", "--grid-max=30.0", "--grid-points=400",
+                  "--grid-spacing", "log"),
+    "cli_coulomb": (True, "spectrum", "--system", "coulomb", "--alpha=1.0", "--M=1.0",
+                    "--E0=-2.0", "--n", "-3..3"),
+    "cli_potential": (False, "potential", "--system", "oscillator", "--M=1.0",
+                      "--grid-min=0.2", "--grid-max=3.0"),
+    "cli_oscillator": (True, "spectrum", "--system", "oscillator", "--M=1.0", "--E0=25.0",
+                       "--n", "0..3"),
+    "cli_phase": (True, "phase", "--g=1.5", "--M=1.0"),
+    "cli_osc_wave": (True, "wavefunction", "--system", "oscillator", "--n=1", "--M=0.5",
+                     "--grid-max=4.0"),
+    "cli_duality": (False, "duality", "--alpha=1.0", "--EC=-2.0", "--MC=0.5", "--r0-scale=1.0"),
+}
 
 
 class TestLazyImports:
@@ -976,6 +1010,21 @@ class TestLazyImports:
         loaded = _loaded_modules(*NUMPY_FREE_CALLS[call])
         assert "minkqm" in loaded
         assert not {"numpy", "minkqm.specfun", "minkqm.spectra"} & loaded
+        # nor dataclasses and what it imports, nor csv, which only --format csv needs
+        assert not {"dataclasses", "inspect", "ast", "dis", "csv"} & loaded
+
+    @pytest.mark.parametrize("kind", list(CLI_WORKLOAD_CALLS))
+    def test_cli_workload_loads_no_dataclasses(self, kind):
+        uses_numpy, *argv = CLI_WORKLOAD_CALLS[kind]
+        loaded = _loaded_modules("-m", "minkqm", *argv)
+        assert "minkqm.cli" in loaded
+        assert ("numpy" in loaded) == uses_numpy
+        assert "dataclasses" not in loaded
+
+    def test_submodules_loaded_through_a_fromlist_are_seen(self):
+        # cli loads these by `from . import ...`
+        assert "minkqm.spectra" in _loaded_modules("-m", "minkqm", "phase", "--g", "1.5", "--M", "1")
+        assert "minkqm.verification" in _loaded_modules("-m", "minkqm", "verify", "oracle")
 
     def test_oracle_loads_no_gamma_code(self):
         # the oracle is the Gamma-free cross-check of the analytic solvers

@@ -197,6 +197,55 @@ class TestRadialCoefficient:
         with pytest.raises(DomainError, match="radius grid is empty"):
             radial_coefficient(Free(), NATURAL_UNITS, 1.3, -0.7, np.array([]))
 
+    def test_int_radii_are_squared_as_floats(self):
+        # int64 radii were squared in int64, which wraps past 2**31.5: these
+        # gave [inf, inf] with a divide-by-zero warning
+        ints = np.array([2**32, 2**33, 3, 2**40 + 1])
+        for kind in (Free(), Oscillator(1.0), Coulomb(1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = radial_coefficient(kind, NATURAL_UNITS, 0.7, -1.0, ints)
+            want = radial_coefficient(kind, NATURAL_UNITS, 0.7, -1.0, ints.astype(float))
+            assert got.tobytes() == want.tobytes()
+        assert radial_coefficient(Oscillator(1.0), NATURAL_UNITS, 0.0, -1.0, ints)[0] < -1e19
+
+    @pytest.mark.parametrize(
+        "r", [10**200, 2**60 + 1, np.int64(2**62 + 1)], ids=["1e200", "2^60+1", "int64-2^62+1"]
+    )
+    def test_int_radius_takes_its_floats_value(self, r):
+        # 10**200 raised an untyped OverflowError, 2**60 + 1 was squared
+        # exactly before its rounding, and the int64 square wrapped
+        def outcome(call):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    return float(call()).hex()
+            except DomainError as exc:
+                return str(exc)
+
+        for kind in (Free(), Oscillator(1.0), Coulomb(1.0)):
+            for f in (
+                lambda r: potential(kind, NATURAL_UNITS, r),
+                lambda r: effective_potential(kind, NATURAL_UNITS, 0.0, r),
+                lambda r: euclidean_effective_for(kind, NATURAL_UNITS, 0.0, r),
+                lambda r: radial_coefficient(kind, NATURAL_UNITS, 0.0, -1.0, r),
+            ):
+                assert outcome(lambda: f(r)) == outcome(lambda: f(float(r)))
+        assert radial_coefficient(Coulomb(1.0), NATURAL_UNITS, 0.0, -1.0, 10**200) == -2.0
+
+    def test_int_radius_past_the_double_range_raises(self):
+        # an untyped OverflowError before
+        r = 10**400
+        for call in (
+            lambda: potential(Coulomb(1.0), NATURAL_UNITS, r),
+            lambda: potential(Oscillator(1.0), NATURAL_UNITS, r),
+            lambda: effective_potential(Coulomb(1.0), NATURAL_UNITS, 0.5, r),
+            lambda: euclidean_effective_for(Free(), NATURAL_UNITS, 0.5, r),
+            lambda: radial_coefficient(Coulomb(1.0), NATURAL_UNITS, 0.0, -1.0, r),
+        ):
+            with pytest.raises(DomainError, match=r"int past the double range \(about 1.8e308\)"):
+                call()
+
     @pytest.mark.parametrize(
         "pp, r, match",
         [
