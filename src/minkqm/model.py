@@ -212,17 +212,24 @@ def radial_coefficient(
 ):
     """Coefficient Q(r) of u'' + Q u = 0; equals (2m/hbar^2)(E - U_eff).
 
-    r is a number or an array of radii (the oracle passes whole grids).
-    Raises DomainError where hbar^2 or the smallest r^2 underflows to 0,
-    or where the array is empty.
+    r is a number or an array of radii (the oracle passes grids).  Raises
+    DomainError where hbar^2 or the smallest r^2 underflows to 0, where a
+    finite (M^2 + 1/4)/r^2 overflows at the smallest r (the term is
+    largest there, so an array emits no numpy warning), or where the array
+    is empty.
     """
     r, r_min = _radii(r)
     r_min = float(r_min)
     if r_min <= 0:
         raise DomainError(f"radial coefficient needs r > 0, got {r_min}")
     two_m_over_h2 = 2.0 * pp.mass / _nonzero(pp.hbar * pp.hbar, f"hbar^2 at hbar={pp.hbar!r}")
-    _nonzero(r_min * r_min, f"r^2 at r={r_min!r}")
-    return two_m_over_h2 * (E - potential(kind, pp, r)) + (m_ang * m_ang + 0.25) / (r * r)
+    angular = m_ang * m_ang + 0.25
+    r2_min = _nonzero(r_min * r_min, f"r^2 at r={r_min!r}")
+    if math.isfinite(angular) and math.isinf(angular / r2_min):
+        raise DomainError(
+            f"(M^2 + 1/4)/r^2 at M={m_ang!r}, r={r_min!r} overflows: it leaves the double range"
+        )
+    return two_m_over_h2 * (E - potential(kind, pp, r)) + angular / (r * r)
 
 
 # --------------------------------------------------------------------------

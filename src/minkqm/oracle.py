@@ -41,6 +41,7 @@ from .model import (
 
 _RENORM_LIMIT = 1e100
 _CHUNK = 1024  # Numerov steps between two range checks
+_RESIDUAL_CHUNK = 4096  # grid points per chunk of ode_residual
 _STABILITY_BOUND = 0.01  # h^2 * max|coefficient| must stay below this
 _FIT_RESIDUAL_TOL = 1e-4  # phase-fit rms residual relative to the amplitude
 
@@ -417,18 +418,45 @@ def ode_residual(sol: RadialSolution, pp: PhysicalParams) -> float:
     """Scaled defect of u'' + Q u = 0: max |u''_fd + Q u| / max |Q u|.
 
     Central three-point second difference (handles smoothly varying
-    grids); interior points only.
+    grids); interior points only.  The grid is taken in chunks of
+    _RESIDUAL_CHUNK points that overlap by the stencil's two, each with Q
+    from radial_coefficient on its own radii, and only the two running
+    maxima are kept: the arithmetic is elementwise and a maximum is exact,
+    so the result has the bits of one whole-grid evaluation, while the
+    working memory stays a few chunk-sized arrays at any grid size.
+
+    Raises DomainError where a chunk's defect or scale, or their ratio,
+    is not finite (a difference quotient or Q u leaves the double range),
+    where the scale is 0 (the trivial solution), and where
+    radial_coefficient does.
     """
     r = sol.r_grid
     u = sol.u_values
-    q = radial_coefficient(sol.kind, pp, sol.m_ang, sol.energy, r)
-    h_minus = r[1:-1] - r[:-2]
-    h_plus = r[2:] - r[1:-1]
-    d2 = 2.0 * (
-        (u[2:] - u[1:-1]) / h_plus - (u[1:-1] - u[:-2]) / h_minus
-    ) / (h_plus + h_minus)
-    residual = np.abs(d2 + q[1:-1] * u[1:-1])
-    scale = np.max(np.abs(q * u))
-    if scale == 0.0:
-        raise DomainError("trivial solution; residual scale undefined")
-    return float(np.max(residual) / scale)
+    worst = scale = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(r) - 2, _RESIDUAL_CHUNK - 2):
+            rc = r[start : start + _RESIDUAL_CHUNK]
+            uc = u[start : start + _RESIDUAL_CHUNK]
+            q = radial_coefficient(sol.kind, pp, sol.m_ang, sol.energy, rc)
+            h_minus = rc[1:-1] - rc[:-2]
+            h_plus = rc[2:] - rc[1:-1]
+            d2 = 2.0 * (
+                (uc[2:] - uc[1:-1]) / h_plus - (uc[1:-1] - uc[:-2]) / h_minus
+            ) / (h_plus + h_minus)
+            chunk_worst = np.max(np.abs(d2 + q[1:-1] * uc[1:-1]))
+            chunk_scale = np.max(np.abs(q * uc))
+            if not (np.isfinite(chunk_worst) and np.isfinite(chunk_scale)):
+                raise DomainError(
+                    f"ODE residual on r in [{float(rc[0])!r}, {float(rc[-1])!r}] is not finite: "
+                    "u'' or Q u leaves the double range"
+                )
+            worst = max(worst, chunk_worst)
+            scale = max(scale, chunk_scale)
+        if scale == 0.0:
+            raise DomainError("trivial solution; residual scale undefined")
+        ratio = float(worst / scale)
+    if not math.isfinite(ratio):
+        raise DomainError(
+            f"ODE residual {float(worst)!r} / scale {float(scale)!r} leaves the double range"
+        )
+    return ratio

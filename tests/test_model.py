@@ -262,3 +262,27 @@ class TestRadialCoefficient:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=match + ": it leaves the double range"):
                 radial_coefficient(Free(), pp, 2.0, -1.0, r)
+
+    @pytest.mark.parametrize(
+        "r", [1e-160, np.array([1e-160, 1.0])], ids=["scalar-r", "array-r"]
+    )
+    def test_angular_term_that_overflows_raises(self, r):
+        # r^2 = 1e-320 is subnormal, not 0, so (M^2 + 1/4)/r^2 overflowed:
+        # a scalar gave inf, and an array inf with numpy's overflow warning
+        for kind in (Free(), Oscillator(1.0), Coulomb(1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(
+                    DomainError,
+                    match=r"\(M\^2 \+ 1/4\)/r\^2 at M=-1.0, r=1e-160 overflows: "
+                    "it leaves the double range",
+                ):
+                    radial_coefficient(kind, NATURAL_UNITS, -1.0, -1.0, r)
+
+    def test_angular_term_just_inside_the_range_keeps_its_bits(self):
+        r = np.array([1e-154, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = radial_coefficient(Free(), NATURAL_UNITS, 1.0, -1.0, r)
+            assert q[0] == 2.0 * -1.0 + 1.25 / (1e-154 * 1e-154)
+            assert q[0] == radial_coefficient(Free(), NATURAL_UNITS, 1.0, -1.0, 1e-154)

@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from minkqm import oracle
 from minkqm.errors import DomainError, FitQualityError, InsufficientRootsError
-from minkqm.model import Coulomb, Free, NATURAL_UNITS, PhysicalParams
+from minkqm.model import Coulomb, Free, NATURAL_UNITS, Oscillator, PhysicalParams
 from minkqm.oracle import (
     RadialSolution,
     ShootingConfig,
@@ -359,12 +360,111 @@ class TestRadialSolution:
             )
 
 
+def _whole_grid_residual(sol, pp):
+    """ode_residual's reference: the same arithmetic on the whole grid at once."""
+    r = sol.r_grid
+    u = sol.u_values
+    q = oracle.radial_coefficient(sol.kind, pp, sol.m_ang, sol.energy, r)
+    h_minus = r[1:-1] - r[:-2]
+    h_plus = r[2:] - r[1:-1]
+    d2 = 2.0 * (
+        (u[2:] - u[1:-1]) / h_plus - (u[1:-1] - u[:-2]) / h_minus
+    ) / (h_plus + h_minus)
+    residual = np.abs(d2 + q[1:-1] * u[1:-1])
+    return float(np.max(residual) / np.max(np.abs(q * u)))
+
+
+_C = oracle._RESIDUAL_CHUNK
+
+
 class TestOdeResidual:
     def test_generic_function_fails(self):
         r = np.linspace(0.5, 10.0, 2000)
         u = np.exp(-((r - 3) ** 2))  # not a solution
         sol = RadialSolution(r, u, -1.0, 1.0, Free())
         assert ode_residual(sol, PP) > 0.1
+
+    @pytest.mark.parametrize(
+        "n", [3, _C - 1, _C, _C + 1, _C + 2, _C + 3, 3 * _C + 5],
+        ids=["3", "C-1", "C", "C+1", "C+2", "C+3", "3C+5"],
+    )
+    def test_chunks_keep_the_whole_grid_bits(self, n):
+        # the chunked sweep must return the bits of the whole-grid arithmetic
+        # on grids that end just before, on and just past a chunk edge
+        rng = np.random.default_rng(n)
+        uniform = np.linspace(0.05, 20.0, n)
+        jittered = uniform + rng.uniform(0.0, 0.3, n) * (uniform[1] - uniform[0])
+        pp = PhysicalParams(1.3, 0.9)
+        for r in (uniform, jittered):
+            real = np.exp(-0.1 * r) * np.sin(r) + rng.uniform(-1e-3, 1e-3, n)
+            for u in (real, real + 1j * np.cos(2.0 * r)):
+                for kind in (Free(), Oscillator(0.7), Coulomb(1.3)):
+                    for m_ang in (0.0, 1.7):
+                        sol = RadialSolution(r, u, -0.8, m_ang, kind)
+                        assert float(ode_residual(sol, pp)).hex() == float(
+                            _whole_grid_residual(sol, pp)
+                        ).hex()
+
+    def test_every_point_is_seen(self):
+        # a spike at one point sets both maxima, so a point that no chunk
+        # covers, or covers only as a stencil end, changes the result
+        n = 3 * _C + 5
+        r = np.linspace(0.05, 20.0, n)
+        edges = [k * (_C - 2) + d for k in range(4) for d in (-2, -1, 0, 1, 2)]
+        for spike in sorted({min(max(e, 0), n - 1) for e in edges + [n - 1]}):
+            u = np.exp(-0.1 * r) * np.sin(r)
+            u[spike] = 1e3
+            sol = RadialSolution(r, u, -0.8, 1.7, Coulomb(1.3))
+            assert float(ode_residual(sol, PP)).hex() == float(_whole_grid_residual(sol, PP)).hex()
+
+    @pytest.mark.parametrize("n", [3, 3 * _C + 5])
+    def test_zero_scale_is_the_trivial_solution(self, n):
+        sol = RadialSolution(np.linspace(1.0, 2.0, n), np.zeros(n), -1.0, 1.0, Free())
+        with pytest.raises(DomainError, match="trivial solution; residual scale undefined"):
+            ode_residual(sol, PP)
+
+    def test_working_memory_does_not_grow_with_the_grid(self):
+        # the whole-grid evaluation peaked at 14.4 MB on this grid
+        r = np.linspace(0.05, 20.0, 200_000)
+        sol = RadialSolution(r, np.sin(r), -0.8, 1.0, Coulomb(1.0))
+        tracemalloc.start()
+        try:
+            ode_residual(sol, PP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize(
+        "r, u, match",
+        [
+            # Q is inf at r = 1e-160 and u is 0 there: nan, with warnings
+            ([1e-160, 2e-160, 3e-160], [0.0, 1.0, 2.0], r"\(M\^2 \+ 1/4\)/r\^2 at M=1.0, r=1e-160"),
+            # the difference quotient over h = 2^-52 overflows: nan
+            ([1.0, 1.0 + 2**-52, 3.0], [1e300, -1e300, 1e300], r"on r in \[1.0, 3.0\] is not finite"),
+        ],
+        ids=["Q-inf", "quotient-overflow"],
+    )
+    def test_values_past_the_double_range_raise(self, r, u, match):
+        sol = RadialSolution(r, u, -1.0, 1.0, Free())
+        with pytest.raises(DomainError, match=match):
+            ode_residual(sol, PP)
+
+    def test_ratio_past_the_double_range_raises(self):
+        # Q is exactly 0 at r = 1 (E = -1/8, M = 0), so the scale is the
+        # subnormal |Q u| at r = 3 and defect / scale overflowed to inf
+        sol = RadialSolution([1.0, 2.0, 3.0], [1.0, 0.0, 1e-320], -0.125, 0.0, Free())
+        with pytest.raises(DomainError, match=r"ODE residual 1.0 / scale \S+ leaves the double range"):
+            ode_residual(sol, PP)
+
+    def test_angular_overflow_is_a_domain_error_in_the_sweeps(self):
+        # a bare RuntimeWarning from radial_coefficient's overflow before
+        cfg = ShootingConfig(1e-160, 1e-150, 1000)
+        match = r"\(M\^2 \+ 1/4\)/r\^2 at M=1.0, r=\S+ overflows"
+        with pytest.raises(DomainError, match=match):
+            integrate_radial(Free(), PP, 1.0, -1.0, cfg, "outward", (1.0, 1.0))
+        with pytest.raises(DomainError, match=match):
+            inward_phase(Free(), PP, 1.0, -1.0, cfg)
 
 
 class TestInwardPhase:
