@@ -138,18 +138,38 @@ def _radii(r):
 
 
 def potential(kind: SystemKind, pp: PhysicalParams, r):
-    """U(r) for the three angle-independent systems; r a number or an array."""
-    if isinstance(kind, Free):
-        return 0.0
+    """U(r) for the three angle-independent systems; r a number or an array.
+
+    Raises DomainError for a radius that is negative or NaN (0 too, for
+    Coulomb), an empty grid, and where U leaves the double range.
+    """
     r, r_min = _radii(r)
-    if isinstance(kind, Oscillator):
-        if r_min < 0:
-            raise DomainError(f"r must be >= 0, got {r_min}")
-        return 0.5 * pp.mass * kind.omega**2 * r * r
+    return _potential(kind, pp, r, float(r_min))[0]
+
+
+def _potential(kind: SystemKind, pp: PhysicalParams, r, r_min: float):
+    """(U on r, U where |U| is largest on r: 0 for the free particle, at the
+    largest radius for the oscillator, at r_min for Coulomb).  That value
+    is taken first, in the same operations, so DomainError comes before
+    numpy can warn on an array."""
     if isinstance(kind, Coulomb):
-        if r_min <= 0:
+        if not r_min > 0:
             raise DomainError(f"Coulomb potential needs r > 0, got {r_min}")
-        return -kind.alpha / r
+        what = f"Coulomb potential -alpha/r at alpha={kind.alpha!r}, r={r_min!r}"
+        top = _bounded(-kind.alpha / r_min, what)
+        return -kind.alpha / r, top
+    if not r_min >= 0:
+        raise DomainError(f"r must be >= 0, got {r_min}")
+    if isinstance(kind, Free):
+        return 0.0, 0.0
+    if isinstance(kind, Oscillator):
+        r_max = float(r.max()) if hasattr(r, "max") else r
+        try:
+            top = 0.5 * pp.mass * kind.omega**2 * r_max * r_max
+        except OverflowError:  # omega**2 of a Python float raises where it overflows
+            top = math.inf
+        _bounded(top, f"oscillator potential (m omega^2/2) r^2 at omega={kind.omega!r}, r={r_max!r}")
+        return 0.5 * pp.mass * kind.omega**2 * r * r, top
     raise TypeError(f"unknown system kind {kind!r}")
 
 
@@ -179,7 +199,7 @@ def _effective(
     """-(hbar^2/2m) angular/r^2 + U(r), or DomainError where hbar^2/2m or
     r^2 underflows, M^2 / r^2 or U(r) leaves the double range, or a nonzero
     angular term leaves a value of 0 (r^2 overflows, or the term underflows)."""
-    if r <= 0:
+    if not r > 0:
         raise DomainError(f"effective potential needs r > 0, got {r}")
     r = _radii(r)[0]
     h2_over_2m = _nonzero(
@@ -200,6 +220,13 @@ def _effective(
     return value
 
 
+def _bounded(value: float, what: str) -> float:
+    """value, or DomainError where what, a term's largest value, overflows."""
+    if abs(value) == math.inf:
+        raise DomainError(f"{what} overflows: it leaves the double range")
+    return value
+
+
 def _nonzero(value: float, what: str) -> float:
     """value, or DomainError where what, a product, underflows to 0."""
     if value == 0.0:
@@ -213,23 +240,38 @@ def radial_coefficient(
     """Coefficient Q(r) of u'' + Q u = 0; equals (2m/hbar^2)(E - U_eff).
 
     r is a number or an array of radii (the oracle passes grids).  Raises
-    DomainError where hbar^2 or the smallest r^2 underflows to 0, where a
-    finite (M^2 + 1/4)/r^2 overflows at the smallest r (the term is
-    largest there, so an array emits no numpy warning), or where the array
-    is empty.
+    DomainError for a radius that is not positive (NaN included), an empty
+    grid, a non-finite E or M, where hbar^2 or the smallest r^2 underflows
+    to 0, and where 2m/hbar^2, U, (M^2 + 1/4)/r^2 or the sum overflows.
+    Each term is bounded by its largest value on the grid and the sum by
+    the sum of those bounds (rounding is monotone), before numpy touches
+    the grid, so an array emits no numpy warning.  The sum's bound refuses
+    a finite value only where a term comes within a factor of 2 of the
+    double range's top.
     """
     r, r_min = _radii(r)
     r_min = float(r_min)
-    if r_min <= 0:
+    if not r_min > 0:
         raise DomainError(f"radial coefficient needs r > 0, got {r_min}")
     two_m_over_h2 = 2.0 * pp.mass / _nonzero(pp.hbar * pp.hbar, f"hbar^2 at hbar={pp.hbar!r}")
     angular = m_ang * m_ang + 0.25
     r2_min = _nonzero(r_min * r_min, f"r^2 at r={r_min!r}")
-    if math.isfinite(angular) and math.isinf(angular / r2_min):
+    if not (math.isfinite(E) and math.isfinite(m_ang)):
         raise DomainError(
-            f"(M^2 + 1/4)/r^2 at M={m_ang!r}, r={r_min!r} overflows: it leaves the double range"
+            f"radial coefficient not finite on the grid: it needs a finite E and M, "
+            f"got E={E}, M={m_ang}"
         )
-    return two_m_over_h2 * (E - potential(kind, pp, r)) + angular / (r * r)
+    angular_top = _bounded(angular / r2_min, f"(M^2 + 1/4)/r^2 at M={m_ang!r}, r={r_min!r}")
+    _bounded(two_m_over_h2, f"2m/hbar^2 at mass={pp.mass!r}, hbar={pp.hbar!r}")
+    u, u_top = _potential(kind, pp, r, r_min)
+    # U lies between 0 and u_top on the grid, so |E - U| is at most this
+    shift = max(abs(float(E)), abs(float(E) - u_top))
+    _bounded(
+        two_m_over_h2 * shift + angular_top,
+        f"the bound (2m/hbar^2) max|E - U| + (M^2 + 1/4)/r^2 on Q(r) at E={E!r}, M={m_ang!r}, "
+        f"r >= {r_min!r}",
+    )
+    return two_m_over_h2 * (E - u) + angular / (r * r)
 
 
 # --------------------------------------------------------------------------

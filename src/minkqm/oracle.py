@@ -20,6 +20,7 @@ in x there, ideal for the fit) and needs no grid stitching.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Literal
 
 import numpy as np
@@ -47,7 +48,11 @@ _FIT_RESIDUAL_TOL = 1e-4  # phase-fit rms residual relative to the amplitude
 
 
 class ShootingConfig(_record.Record):
-    """Grid window for one radial integration; steps is the point count."""
+    """Grid window for one radial integration; steps is the point count.
+
+    DomainError unless 0 < r_min < r_max < inf and steps is an integer
+    (Python or numpy) of at least 1000.
+    """
 
     r_min: float
     r_max: float
@@ -58,6 +63,10 @@ class ShootingConfig(_record.Record):
             raise DomainError(
                 f"need 0 < r_min < r_max, got ({self.r_min}, {self.r_max})"
             )
+        if self.r_max == math.inf:
+            raise DomainError(f"need a finite r_max, got {self.r_max}")
+        if not isinstance(self.steps, numbers.Integral):
+            raise DomainError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1000:
             raise DomainError(f"steps must be >= 1000, got {self.steps}")
 
@@ -102,7 +111,7 @@ class RadialSolution(_record.Record):
             raise DomainError("need at least 3 grid points")
         if not np.all(np.diff(r) > 0):
             raise DomainError("r_grid must be strictly increasing")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(u.view(float)))):
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(u))):
             raise DomainError("non-finite grid or amplitude values")
         object.__setattr__(self, "r_grid", r)
         object.__setattr__(self, "u_values", u)

@@ -85,11 +85,6 @@ _SKIP_SPREAD = (1.0 + _SKIP_SLACK) / (1.0 - _SKIP_SLACK)
 _SKIP_CONVEX = 1.0 + _SKIP_SLACK
 _SKIP_TINY = 1e-280
 _SKIP_HUGE = 1e280
-# A KummerParams keeps its term-factor blocks below this index (256 terms,
-# more than grids up to z = 80 reach); later blocks are built per sum.
-_KEPT_BLOCKS = 4
-# A polynomial up to this degree keeps its term factors as one flat tuple.
-_FLAT_DEGREE = _KEPT_BLOCKS * _OVERFLOW_CHECK_TERMS
 # ln of the longdouble range's top, less a margin of e^40 that covers the
 # rounding of every bound in _quiet_below: 11316.5 for an 80-bit longdouble,
 # 669.8 where longdouble is a plain double.
@@ -249,10 +244,10 @@ class KummerParams(_record.Record):
     5,649 - 0.35 n for a polynomial of degree n); where Re c < 1 there is
     none, and every sum enters ``np.errstate``.
 
-    A polynomial of degree up to _FLAT_DEGREE keeps its factor pairs as one
-    flat tuple, built here, which ``_kummer_m_ld`` sums in one loop; a
-    longer one builds its pairs on each sum.  Any other series keeps its
-    term factors in blocks of _OVERFLOW_CHECK_TERMS terms (``_block``).
+    A polynomial up to the cap keeps its factor pairs as one flat tuple,
+    built here; any other series keeps its term factors in blocks of
+    _OVERFLOW_CHECK_TERMS terms, built as its sums first reach them
+    (``_block``).  Either holds about 1.6 MB where the sums run to the cap.
     """
 
     a: complex
@@ -278,11 +273,12 @@ class KummerParams(_record.Record):
             self, "_low", int(abs_c) + 1 if abs_c < DEFAULT_SERIES_CAP else DEFAULT_SERIES_CAP + 1
         )
         object.__setattr__(self, "_quiet_below", _quiet_below(self.a, self.c, abs_c))
-        # A series' first _KEPT_BLOCKS term-factor blocks by block index, built
-        # on first use: the points summed with these parameters share them.
+        # A series' term-factor blocks by block index, built on first use:
+        # the points summed with these parameters share them.
         object.__setattr__(self, "_blocks", {})
-        # A short polynomial's factor pairs as one tuple, else None
-        pairs = self._factors(0, order) if order is not None and order <= _FLAT_DEGREE else None
+        # A polynomial's factor pairs as one tuple; None past the cap, where
+        # a sum raises
+        pairs = None if order is None or order > DEFAULT_SERIES_CAP else self._factors(0, order)
         object.__setattr__(self, "_pairs", pairs)
 
     def terminating_order(self) -> int | None:
@@ -305,16 +301,13 @@ class KummerParams(_record.Record):
 
     def _block(self, i: int):
         """Block i of a non-terminating series' term factors,
-        _OVERFLOW_CHECK_TERMS terms cut at DEFAULT_SERIES_CAP.  For i below
-        _KEPT_BLOCKS keep it in _blocks, where the sums look it up first;
-        kept by index, a block built out of order is still the right one.
-        Later blocks are built again by each sum that reaches them, so a
-        long sum keeps no more than a short one.
+        _OVERFLOW_CHECK_TERMS terms cut at DEFAULT_SERIES_CAP, kept in
+        _blocks, where the sums look it up first; kept by index, a block
+        built out of order is still the right one.
         """
         start = i * _OVERFLOW_CHECK_TERMS
         block = self._factors(start, min(start + _OVERFLOW_CHECK_TERMS, DEFAULT_SERIES_CAP))
-        if i < _KEPT_BLOCKS:
-            self._blocks[i] = block
+        self._blocks[i] = block
         return block
 
 
@@ -442,10 +435,10 @@ def _kummer_m_ld(p: KummerParams, z: float, tol: float):
     range (KummerParams), so it runs with no context manager: entering and
     leaving np.errstate costs 1.3-1.8 us, more than a tenth of a short
     series.  That test comes first, with the checks on z and tol, so a
-    valid point below the bound takes one branch.  There a polynomial of
-    degree <= _FLAT_DEGREE sums, in one loop, the tuple of factor pairs
-    built with its parameters (degree 0 returns 1 at once), and every
-    other series goes on to _kummer_sum.  At or past the bound, and at an inf or NaN z, the sum runs
+    valid point below the bound takes one branch.  There a polynomial sums,
+    in one loop, the tuple of factor pairs built with its parameters
+    (degree 0 returns 1 at once), and every other series goes on to
+    _kummer_sum.  At or past the bound, and at an inf or NaN z, the sum runs
     under np.errstate(over="ignore", invalid="ignore"): its terms then turn
     inf or NaN quietly, a series raises DomainError at its first block that
     is not finite, and a polynomial returns them to its caller.  Where the
@@ -490,7 +483,7 @@ def _kummer_sum(p: KummerParams, z: float, tol: float):
                 f"Kummer polynomial of degree {p._order} is past the {DEFAULT_SERIES_CAP}-term "
                 f"cap (a={p.a}, c={p.c})"
             )
-        for a_k, d_k in p._pairs or p._factors(0, p._order):
+        for a_k, d_k in p._pairs:
             t = t * a_k * zl / d_k
             s = s + t
         return s
@@ -571,7 +564,8 @@ def kummer_m(p: KummerParams, z: float, tol: float = DEFAULT_SERIES_TOL) -> comp
 
     Terms are added until a geometric tail bound drops below tol times the
     partial sum.  If a is a non-positive integer (within 1e-12) the series
-    is a polynomial and exactly that many terms are summed.
+    is a polynomial and exactly that many terms are summed.  The term
+    factors come from p, which keeps every one it builds (KummerParams).
 
     Parameters
     ----------

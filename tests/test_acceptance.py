@@ -198,17 +198,17 @@ def test_criterion_11_duality_consistency(suite_results):
 
 
 def test_criterion_12_ode_residual():
-    residuals = {}
-    for h in (1e-3, 5e-4):
-        worst = 0.0
-        for g in (0.5, 1.5, 2.5):
-            energy = -1.0 / (2 * g * g)
-            sc = coulomb_scaling(PP, 1.0, energy)
-            r = np.arange(1.0, 30.0, h) * sc.r0
-            u = np.array([coulomb_u1(g, 0.0, float(ri / sc.r0)) for ri in r])
-            sol = RadialSolution(r, u, energy, 0.0, Coulomb(1.0))
-            worst = max(worst, ode_residual(sol, PP))
-        residuals[h] = worst
+    # the h = 1e-3 grid is exactly the even points of the h = 5e-4 one
+    # (test_oracle's TestOdeResidual pins that), so each u1 grid is summed once
+    residuals = {1e-3: 0.0, 5e-4: 0.0}
+    for g in (0.5, 1.5, 2.5):
+        energy = -1.0 / (2 * g * g)
+        sc = coulomb_scaling(PP, 1.0, energy)
+        r = np.arange(1.0, 30.0, 5e-4) * sc.r0
+        u = np.array([coulomb_u1(g, 0.0, float(ri / sc.r0)) for ri in r])
+        for h, step in ((1e-3, 2), (5e-4, 1)):
+            sol = RadialSolution(r[::step], u[::step], energy, 0.0, Coulomb(1.0))
+            residuals[h] = max(residuals[h], ode_residual(sol, PP))
     order_ratio = residuals[1e-3] / residuals[5e-4]
     ok = residuals[1e-3] <= 1e-6 and 3.4 <= order_ratio <= 4.6
     report(12, ok, "ODE residual",

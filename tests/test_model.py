@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -31,6 +32,40 @@ class TestPotential:
     def test_coulomb_origin_rejected(self):
         with pytest.raises(DomainError):
             potential(Coulomb(1.0), NATURAL_UNITS, 0.0)
+
+    def test_radius_that_is_not_a_radius_raises(self):
+        # a NaN radius gave nan (r_min < 0 and r_min <= 0 are false for
+        # NaN), and the free particle took a negative, NaN or empty radius
+        cases = [
+            (Free(), -1.0, "r must be >= 0, got -1.0"),
+            (Free(), math.nan, "r must be >= 0, got nan"),
+            (Free(), np.array([1.0, math.nan]), "r must be >= 0, got nan"),
+            (Free(), np.array([]), "the radius grid is empty"),
+            (Oscillator(1.0), math.nan, "r must be >= 0, got nan"),
+            (Coulomb(1.0), math.nan, "Coulomb potential needs r > 0, got nan"),
+            (Coulomb(1.0), np.array([math.nan, 1.0]), "Coulomb potential needs r > 0, got nan"),
+        ]
+        for kind, r, match in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match=match):
+                    potential(kind, NATURAL_UNITS, r)
+        assert potential(Free(), NATURAL_UNITS, np.array([0.0, 2.0])) == 0.0
+
+    def test_potential_past_the_double_range_raises(self):
+        # the oscillator's inf came back with no error (and omega**2 raised
+        # an untyped OverflowError), and an array warned "overflow"
+        cases = [
+            (Oscillator(1.0), 1e200, r"\(m omega\^2/2\) r\^2 at omega=1.0, r=1e\+200 overflows"),
+            (Oscillator(1.0), np.array([1.0, 1e200]), r"at omega=1.0, r=1e\+200 overflows"),
+            (Oscillator(1e200), 1.0, r"at omega=1e\+200, r=1.0 overflows"),
+            (Coulomb(1.0), np.array([1e-310, 1.0]), r"-alpha/r at alpha=1.0, r=1e-310 overflows"),
+        ]
+        for kind, r, match in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match=match + ": it leaves the double range"):
+                    potential(kind, NATURAL_UNITS, r)
 
     def test_couplings_validated(self):
         with pytest.raises(DomainError):
@@ -278,6 +313,66 @@ class TestRadialCoefficient:
                     "it leaves the double range",
                 ):
                     radial_coefficient(kind, NATURAL_UNITS, -1.0, -1.0, r)
+
+    @pytest.mark.parametrize(
+        "kind, pp, m_ang, energy, r, match",
+        [
+            # returned -inf
+            (Oscillator(1.0), NATURAL_UNITS, 0.0, -1.0, 1e200, r"omega=1.0, r=1e\+200 overflows"),
+            # warned "overflow encountered in multiply"
+            (Oscillator(1.0), NATURAL_UNITS, 0.0, -1.0, np.array([1.0, 1e200]),
+             r"omega=1.0, r=1e\+200 overflows"),
+            # 2m/hbar^2 is inf: "invalid value encountered in multiply"
+            (Coulomb(1.0), PhysicalParams(1e300, 1e-10), 0.0, -1.0, np.array([1.0, 2.0]),
+             r"2m/hbar\^2 at mass=1e\+300, hbar=1e-10 overflows"),
+            # E - U and the sum overflow: "overflow encountered in multiply"
+            (Free(), NATURAL_UNITS, 0.0, -1e308, np.array([1.0, 2.0]),
+             r"on Q\(r\) at E=-1e\+308, M=0.0, r >= 1.0 overflows"),
+            (Coulomb(1e300), NATURAL_UNITS, 0.0, -1.0, np.array([1e-8, 1.0]),
+             r"on Q\(r\) at E=-1.0, M=0.0, r >= 1e-08 overflows"),
+        ],
+        ids=["oscillator-scalar", "oscillator-array", "2m-over-hbar2", "free-sum", "coulomb-sum"],
+    )
+    def test_other_terms_past_the_double_range_raise(self, kind, pp, m_ang, energy, r, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=match + ".*: it leaves the double range"):
+                radial_coefficient(kind, pp, m_ang, energy, r)
+
+    @pytest.mark.parametrize(
+        "m_ang, energy, r, match",
+        [
+            (0.0, -1.0, math.nan, "radial coefficient needs r > 0, got nan"),
+            (0.0, -1.0, np.array([1.0, math.nan]), "radial coefficient needs r > 0, got nan"),
+            (0.0, math.nan, 1.0, "needs a finite E and M, got E=nan, M=0.0"),
+            (math.nan, -1.0, 1.0, "needs a finite E and M, got E=-1.0, M=nan"),
+            (math.inf, -1.0, np.array([1.0, 2.0]), "needs a finite E and M, got E=-1.0, M=inf"),
+        ],
+        ids=["r-nan", "r-array-nan", "E-nan", "M-nan", "M-inf"],
+    )
+    def test_nan_and_infinite_inputs_raise(self, m_ang, energy, r, match):
+        # each returned nan, an array with numpy's "invalid value" warning
+        for kind in (Free(), Oscillator(1.0), Coulomb(1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match=match):
+                    radial_coefficient(kind, NATURAL_UNITS, m_ang, energy, r)
+
+    def test_terms_just_inside_the_range_keep_their_bits(self):
+        # a large oscillator U and Coulomb E - U inside the double range,
+        # on arrays whose other points are ordinary
+        for kind, energy, r in [
+            (Oscillator(1.0), -1.0, np.array([1.0, 1e154])),
+            (Coulomb(1e300), -1.0, np.array([1e-7, 1.0])),
+            (Coulomb(1.0), 1e307, np.array([1e-150, 1.0])),
+        ]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                q = radial_coefficient(kind, NATURAL_UNITS, 0.0, energy, r)
+                assert q.tolist() == [
+                    radial_coefficient(kind, NATURAL_UNITS, 0.0, energy, float(x)) for x in r
+                ]
+            assert np.isfinite(q).all() and np.abs(q).max() > 1e306
 
     def test_angular_term_just_inside_the_range_keeps_its_bits(self):
         r = np.array([1e-154, 1.0])

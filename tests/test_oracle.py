@@ -126,6 +126,14 @@ class TestIntegrateRadial:
                     Free(), PP, 2.0, -1.0, ShootingConfig(1e-170, 1.0, 1000), "outward", (0.0, 1e-3)
                 )
 
+    def test_potential_overflow_is_a_domain_error_in_the_sweeps(self):
+        # (m omega^2/2) r^2 overflows at r = 1e200: a bare RuntimeWarning before
+        cfg = ShootingConfig(1.0, 1e200, 1000)
+        match = r"\(m omega\^2/2\) r\^2 at omega=1.0, r=1e\+200 overflows"
+        for direction in ("outward", "inward"):
+            with pytest.raises(DomainError, match=match):
+                integrate_radial(Oscillator(1.0), PP, 1.0, -1.0, cfg, direction, (1.0, 1.0))
+
     def test_bad_direction_rejected(self):
         cfg = ShootingConfig(1.0, 2.0, steps=1000)
         with pytest.raises(DomainError):
@@ -359,6 +367,18 @@ class TestRadialSolution:
                 np.array([1.0, 0.5, 2.0]), np.array([1.0, 2.0, 3.0]), -1.0, 0.0, Free()
             )
 
+    def test_strided_complex_amplitude(self):
+        # a complex u that is not contiguous raised numpy's untyped
+        # ValueError from u.view(float); its finiteness is tested as it is
+        r = np.array([1.0, 2.0, 3.0])
+        u = (np.arange(6) + 1j)[::2]
+        sol = RadialSolution(r, u, -1.0, 0.0, Free())
+        assert sol.u_values.tolist() == [1j, 2 + 1j, 4 + 1j]
+        for bad in (complex(0.0, math.inf), complex(math.nan, 0.0)):
+            strided = np.array([1.0, 0.0, bad, 0.0, 2.0, 0.0])[::2]
+            with pytest.raises(DomainError, match="non-finite grid or amplitude values"):
+                RadialSolution(r, strided, -1.0, 0.0, Free())
+
 
 def _whole_grid_residual(sol, pp):
     """ode_residual's reference: the same arithmetic on the whole grid at once."""
@@ -457,6 +477,23 @@ class TestOdeResidual:
         with pytest.raises(DomainError, match=r"ODE residual 1.0 / scale \S+ leaves the double range"):
             ode_residual(sol, PP)
 
+    def test_coarse_residual_grid_is_the_fine_grids_even_points(self):
+        # verify's and criterion 12's h = 1e-3 residual takes the even points
+        # of the h = 5e-4 grid and its u1 values, so each u1 grid is summed
+        # once: the two grids must hold the same doubles, and a strided
+        # solution must give the residual of the contiguous one
+        coarse = np.arange(1.0, 30.0, 1e-3)
+        fine = np.arange(1.0, 30.0, 5e-4)
+        assert coarse.tobytes() == fine[::2].tobytes()
+        for g in (0.5, 1.5, 2.5):
+            r0 = coulomb_scaling(PP, 1.0, -1.0 / (2 * g * g)).r0
+            assert (coarse * r0).tobytes() == (fine * r0)[::2].tobytes()
+        r = fine[:3 * _C + 5] * 0.25
+        u = np.exp(-r) * (r - 0.5) + 1j * np.exp(-2.0 * r)
+        strided = RadialSolution(r[::2], u[::2], -2.0, 0.0, Coulomb(1.0))
+        contiguous = RadialSolution(r[::2].copy(), u[::2].copy(), -2.0, 0.0, Coulomb(1.0))
+        assert float(ode_residual(strided, PP)).hex() == float(ode_residual(contiguous, PP)).hex()
+
     def test_angular_overflow_is_a_domain_error_in_the_sweeps(self):
         # a bare RuntimeWarning from radial_coefficient's overflow before
         cfg = ShootingConfig(1e-160, 1e-150, 1000)
@@ -465,6 +502,30 @@ class TestOdeResidual:
             integrate_radial(Free(), PP, 1.0, -1.0, cfg, "outward", (1.0, 1.0))
         with pytest.raises(DomainError, match=match):
             inward_phase(Free(), PP, 1.0, -1.0, cfg)
+
+
+class TestShootingConfig:
+    @pytest.mark.parametrize(
+        "cfg, match",
+        [
+            # accepted; the sweeps then raised a bare RuntimeWarning
+            (lambda: ShootingConfig(1.0, math.inf, 1000), "need a finite r_max, got inf"),
+            (lambda: ShootingConfig(1.0, 2.0, 1000).rescaled(1e308), "need a finite r_max"),
+            # accepted; integrate_radial then raised an untyped TypeError
+            (lambda: ShootingConfig(1.0, 2.0, 1000.5), "steps must be an integer, got 1000.5"),
+            (lambda: ShootingConfig(1.0, 2.0, 1000.0), "steps must be an integer, got 1000.0"),
+        ],
+        ids=["inf-window", "rescaled-to-inf", "fractional-steps", "float-steps"],
+    )
+    def test_windows_the_sweeps_cannot_take_are_refused(self, cfg, match):
+        with pytest.raises(DomainError, match=match):
+            cfg()
+
+    def test_numpy_int_steps_stay_valid(self):
+        cfg = ShootingConfig(1.0, 2.0, np.int64(1000))
+        assert cfg.rescaled(2.0) == ShootingConfig(2.0, 4.0, 1000)
+        sol = integrate_radial(Free(), PP, 0.0, -1.0, cfg, "outward", (1.0, 1.0))
+        assert sol.u_values.size == 1000
 
 
 class TestInwardPhase:

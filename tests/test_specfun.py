@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 from minkqm import specfun, spectra
 from minkqm.errors import ConvergenceError, DomainError, PoleError
 from minkqm.model import NATURAL_UNITS
-from minkqm.specfun import (
-    _KEPT_BLOCKS, DEFAULT_SERIES_CAP, KummerParams, _kummer_m_ld, kummer_m, ln_gamma,
-)
+from minkqm.specfun import DEFAULT_SERIES_CAP, KummerParams, _kummer_m_ld, kummer_m, ln_gamma
 
 # 40-digit offline references
 LN_GAMMA_1_2I = complex(-1.8760787864309293, 0.12964631630978831)
@@ -262,9 +260,8 @@ class TestKummerM:
         # for zero imaginary parts of either sign and past the double range.
         # Each block is the first one built on its instance, so blocks 1, 2
         # and 156 are built out of order, and still hold their own factors:
-        # two threads filling one instance cannot shift a block.  Block 156
-        # is built, not kept, being past _KEPT_BLOCKS.  The last block stops
-        # at the term cap.
+        # two threads filling one instance cannot shift a block.  Each block
+        # is kept, block 156 included.  The last block stops at the term cap.
         for a, c, start in [
             (complex(-1.5, 1), complex(0.5, 2), 0),
             (complex(-2.5, -0.0), complex(1, -0.0), 64),
@@ -274,7 +271,7 @@ class TestKummerM:
         ]:
             p = KummerParams(a, c)
             block = p._block(start // 64)
-            assert list(p._blocks) == ([start // 64] if start // 64 < _KEPT_BLOCKS else [])
+            assert list(p._blocks) == [start // 64]
             assert len(block) == min(64, 10_000 - start)
             al, cl = np.clongdouble(a), np.clongdouble(c)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -415,29 +412,30 @@ class TestKummerM:
             assert _same_bits(got, _plain_kummer_loop(p, 7.5, 1e-13))
 
     def test_flat_polynomial_sum_matches_plain_loop(self):
-        # A polynomial up to degree 256 sums one flat tuple of its factor
-        # pairs below its quiet bound, built with its parameters; a longer
-        # one keeps none.  Degrees across the block edges and the tuple's
-        # limit, imaginary parts of +0.0 and -0.0 and nonzero, and Re c < 1
-        # (no quiet range); z below, just below, at and past the bound, and
-        # up to the n z = (_LOG_QUIET/2)^2 that bounded a polynomial before
-        # it took the rule every series takes.  Each case runs cold and
-        # warm, with the plain loop's bits or error.
-        for n in (0, 1, 3, 63, 64, 65, 255, 256, 257, 300):
+        # A polynomial sums one flat tuple of its factor pairs below its
+        # quiet bound, built with its parameters, at every degree up to the
+        # cap.  Degrees across the block edges, the old tuple limit of 256
+        # and up to the cap, imaginary parts of +0.0 and -0.0 and nonzero,
+        # and Re c < 1 (no quiet range); z below, just below, at and past
+        # the bound, and up to the n z = (_LOG_QUIET/2)^2 that bounded a
+        # polynomial before it took the rule every series takes.  Each case
+        # runs cold and warm, with the plain loop's bits or error.
+        for n in (0, 1, 3, 63, 64, 65, 255, 256, 257, 300, 1_000, DEFAULT_SERIES_CAP):
             for a_im, c in ((0.0, complex(1, 0.0)), (-0.0, complex(1, -0.0)),
                             (0.0, complex(1, 1.4)), (-0.0, complex(1, -0.7)), (0.0, complex(0.5, 0.0))):
                 p = KummerParams(complex(-n, a_im), c)
                 pairs = p._pairs
-                assert (len(pairs) == n) if n <= 256 else pairs is None
+                assert len(pairs) == n
                 bound = p._quiet_below
                 old = (specfun._LOG_QUIET / 2.0) ** 2 / max(n, 1)
                 zs = [z for z in (0.5, 7.5, math.nextafter(bound, 0.0), bound, 3.0 * bound,
                                   math.sqrt(bound * old), math.nextafter(old, 0.0))
                       if 0.0 < z < math.inf]
+                want = {z: _sum_outcome(_plain_kummer_loop, p, z, 1e-13) for z in zs}
                 for run in ("cold", "warm"):
                     for z in zs:
                         got = _sum_outcome(_kummer_m_ld, p, z, 1e-13)
-                        assert got == _sum_outcome(_plain_kummer_loop, p, z, 1e-13), (run, n, a_im, c, z)
+                        assert got == want[z], (run, n, a_im, c, z)
                 assert p._pairs is pairs and p._blocks == {}
                 # the checks on z and tol keep their order and messages
                 for z in (math.nan, -1.0, -math.inf, -0.0):
@@ -453,21 +451,26 @@ class TestKummerM:
                     assert _sum_outcome(_kummer_m_ld, p, 2.0, tol) == (
                         DomainError, f"tol must be positive and finite, got {tol}")
 
-    def test_long_sums_keep_at_most_the_first_blocks(self):
-        # A series at z = 500 (about 12 blocks) keeps only its first
-        # _KEPT_BLOCKS blocks, and a degree-2,000 u1 polynomial keeps no
-        # factors; a second sum, which builds the factors past them again,
-        # keeps the bits.
+    def test_long_sums_keep_every_factor_they_build(self):
+        # A series at z = 500 (about 12 blocks) keeps every block its sum
+        # builds, and a degree-2,000 u1 polynomial keeps its 2,000 factor
+        # pairs and builds no block; a second sum builds nothing and keeps
+        # the bits.
         u1_params = KummerParams(complex(0.5 - 2000.5, 0.0), complex(1.0, 0.0))
         for p, z in [(u1_params, 1.0), (KummerParams(complex(0.3, 0.2), complex(1.1, 0.4)), 500.0)]:
+            built = []
+            build = p._block
+            object.__setattr__(p, "_block", lambda i: built.append(i) or build(i))
+            pairs = p._pairs
             first = _kummer_m_ld(p, z, 1e-13)
             if p.terminating_order() is None:
-                assert sorted(p._blocks) == list(range(_KEPT_BLOCKS))
+                assert len(built) > 500 // 64 and sorted(p._blocks) == built == list(range(len(built)))
             else:
-                assert p._blocks == {} and p._pairs is None
+                assert built == [] and p._blocks == {} and len(pairs) == 2_000
             kept = dict(p._blocks)
             again = _kummer_m_ld(p, z, 1e-13)
             assert _same_bits(again, first) and _same_bits(first, _plain_kummer_loop(p, z, 1e-13))
+            assert built == sorted(kept) and p._pairs is pairs
             assert all(p._blocks[i] is block for i, block in kept.items())
             assert p._blocks.keys() == kept.keys()
 
