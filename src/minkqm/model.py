@@ -1,7 +1,7 @@
 """Physical parameters, potentials, the radial equation coefficient, and the
 spectra that take no special functions: the closed-form levels, the free
-particle's ladder and the Coulomb-oscillator duality map.  Nothing here
-imports numpy.
+particle's ladder and the Coulomb-oscillator duality map.  Importing it
+loads no numpy; only an array of radii does.
 
 The form s^2 = x1^2 - x2^2 splits the Minkowski plane into four regions
 bounded by the isotropic lines x1 = +-x2.  Everything here lives in regions
@@ -141,36 +141,54 @@ def potential(kind: SystemKind, pp: PhysicalParams, r):
     """U(r) for the three angle-independent systems; r a number or an array.
 
     Raises DomainError for a radius that is negative or NaN (0 too, for
-    Coulomb), an empty grid, and where U leaves the double range.
+    Coulomb), an empty grid, and where U is not finite (see _finite).
     """
     r, r_min = _radii(r)
-    return _potential(kind, pp, r, float(r_min))[0]
-
-
-def _potential(kind: SystemKind, pp: PhysicalParams, r, r_min: float):
-    """(U on r, U where |U| is largest on r: 0 for the free particle, at the
-    largest radius for the oscillator, at r_min for Coulomb).  That value
-    is taken first, in the same operations, so DomainError comes before
-    numpy can warn on an array."""
     if isinstance(kind, Coulomb):
         if not r_min > 0:
             raise DomainError(f"Coulomb potential needs r > 0, got {r_min}")
-        what = f"Coulomb potential -alpha/r at alpha={kind.alpha!r}, r={r_min!r}"
-        top = _bounded(-kind.alpha / r_min, what)
-        return -kind.alpha / r, top
-    if not r_min >= 0:
+    elif not r_min >= 0:
         raise DomainError(f"r must be >= 0, got {r_min}")
-    if isinstance(kind, Free):
-        return 0.0, 0.0
+    return _finite("potential U(r) of {!r} at {!r}", _u, r, kind, pp)
+
+
+def _u(r, kind: SystemKind, pp: PhysicalParams):
+    """U(r), unchecked."""
+    if isinstance(kind, Coulomb):
+        return -kind.alpha / r
     if isinstance(kind, Oscillator):
-        r_max = float(r.max()) if hasattr(r, "max") else r
-        try:
-            top = 0.5 * pp.mass * kind.omega**2 * r_max * r_max
-        except OverflowError:  # omega**2 of a Python float raises where it overflows
-            top = math.inf
-        _bounded(top, f"oscillator potential (m omega^2/2) r^2 at omega={kind.omega!r}, r={r_max!r}")
-        return 0.5 * pp.mass * kind.omega**2 * r * r, top
+        return 0.5 * pp.mass * kind.omega**2 * r * r
+    if isinstance(kind, Free):
+        return 0.0
     raise TypeError(f"unknown system kind {kind!r}")
+
+
+def _finite(what: str, f, r, *args):
+    """f(r, *args), or DomainError naming what (formatted with args) and the
+    first radius where it is not finite.  A Python float r runs plain, with
+    ZeroDivisionError and OverflowError taken as not finite; any other r
+    runs under numpy with its errors ignored.  Both do the same IEEE
+    operations, so they agree at every radius, and an overflow that the
+    result does not need gives the true float (past r = 1.34e154, r^2)."""
+    try:
+        if type(r) is float:
+            value = f(r, *args)
+            if math.isfinite(value):
+                return value
+            bad = r
+        else:
+            import numpy as np  # here, so that importing this module loads no numpy
+            with np.errstate(all="ignore"):
+                value = f(r, *args)
+            finite = np.isfinite(value)
+            if finite.all():
+                return value
+            bad = np.ravel(r)[np.argmin(np.broadcast_to(finite, np.shape(r)))]
+    except (ZeroDivisionError, OverflowError):  # Python float arithmetic, so at every radius
+        bad = r if type(r) is float else np.ravel(r)[0]
+    raise DomainError(
+        f"{what.format(*args)} is not finite at r={float(bad)!r}: it leaves the double range"
+    )
 
 
 def effective_potential(
@@ -179,9 +197,9 @@ def effective_potential(
     """U_eff(r) = -(hbar^2/2m) (M^2 + 1/4)/r^2 + U(r).
 
     Strictly negative at every r > 0 for the free particle.  Raises
-    DomainError where hbar^2/2m or r^2 underflows or the value leaves the
-    double range, as a free value does where r^2 overflows to inf and
-    the value would round to 0.
+    DomainError where the value is not finite (see _finite), where
+    hbar^2/2m underflows to 0, and where a nonzero angular term leaves a
+    value of 0, as a free value does where r^2 overflows.
     """
     return _effective(kind, pp, m_ang, r, m_ang * m_ang + 0.25)
 
@@ -196,35 +214,24 @@ def euclidean_effective_for(
 def _effective(
     kind: SystemKind, pp: PhysicalParams, m_ang: float, r: float, angular: float
 ) -> float:
-    """-(hbar^2/2m) angular/r^2 + U(r), or DomainError where hbar^2/2m or
-    r^2 underflows, M^2 / r^2 or U(r) leaves the double range, or a nonzero
-    angular term leaves a value of 0 (r^2 overflows, or the term underflows)."""
+    """-(hbar^2/2m) angular/r^2 + U(r), with effective_potential's errors."""
     if not r > 0:
         raise DomainError(f"effective potential needs r > 0, got {r}")
-    r = _radii(r)[0]
-    h2_over_2m = _nonzero(
-        pp.hbar**2 / (2.0 * pp.mass), f"hbar^2/(2m) at hbar={pp.hbar!r}, mass={pp.mass!r}"
-    )
-    r2 = _nonzero(r * r, f"r^2 at r={r!r}")
-    centrifugal = -h2_over_2m * angular / r2
-    value = centrifugal + potential(kind, pp, r)
-    if not math.isfinite(value):
-        raise DomainError(
-            f"effective potential at M={m_ang}, r={r} is {value}: it leaves the double range"
-        )
-    if value == 0.0 and centrifugal == 0.0 and angular != 0.0:
-        raise DomainError(
-            f"effective potential at M={m_ang}, r={r} comes out 0: its term "
-            f"(hbar^2/2m) {angular!r}/r^2 at r^2={r2!r} leaves the double range"
-        )
+    r = float(_radii(r)[0])
+    what = "effective potential -(hbar^2/2m) {!r}/r^2 + U(r) of {!r} at {!r}"
+    value = _finite(what, _effective_value, r, angular, kind, pp)
+    h2_over_2m = pp.hbar**2 / (2.0 * pp.mass)  # finite, as the value is
+    if h2_over_2m == 0.0 or (value == 0.0 and angular != 0.0):
+        # hbar^2/2m drops the angular term, or a free value (promised < 0) is 0
+        _nonzero(h2_over_2m, f"hbar^2/(2m) at hbar={pp.hbar!r}, mass={pp.mass!r}")
+        term = f"effective potential at M={m_ang}, r={r}: its term -(hbar^2/2m) {angular!r}/r^2"
+        _nonzero(-h2_over_2m * angular / (r * r), term)
     return value
 
 
-def _bounded(value: float, what: str) -> float:
-    """value, or DomainError where what, a term's largest value, overflows."""
-    if abs(value) == math.inf:
-        raise DomainError(f"{what} overflows: it leaves the double range")
-    return value
+def _effective_value(r: float, angular: float, kind: SystemKind, pp: PhysicalParams) -> float:
+    """-(hbar^2/2m) angular/r^2 + U(r), unchecked."""
+    return -(pp.hbar**2 / (2.0 * pp.mass)) * angular / (r * r) + _u(r, kind, pp)
 
 
 def _nonzero(value: float, what: str) -> float:
@@ -241,37 +248,25 @@ def radial_coefficient(
 
     r is a number or an array of radii (the oracle passes grids).  Raises
     DomainError for a radius that is not positive (NaN included), an empty
-    grid, a non-finite E or M, where hbar^2 or the smallest r^2 underflows
-    to 0, and where 2m/hbar^2, U, (M^2 + 1/4)/r^2 or the sum overflows.
-    Each term is bounded by its largest value on the grid and the sum by
-    the sum of those bounds (rounding is monotone), before numpy touches
-    the grid, so an array emits no numpy warning.  The sum's bound refuses
-    a finite value only where a term comes within a factor of 2 of the
-    double range's top.
+    grid, a non-finite E or M, and where Q is not finite (see _finite), so
+    an array emits no numpy warning and takes the bits of the scalar calls.
     """
     r, r_min = _radii(r)
-    r_min = float(r_min)
     if not r_min > 0:
         raise DomainError(f"radial coefficient needs r > 0, got {r_min}")
-    two_m_over_h2 = 2.0 * pp.mass / _nonzero(pp.hbar * pp.hbar, f"hbar^2 at hbar={pp.hbar!r}")
-    angular = m_ang * m_ang + 0.25
-    r2_min = _nonzero(r_min * r_min, f"r^2 at r={r_min!r}")
     if not (math.isfinite(E) and math.isfinite(m_ang)):
         raise DomainError(
             f"radial coefficient not finite on the grid: it needs a finite E and M, "
             f"got E={E}, M={m_ang}"
         )
-    angular_top = _bounded(angular / r2_min, f"(M^2 + 1/4)/r^2 at M={m_ang!r}, r={r_min!r}")
-    _bounded(two_m_over_h2, f"2m/hbar^2 at mass={pp.mass!r}, hbar={pp.hbar!r}")
-    u, u_top = _potential(kind, pp, r, r_min)
-    # U lies between 0 and u_top on the grid, so |E - U| is at most this
-    shift = max(abs(float(E)), abs(float(E) - u_top))
-    _bounded(
-        two_m_over_h2 * shift + angular_top,
-        f"the bound (2m/hbar^2) max|E - U| + (M^2 + 1/4)/r^2 on Q(r) at E={E!r}, M={m_ang!r}, "
-        f"r >= {r_min!r}",
-    )
-    return two_m_over_h2 * (E - u) + angular / (r * r)
+    what = "radial coefficient Q(r) of {!r} at {!r}, M={!r}, E={!r}"
+    return _finite(what, _q, r, kind, pp, m_ang, E)
+
+
+def _q(r, kind: SystemKind, pp: PhysicalParams, m_ang: float, E: float):
+    """(2m/hbar^2)(E - U(r)) + (M^2 + 1/4)/r^2, unchecked."""
+    two_m_over_h2 = 2.0 * pp.mass / (pp.hbar * pp.hbar)
+    return two_m_over_h2 * (E - _u(r, kind, pp)) + (m_ang * m_ang + 0.25) / (r * r)
 
 
 # --------------------------------------------------------------------------

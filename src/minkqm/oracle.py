@@ -206,24 +206,28 @@ def _numerov(
     return grid, log_scale
 
 
-def _check_stability(h: float, coef: np.ndarray):
-    """DomainError unless every coef is finite and h^2 max|coef| is small."""
+def _coefficient_grid(cfg: ShootingConfig, q: Callable[[np.ndarray], np.ndarray], log: bool):
+    """(x, r, h, coef) on cfg's grid, uniform in x = ln r where log holds
+    (coef is then W = r^2 q(r) - 1/4, of v'' + W v = 0 for v = u/sqrt(r)),
+    else in x = r.  coef and h^2 max|coef| are built with numpy's errors
+    ignored, then checked once: DomainError unless every coef is finite
+    and h^2 max|coef| is small (an h^2 that overflows is too coarse)."""
+    with np.errstate(all="ignore"):
+        if log:
+            x = np.linspace(math.log(cfg.r_min), math.log(cfg.r_max), cfg.steps)
+            r = np.exp(x)
+        else:
+            x = r = np.linspace(cfg.r_min, cfg.r_max, cfg.steps)
+        h = x[1] - x[0]
+        coef = r * r * q(r) - 0.25 if log else q(r)
+        worst = h * h * float(np.max(np.abs(coef)))
     if not np.all(np.isfinite(coef)):
         raise DomainError("coefficient not finite on the grid")
-    worst = h * h * float(np.max(np.abs(coef)))
     if worst > _STABILITY_BOUND:
         raise DomainError(
-            f"grid too coarse: h^2 max|coef| = {worst:.3g} > {_STABILITY_BOUND}; "
-            "increase steps"
+            f"grid too coarse: h^2 max|coef| = {worst:.3g} > {_STABILITY_BOUND}; increase steps"
         )
-
-
-def _log_grid(cfg: ShootingConfig, q: Callable[[np.ndarray], np.ndarray]):
-    """(x, r = e^x, h, W = r^2 q(r) - 1/4) on cfg's grid uniform in x = ln r,
-    W being the coefficient of v'' + W v = 0 for v = u/sqrt(r)."""
-    x = np.linspace(math.log(cfg.r_min), math.log(cfg.r_max), cfg.steps)
-    r = np.exp(x)
-    return x, r, x[1] - x[0], r * r * q(r) - 0.25
+    return x, r, h, coef
 
 
 def integrate_radial(
@@ -248,18 +252,12 @@ def integrate_radial(
     """
     if direction not in ("outward", "inward"):
         raise DomainError(f"direction must be outward or inward, got {direction!r}")
+    if spacing not in ("linear", "log"):
+        raise DomainError(f"spacing must be linear or log, got {spacing!r}")
     inward = direction == "inward"
 
     q = q_func or (lambda rr: radial_coefficient(kind, pp, m_ang, energy, rr))
-    if spacing == "linear":
-        r = np.linspace(cfg.r_min, cfg.r_max, cfg.steps)
-        h = r[1] - r[0]
-        coef = q(r)
-    elif spacing == "log":
-        _, r, h, coef = _log_grid(cfg, q)
-    else:
-        raise DomainError(f"spacing must be linear or log, got {spacing!r}")
-    _check_stability(h, coef)
+    _, r, h, coef = _coefficient_grid(cfg, q, spacing == "log")
     if spacing == "linear":
         u, log_scale = _numerov(coef, h, start_values, inward)
     else:
@@ -315,10 +313,9 @@ def inward_phase(
         raise DomainError(f"need E < 0, got {energy}")
     kappa = math.sqrt(-2.0 * pp.mass * energy) / pp.hbar
 
-    x, r, h, coef = _log_grid(
-        cfg, lambda rr: radial_coefficient(kind, pp, m_ang, energy, rr)
+    x, r, h, coef = _coefficient_grid(
+        cfg, lambda rr: radial_coefficient(kind, pp, m_ang, energy, rr), log=True
     )
-    _check_stability(h, coef)
 
     # decaying start, v = u/sqrt(r) with u ~ e^{-kappa r}
     v_end = 1.0
@@ -434,15 +431,14 @@ def ode_residual(sol: RadialSolution, pp: PhysicalParams) -> float:
     so the result has the bits of one whole-grid evaluation, while the
     working memory stays a few chunk-sized arrays at any grid size.
 
-    Raises DomainError where a chunk's defect or scale, or their ratio,
-    is not finite (a difference quotient or Q u leaves the double range),
-    where the scale is 0 (the trivial solution), and where
-    radial_coefficient does.
+    Runs with numpy's errors ignored, and raises DomainError where the
+    scale or the ratio is not finite (the maxima keep a NaN), where the
+    scale is 0 (the trivial solution), and where radial_coefficient does.
     """
     r = sol.r_grid
     u = sol.u_values
     worst = scale = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         for start in range(0, len(r) - 2, _RESIDUAL_CHUNK - 2):
             rc = r[start : start + _RESIDUAL_CHUNK]
             uc = u[start : start + _RESIDUAL_CHUNK]
@@ -452,19 +448,13 @@ def ode_residual(sol: RadialSolution, pp: PhysicalParams) -> float:
             d2 = 2.0 * (
                 (uc[2:] - uc[1:-1]) / h_plus - (uc[1:-1] - uc[:-2]) / h_minus
             ) / (h_plus + h_minus)
-            chunk_worst = np.max(np.abs(d2 + q[1:-1] * uc[1:-1]))
-            chunk_scale = np.max(np.abs(q * uc))
-            if not (np.isfinite(chunk_worst) and np.isfinite(chunk_scale)):
-                raise DomainError(
-                    f"ODE residual on r in [{float(rc[0])!r}, {float(rc[-1])!r}] is not finite: "
-                    "u'' or Q u leaves the double range"
-                )
-            worst = max(worst, chunk_worst)
-            scale = max(scale, chunk_scale)
-        if scale == 0.0:
-            raise DomainError("trivial solution; residual scale undefined")
+            # np.maximum keeps a NaN, which Python's max may drop
+            worst = np.maximum(worst, np.max(np.abs(d2 + q[1:-1] * uc[1:-1])))
+            scale = np.maximum(scale, np.max(np.abs(q * uc)))
         ratio = float(worst / scale)
-    if not math.isfinite(ratio):
+    if scale == 0.0:
+        raise DomainError("trivial solution; residual scale undefined")
+    if not (math.isfinite(ratio) and math.isfinite(scale)):
         raise DomainError(
             f"ODE residual {float(worst)!r} / scale {float(scale)!r} leaves the double range"
         )

@@ -515,7 +515,9 @@ class TestPotentialCommand:
             "--grid-min", "1e-300", "--grid-max", "1", "--grid-points", "2",
         )
         assert (code, out, err) == (
-            2, "", "error: r^2 at r=1e-300 underflows to 0: it leaves the double range\n"
+            2, "",
+            "error: effective potential -(hbar^2/2m) 4.25/r^2 + U(r) of Free() at "
+            "PhysicalParams(mass=1.0, hbar=1.0) is not finite at r=1e-300: it leaves the double range\n",
         )
 
     def test_r_squared_overflow_exits_2(self, capsys):
@@ -527,8 +529,8 @@ class TestPotentialCommand:
         )
         assert (code, out, err) == (
             2, "",
-            "error: effective potential at M=0.0, r=1e+160 comes out 0: its term "
-            "(hbar^2/2m) 0.25/r^2 at r^2=inf leaves the double range\n",
+            "error: effective potential at M=0.0, r=1e+160: its term -(hbar^2/2m) 0.25/r^2 "
+            "underflows to 0: it leaves the double range\n",
         )
 
     def test_hbar_squared_over_2m_underflow_exits_2(self, capsys):
@@ -542,6 +544,19 @@ class TestPotentialCommand:
             2, "",
             "error: hbar^2/(2m) at hbar=1e-200, mass=1.0 underflows to 0: "
             "it leaves the double range\n",
+        )
+
+    def test_hbar_squared_overflow_exits_2(self, capsys):
+        # hbar**2 raised an untyped OverflowError: exit 3 with "numerical
+        # failure: (34, 'Numerical result out of range')"
+        code, out, err = run_cli(
+            capsys, "potential", "--system", "free", "--M", "0", "--hbar", "1e200",
+            "--grid-min", "1", "--grid-max", "2", "--grid-points", "2",
+        )
+        assert (code, out, err) == (
+            2, "",
+            "error: effective potential -(hbar^2/2m) 0.25/r^2 + U(r) of Free() at "
+            "PhysicalParams(mass=1.0, hbar=1e+200) is not finite at r=1.0: it leaves the double range\n",
         )
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,9 @@ from minkqm.model import (
     potential,
     radial_coefficient,
 )
+
+# NATURAL_UNITS as the range errors name it
+UNITS = r"PhysicalParams\(mass=1.0, hbar=1.0\)"
 
 
 class TestPotential:
@@ -56,15 +60,19 @@ class TestPotential:
         # the oscillator's inf came back with no error (and omega**2 raised
         # an untyped OverflowError), and an array warned "overflow"
         cases = [
-            (Oscillator(1.0), 1e200, r"\(m omega\^2/2\) r\^2 at omega=1.0, r=1e\+200 overflows"),
-            (Oscillator(1.0), np.array([1.0, 1e200]), r"at omega=1.0, r=1e\+200 overflows"),
-            (Oscillator(1e200), 1.0, r"at omega=1e\+200, r=1.0 overflows"),
-            (Coulomb(1.0), np.array([1e-310, 1.0]), r"-alpha/r at alpha=1.0, r=1e-310 overflows"),
+            (Oscillator(1.0), 1e200, r"Oscillator\(omega=1.0\)", "1e\\+200"),
+            (Oscillator(1.0), np.array([1.0, 1e200]), r"Oscillator\(omega=1.0\)", "1e\\+200"),
+            (Oscillator(1e200), 1.0, r"Oscillator\(omega=1e\+200\)", "1.0"),
+            (Coulomb(1.0), np.array([1e-310, 1.0]), r"Coulomb\(alpha=1.0\)", "1e-310"),
         ]
-        for kind, r, match in cases:
+        for kind, r, of, at in cases:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(DomainError, match=match + ": it leaves the double range"):
+                with pytest.raises(
+                    DomainError,
+                    match=rf"potential U\(r\) of {of} at {UNITS} is not finite at r={at}: "
+                    "it leaves the double range",
+                ):
                     potential(kind, NATURAL_UNITS, r)
 
     def test_couplings_validated(self):
@@ -127,11 +135,13 @@ class TestEffectivePotential:
 
     def test_r_squared_underflow_raises(self):
         # r^2 underflows to 0; both forms raised ZeroDivisionError
-        for func in (effective_potential, euclidean_effective_for):
+        for func, angular in ((effective_potential, "4.25"), (euclidean_effective_for, "-3.75")):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(
-                    DomainError, match=r"r\^2 at r=1e-300 underflows to 0: it leaves the double range"
+                    DomainError,
+                    match=rf"effective potential -\(hbar\^2/2m\) {angular}/r\^2 \+ U\(r\) of Free\(\) "
+                    rf"at {UNITS} is not finite at r=1e-300: it leaves the double range",
                 ):
                     func(Free(), NATURAL_UNITS, 2.0, 1e-300)
 
@@ -146,12 +156,29 @@ class TestEffectivePotential:
             ):
                 func(Free(), pp, 0.0, 1.0)
 
+    def test_hbar_squared_overflow_raises(self):
+        # pp.hbar**2 raised an untyped OverflowError from hbar ~ 1.34e154 on
+        pp = PhysicalParams(mass=1.0, hbar=1e200)
+        for func in (effective_potential, euclidean_effective_for):
+            for kind in (Free(), Oscillator(1.0), Coulomb(1.0)):
+                with pytest.raises(
+                    DomainError,
+                    match=r"effective potential -\(hbar\^2/2m\) 0.25/r\^2 \+ U\(r\) of "
+                    rf"{re.escape(repr(kind))} at PhysicalParams\(mass=1.0, hbar=1e\+200\) "
+                    "is not finite at r=1.0: it leaves the double range",
+                ):
+                    func(kind, pp, 0.0, 1.0)
+
     def test_r_squared_overflow_raises(self):
         # r^2 overflows to inf: the free particle's U_eff, promised strictly
         # negative, was -0.0
-        for func, m_ang in ((effective_potential, 0.0), (euclidean_effective_for, 2.0)):
+        for func, m_ang, angular in (
+            (effective_potential, 0.0, "0.25"), (euclidean_effective_for, 2.0, "-3.75")
+        ):
             with pytest.raises(
-                DomainError, match=r"r=1e\+160 comes out 0: .* at r\^2=inf leaves the double range"
+                DomainError,
+                match=rf"effective potential at M={m_ang}, r=1e\+160: its term -\(hbar\^2/2m\) "
+                rf"{angular}/r\^2 underflows to 0: it leaves the double range",
             ):
                 func(Free(), NATURAL_UNITS, m_ang, 1e160)
         # the Euclidean free value at |M| = 1/2 has no angular term, and a
@@ -282,20 +309,24 @@ class TestRadialCoefficient:
                 call()
 
     @pytest.mark.parametrize(
-        "pp, r, match",
+        "pp, r, at",
         [
             # these raised ZeroDivisionError
-            (NATURAL_UNITS, 1e-300, r"r\^2 at r=1e-300 underflows to 0"),
-            (PhysicalParams(1.0, 1e-200), 1.0, r"hbar\^2 at hbar=1e-200 underflows to 0"),
+            (NATURAL_UNITS, 1e-300, "1e-300"),
+            (PhysicalParams(1.0, 1e-200), 1.0, "1.0"),
             # this warned "divide by zero" and returned an inf
-            (NATURAL_UNITS, np.array([1e-170, 1.0]), r"r\^2 at r=1e-170 underflows to 0"),
+            (NATURAL_UNITS, np.array([1e-170, 1.0]), "1e-170"),
         ],
         ids=["scalar-r", "hbar", "array-r"],
     )
-    def test_squares_that_underflow_raise(self, pp, r, match):
+    def test_squares_that_underflow_raise(self, pp, r, at):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=match + ": it leaves the double range"):
+            with pytest.raises(
+                DomainError,
+                match=rf"radial coefficient Q\(r\) of Free\(\) at {re.escape(repr(pp))}, M=2.0, "
+                rf"E=-1.0 is not finite at r={at}: it leaves the double range",
+            ):
                 radial_coefficient(Free(), pp, 2.0, -1.0, r)
 
     @pytest.mark.parametrize(
@@ -309,34 +340,34 @@ class TestRadialCoefficient:
                 warnings.simplefilter("error")
                 with pytest.raises(
                     DomainError,
-                    match=r"\(M\^2 \+ 1/4\)/r\^2 at M=-1.0, r=1e-160 overflows: "
-                    "it leaves the double range",
+                    match=rf"radial coefficient Q\(r\) of {re.escape(repr(kind))} at {UNITS}, "
+                    r"M=-1.0, E=-1.0 is not finite at r=1e-160: it leaves the double range",
                 ):
                     radial_coefficient(kind, NATURAL_UNITS, -1.0, -1.0, r)
 
     @pytest.mark.parametrize(
-        "kind, pp, m_ang, energy, r, match",
+        "kind, pp, m_ang, energy, r, at",
         [
             # returned -inf
-            (Oscillator(1.0), NATURAL_UNITS, 0.0, -1.0, 1e200, r"omega=1.0, r=1e\+200 overflows"),
+            (Oscillator(1.0), NATURAL_UNITS, 0.0, -1.0, 1e200, "1e+200"),
             # warned "overflow encountered in multiply"
-            (Oscillator(1.0), NATURAL_UNITS, 0.0, -1.0, np.array([1.0, 1e200]),
-             r"omega=1.0, r=1e\+200 overflows"),
+            (Oscillator(1.0), NATURAL_UNITS, 0.0, -1.0, np.array([1.0, 1e200]), "1e+200"),
             # 2m/hbar^2 is inf: "invalid value encountered in multiply"
-            (Coulomb(1.0), PhysicalParams(1e300, 1e-10), 0.0, -1.0, np.array([1.0, 2.0]),
-             r"2m/hbar\^2 at mass=1e\+300, hbar=1e-10 overflows"),
+            (Coulomb(1.0), PhysicalParams(1e300, 1e-10), 0.0, -1.0, np.array([1.0, 2.0]), "1.0"),
             # E - U and the sum overflow: "overflow encountered in multiply"
-            (Free(), NATURAL_UNITS, 0.0, -1e308, np.array([1.0, 2.0]),
-             r"on Q\(r\) at E=-1e\+308, M=0.0, r >= 1.0 overflows"),
-            (Coulomb(1e300), NATURAL_UNITS, 0.0, -1.0, np.array([1e-8, 1.0]),
-             r"on Q\(r\) at E=-1.0, M=0.0, r >= 1e-08 overflows"),
+            (Free(), NATURAL_UNITS, 0.0, -1e308, np.array([1.0, 2.0]), "1.0"),
+            (Coulomb(1e300), NATURAL_UNITS, 0.0, -1.0, np.array([1e-8, 1.0]), "1e-08"),
         ],
         ids=["oscillator-scalar", "oscillator-array", "2m-over-hbar2", "free-sum", "coulomb-sum"],
     )
-    def test_other_terms_past_the_double_range_raise(self, kind, pp, m_ang, energy, r, match):
+    def test_other_terms_past_the_double_range_raise(self, kind, pp, m_ang, energy, r, at):
+        inputs = f"{kind!r} at {pp!r}, M={m_ang!r}, E={energy!r} is not finite at r={at}"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=match + ".*: it leaves the double range"):
+            with pytest.raises(
+                DomainError,
+                match=r"radial coefficient Q\(r\) of " + re.escape(inputs) + ": it leaves the double range",
+            ):
                 radial_coefficient(kind, pp, m_ang, energy, r)
 
     @pytest.mark.parametrize(
@@ -373,6 +404,46 @@ class TestRadialCoefficient:
                     radial_coefficient(kind, NATURAL_UNITS, 0.0, energy, float(x)) for x in r
                 ]
             assert np.isfinite(q).all() and np.abs(q).max() > 1e306
+
+    def test_r_squared_that_overflows_drops_the_angular_term(self):
+        # r * r overflowed at r = 1e200 with numpy's warning; (M^2 + 1/4)/r^2
+        # is below the least double there, so Q is 2E, as the scalar call gives
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = radial_coefficient(Free(), NATURAL_UNITS, 0.0, -1.0, np.array([1.0, 1e200]))
+            assert q.tolist() == [-1.75, -2.0]
+            assert radial_coefficient(Free(), NATURAL_UNITS, 0.0, -1.0, 1e200) == -2.0
+
+    @pytest.mark.parametrize("kind", [Free(), Oscillator(1.0), Coulomb(1.0)], ids=repr)
+    def test_arrays_match_scalar_calls_at_extreme_radii(self, kind):
+        # the array and scalar paths must give the same float, or the same
+        # DomainError, at every radius: the array at 1e200 warned "overflow"
+        # where the scalar returned -2.0
+        radii = [1e-170, 1e-160, 1e-154, 0.5, 1e154, 1e200, 1e300]
+
+        def outcomes(call, r):
+            """hex of each value of call(r), or the DomainError's text."""
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    value = call(r)
+            except DomainError as exc:
+                return str(exc)
+            return [float(v).hex() for v in np.broadcast_to(value, np.shape(r) or (1,))]
+
+        for hbar in (1.0, 1e-200):
+            pp = PhysicalParams(1.0, hbar)
+            calls = [lambda r: potential(kind, pp, r)] + [
+                lambda r, e=e: radial_coefficient(kind, pp, 1.0, e, r)
+                for e in (1.0, -1.0, 1e307, -1e307)
+            ]
+            for call in calls:
+                each = [outcomes(call, ri) for ri in radii]
+                for ri, got in zip(radii, each):
+                    assert outcomes(call, np.array([ri])) == got
+                failed = [got for got in each if isinstance(got, str)]
+                whole = failed[0] if failed else [v for got in each for v in got]
+                assert outcomes(call, np.array(radii)) == whole
 
     def test_angular_term_just_inside_the_range_keeps_its_bits(self):
         r = np.array([1e-154, 1.0])

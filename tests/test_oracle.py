@@ -23,6 +23,8 @@ from minkqm.oracle import (
 from minkqm.spectra import coulomb_scaling, coulomb_u1
 
 PP = NATURAL_UNITS
+# PP as the range errors name it
+UNITS = r"PhysicalParams\(mass=1.0, hbar=1.0\)"
 
 
 class TestIntegrateRadial:
@@ -121,7 +123,11 @@ class TestIntegrateRadial:
         # stability check refused the infinite coefficient
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=r"r\^2 at r=1e-170 underflows to 0"):
+            with pytest.raises(
+                DomainError,
+                match=rf"radial coefficient Q\(r\) of Free\(\) at {UNITS}, M=2.0, E=-1.0 "
+                "is not finite at r=1e-170: it leaves the double range",
+            ):
                 integrate_radial(
                     Free(), PP, 2.0, -1.0, ShootingConfig(1e-170, 1.0, 1000), "outward", (0.0, 1e-3)
                 )
@@ -129,10 +135,36 @@ class TestIntegrateRadial:
     def test_potential_overflow_is_a_domain_error_in_the_sweeps(self):
         # (m omega^2/2) r^2 overflows at r = 1e200: a bare RuntimeWarning before
         cfg = ShootingConfig(1.0, 1e200, 1000)
-        match = r"\(m omega\^2/2\) r\^2 at omega=1.0, r=1e\+200 overflows"
+        match = (
+            rf"radial coefficient Q\(r\) of Oscillator\(omega=1.0\) at {UNITS}, M=1.0, E=-1.0 "
+            r"is not finite at r=1.001001001001001e\+197: it leaves the double range"
+        )
         for direction in ("outward", "inward"):
             with pytest.raises(DomainError, match=match):
                 integrate_radial(Oscillator(1.0), PP, 1.0, -1.0, cfg, direction, (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "kind, r_max", [(Free(), 1e308), (Coulomb(1.0), 1e200)], ids=["free", "coulomb"]
+    )
+    def test_step_whose_square_overflows_is_too_coarse(self, kind, r_max):
+        # r * r in radial_coefficient past r ~ 1.34e154, then h * h in the
+        # stability check, raised a bare RuntimeWarning
+        cfg = ShootingConfig(1.0, r_max, 1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"grid too coarse: h\^2 max\|coef\| = inf > 0.01"):
+                integrate_radial(kind, PP, 0.0, -1.0, cfg, "outward", (1.0, 1.0))
+
+    def test_log_grid_coefficient_past_the_double_range_raises(self):
+        # W = r^2 Q - 1/4 overflows at r ~ 1e154 on the log grid: a bare
+        # "overflow encountered in multiply" before
+        cfg = ShootingConfig(1.0, 1e200, 1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="coefficient not finite on the grid"):
+                inward_phase(Free(), PP, 1.0, -1.0, cfg)
+            with pytest.raises(DomainError, match="coefficient not finite on the grid"):
+                integrate_radial(Coulomb(1.0), PP, 1.0, -1.0, cfg, "outward", (1.0, 1.0), "log")
 
     def test_bad_direction_rejected(self):
         cfg = ShootingConfig(1.0, 2.0, steps=1000)
@@ -459,9 +491,12 @@ class TestOdeResidual:
         "r, u, match",
         [
             # Q is inf at r = 1e-160 and u is 0 there: nan, with warnings
-            ([1e-160, 2e-160, 3e-160], [0.0, 1.0, 2.0], r"\(M\^2 \+ 1/4\)/r\^2 at M=1.0, r=1e-160"),
+            ([1e-160, 2e-160, 3e-160], [0.0, 1.0, 2.0],
+             rf"radial coefficient Q\(r\) of Free\(\) at {UNITS}, M=1.0, E=-1.0 "
+             "is not finite at r=1e-160: it leaves the double range"),
             # the difference quotient over h = 2^-52 overflows: nan
-            ([1.0, 1.0 + 2**-52, 3.0], [1e300, -1e300, 1e300], r"on r in \[1.0, 3.0\] is not finite"),
+            ([1.0, 1.0 + 2**-52, 3.0], [1e300, -1e300, 1e300],
+             r"ODE residual nan / scale 1.8611111111111114e\+300 leaves the double range"),
         ],
         ids=["Q-inf", "quotient-overflow"],
     )
@@ -497,10 +532,16 @@ class TestOdeResidual:
     def test_angular_overflow_is_a_domain_error_in_the_sweeps(self):
         # a bare RuntimeWarning from radial_coefficient's overflow before
         cfg = ShootingConfig(1e-160, 1e-150, 1000)
-        match = r"\(M\^2 \+ 1/4\)/r\^2 at M=1.0, r=\S+ overflows"
-        with pytest.raises(DomainError, match=match):
+        what = rf"radial coefficient Q\(r\) of Free\(\) at {UNITS}, M=1.0, E=-1.0 "
+        with pytest.raises(
+            DomainError, match=what + "is not finite at r=1e-160: it leaves the double range"
+        ):
             integrate_radial(Free(), PP, 1.0, -1.0, cfg, "outward", (1.0, 1.0))
-        with pytest.raises(DomainError, match=match):
+        # the log grid's first radius is e^(ln 1e-160)
+        with pytest.raises(
+            DomainError,
+            match=what + "is not finite at r=9.999999999999937e-161: it leaves the double range",
+        ):
             inward_phase(Free(), PP, 1.0, -1.0, cfg)
 
 
